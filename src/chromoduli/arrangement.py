@@ -207,8 +207,9 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
 
     Every bounded chamber satisfies 0 < z_v < m-2 coordinatewise, so the
     search fixes those signs up front and only splits on the remaining
-    functionals.  Boundedness of each result is certified by the recession
-    cone LP.
+    functionals.  Every result therefore lies in the open cube, so it is
+    bounded; this is checked by confirming that its final sign vector still
+    carries every fixed cube sign.
     """
     fns = arr.functionals
     if len(fns) > functional_budget:
@@ -255,9 +256,8 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
         res = _margin_lp(fns, sign_vec)
         if res is None:  # pragma: no cover - regions carry strict witnesses
             raise EngineConsistencyError("final margin LP lost a feasible region")
-        ray = recession_ray(fns, sign_vec)
-        if ray is not None:  # pragma: no cover - cube-pinned chambers are bounded
-            raise EngineConsistencyError("cube-restricted chamber has a recession ray")
+        if any(sign_vec[i] != s for i, s in fixed.items()):  # pragma: no cover - splits skip fixed signs
+            raise EngineConsistencyError("chamber lost a fixed cube sign")
         chambers.append(Chamber(sign_vec, res[0], True))
     chambers.sort(key=lambda c: c.signs)
     return chambers

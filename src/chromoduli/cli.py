@@ -23,7 +23,7 @@ from . import critical as crit_mod
 from . import digraph_poly as dig_mod
 from . import moduli as mod_mod
 from . import orientations as ori_mod
-from .errors import BudgetExceededError, GraphParseError
+from .errors import BudgetExceededError, ConvergenceError, EngineConsistencyError, GraphParseError
 from .graphs import Digraph, SimpleGraph, chromatic_polynomial, graph_to_json, load_graph_file
 
 EXIT_OK = 0
@@ -399,6 +399,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (EngineConsistencyError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 if __name__ == "__main__":

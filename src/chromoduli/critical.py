@@ -2,7 +2,7 @@
 
 On a fixed chamber, sum_H u_H log|f_H(z)| with all u_H > 0 is strictly
 concave (each summand is concave, and the level functionals pin every
-coordinate), so damped Newton ascent from the chamber's interior point
+coordinate), so damped Newton ascent seeded at the chamber's witness
 converges to the unique interior maximizer.  One critical point per bounded
 chamber is found and certified: tiny gradient, negative definite Hessian
 (via Cholesky of its negation), and the iterate never leaves the chamber.
@@ -10,16 +10,12 @@ chamber is found and certified: tiny gradient, negative definite Hessian
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, Chamber, bounded_chambers_bijective, build_arrangement, interior_point
-from .errors import ConvergenceError
-
-THREADS_ENV = "CHROMODULI_THREADS"
+from .arrangement import Arrangement, Chamber, bounded_chambers_bijective, build_arrangement
+from .errors import ConvergenceError, EngineConsistencyError
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,11 @@ def hessian(arr: Arrangement, weights, z):
 
 
 def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=NewtonConfig()):
-    """Damped Newton ascent seeded at the chamber's interior point."""
+    """Damped Newton ascent seeded at the chamber's witness.
+
+    Raises ValueError if the witness, rounded to floats, is not strictly
+    inside the chamber's signs.
+    """
     A, b, u = _matrices(arr, weights)
     signs = np.array(chamber.signs, dtype=float)
 
@@ -107,9 +107,9 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
     def value(z):
         return float(u @ np.log(np.abs(A @ z + b)))
 
-    z = np.array([float(x) for x in interior_point(arr, chamber)])
-    assert inside(z)
-    negdef = False
+    z = np.array([float(x) for x in chamber.witness])
+    if not inside(z):
+        raise ValueError(f"witness of chamber {chamber.sign_string} is not strictly inside it")
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         f = A @ z + b
@@ -118,11 +118,6 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
         if gnorm <= config.gradient_tol:
             break
         H = -(A.T * (u / f**2)) @ A
-        try:
-            np.linalg.cholesky(-H)
-            negdef = True
-        except np.linalg.LinAlgError:  # pragma: no cover - concavity is structural
-            negdef = False
         step = np.linalg.solve(-H, g)
         base = value(z)
         slope = float(g @ step)
@@ -156,7 +151,8 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
         negdef = True
     except np.linalg.LinAlgError:  # pragma: no cover
         negdef = False
-    assert inside(z)
+    if not inside(z):  # pragma: no cover - the line search only accepts inside points
+        raise EngineConsistencyError("Newton iterate left its chamber")
     return CriticalPointReport(
         chamber_index=index,
         sign_string=chamber.sign_string,
@@ -166,14 +162,6 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
         iterations=iterations,
         converged=gnorm <= config.gradient_tol and negdef,
     )
-
-
-def thread_count():
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _try_solve(arr, weights, chamber, index, config):
@@ -192,22 +180,12 @@ def _try_solve(arr, weights, chamber, index, config):
 
 
 def solve_all_chambers(arr: Arrangement, weights, chambers, config=NewtonConfig()):
-    """Solve every chamber, collecting failures per chamber.
-
-    Chamber solves are independent; CHROMODULI_THREADS fans them out, and the
-    reports merge back in chamber order either way.
-    """
-    jobs = list(enumerate(chambers))
-    workers = thread_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [_try_solve(arr, weights, c, i, config) for i, c in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_try_solve, arr, weights, c, i, config) for i, c in jobs]
-        return [f.result() for f in futures]
+    """Solve every chamber in order, collecting failures per chamber."""
+    return [_try_solve(arr, weights, c, i, config) for i, c in enumerate(chambers)]
 
 
 def critical_point_reports(graph, m, weights=None, seed=0, config=NewtonConfig()):
-    """One report per bounded chamber, seeded from its interior point."""
+    """One report per bounded chamber, seeded at the chamber's witness."""
     arr = build_arrangement(graph, m)
     if weights is None:
         weights = default_weights(arr, seed)

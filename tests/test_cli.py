@@ -1,6 +1,7 @@
 import json
 
 from chromoduli import cli
+from chromoduli.errors import EngineConsistencyError
 
 PAW = str(cli.DATA_DIR / "paw.txt")
 INSTAR = str(cli.DATA_DIR / "instar.txt")
@@ -168,6 +169,18 @@ def test_verify_disagreement_exit_one(capsys, monkeypatch):
     assert code == cli.EXIT_DISAGREE
     row = json.loads(out.strip().splitlines()[0])
     assert row["agree"] is False
+
+
+def test_engine_failure_exit_one_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineConsistencyError("final margin LP lost a feasible region")
+
+    monkeypatch.setattr(cli.arr_mod, "bounded_chambers_lp", broken)
+    code = cli.main(["verify", "--graph", PAW, "--m", "3"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DISAGREE
+    assert err.splitlines() == ["error: final margin LP lost a feasible region"]
+    assert "Traceback" not in err
 
 
 def test_verify_pretty_table(capsys):

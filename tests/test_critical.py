@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chromoduli.arrangement import bounded_chambers_bijective, build_arrangement
+from chromoduli import arrangement
+from chromoduli.arrangement import Chamber, bounded_chambers_bijective, build_arrangement
 from chromoduli.critical import (
     NewtonConfig,
     count_critical_points,
@@ -167,13 +168,30 @@ def test_weight_validation():
         log_master(arr, [1.0, -1.0], [0.5])
 
 
-def test_threaded_solving_matches_serial(monkeypatch):
-    g = paw_graph()
-    serial = critical_point_reports(g, 3, seed=0)
-    monkeypatch.setenv("CHROMODULI_THREADS", "4")
-    threaded = critical_point_reports(g, 3, seed=0)
-    assert [r.sign_string for r in serial] == [r.sign_string for r in threaded]
-    assert [r.point for r in serial] == [r.point for r in threaded]
+def test_solving_is_deterministic():
+    first = critical_point_reports(paw_graph(), 3, seed=0)
+    second = critical_point_reports(paw_graph(), 3, seed=0)
+    assert [r.sign_string for r in first] == [r.sign_string for r in second]
+    assert [r.point for r in first] == [r.point for r in second]
+
+
+def test_critical_route_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the critical-point route must not solve an LP")
+
+    monkeypatch.setattr(arrangement, "solve_lp", no_lp)
+    k4 = SimpleGraph.of(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    reports = critical_point_reports(k4, 3)
+    assert len(reports) == 24 and all(r.converged for r in reports)
+
+
+def test_witness_outside_chamber_is_rejected():
+    arr = build_arrangement(K2, 3)
+    chamber = bounded_chambers_bijective(K2, 3)[0]
+    x0, x1 = chamber.witness
+    swapped = Chamber(chamber.signs, (x1, x0), True)  # wrong side of z_0 = z_1
+    with pytest.raises(ValueError):
+        solve_chamber(arr, [1.0] * 5, swapped)
 
 
 def test_default_weights_deterministic_and_in_range():
