@@ -91,9 +91,9 @@ def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
             for j in range(n)
         )
         fns.append(AffineFunctional(coeffs, Fraction(0), ("edge", u, w)))
-    arr = Arrangement(graph, m, tuple(fns))
-    assert len(fns) == (m - 1) * n + len(graph.edges)
-    return arr
+    if len(fns) != (m - 1) * n + len(graph.edges):
+        raise EngineConsistencyError("arrangement has the wrong number of hyperplanes")
+    return Arrangement(graph, m, tuple(fns))
 
 
 def _margin_lp(functionals, signs, cap=Fraction(1)):
@@ -142,9 +142,9 @@ def recession_ray(functionals, signs):
         raise EngineConsistencyError("recession LP must have a bounded optimum")
     if sol.objective == 0:
         return None
-    ray = sol.x
-    assert any(v != 0 for v in ray)
-    return ray
+    if not any(sol.x):
+        raise EngineConsistencyError("recession LP has a positive optimum at the zero direction")
+    return sol.x
 
 
 def _signs_at(functionals, witness):
@@ -171,7 +171,8 @@ def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
         gset = set(group)
         sub_arcs = [(u, w) for (u, w) in arcs if u in gset and w in gset]
         order = topological_order(group, sub_arcs)
-        assert order is not None  # restriction of an acyclic orientation
+        if order is None:
+            raise EngineConsistencyError("orientation restricted to a color class has a cycle")
         t = len(group)
         for position, v in enumerate(order):
             witness[v] = Fraction(color - 1) + Fraction(t - position, t + 1)

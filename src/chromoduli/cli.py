@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from . import arrangement as arr_mod
@@ -242,21 +241,21 @@ def _verify_simple_row(graph, name, m, args):
     return row
 
 
-@lru_cache(maxsize=None)
-def _digraph_reports(graph, term_cap):
-    """The polynomial reports do not depend on m; share them across rows."""
-    return (
-        dig_mod.digraph_polynomial_report(graph, term_cap),
-        dig_mod.digraph_polynomial_report(graph.reverse(), term_cap),
-    )
+def _verify_digraph_row(graph, name, m, args, reports):
+    """Digraph rows check the two engine values against the polynomial routes.
 
-
-def _verify_digraph_row(graph, name, m, args):
-    """Digraph rows check the two engine values against the polynomial routes."""
+    The polynomial reports do not depend on m: `reports` maps a digraph to
+    its own and its reversal's, shared by the rows of one verify run.
+    """
     row = {"graph": name, "kind": "digraph", "m": m}
     skipped = []
     try:
-        report, reversed_report = _digraph_reports(graph, args.budget_terms)
+        if graph not in reports:
+            reports[graph] = (
+                dig_mod.digraph_polynomial_report(graph, args.budget_terms),
+                dig_mod.digraph_polynomial_report(graph.reverse(), args.budget_terms),
+            )
+        report, reversed_report = reports[graph]
         sign = (-1) ** graph.n
         values = {
             "omega_in": mod_mod.omega(graph, m, "in", args.budget_terms),
@@ -293,6 +292,7 @@ def cmd_verify(args):
     paths = [Path(p) for p in args.graph] if args.graph else list(DEFAULT_SUITE)
     ms = [int(tok) for tok in str(args.m).split(",")]
     rows = []
+    reports = {}
     for path in paths:
         graph = _load(path)
         name = path.name
@@ -300,7 +300,7 @@ def cmd_verify(args):
             if isinstance(graph, SimpleGraph):
                 rows.append(_verify_simple_row(graph, name, m, args))
             else:
-                rows.append(_verify_digraph_row(graph, name, m, args))
+                rows.append(_verify_digraph_row(graph, name, m, args, reports))
     if args.pretty:
         _pretty_verify(rows)
     else:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import EngineConsistencyError
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -100,14 +102,17 @@ def solve_lp(A, b, c):
         for col in art_col.values():
             cost1[col] = Fraction(-1)
         obj1 = reduced_costs(cost1)
-        stuck = run_simplex(obj1)
-        assert stuck is None  # phase-1 objective is bounded above by 0
+        if run_simplex(obj1) is not None:
+            raise EngineConsistencyError("phase-1 objective, bounded above by 0, went unbounded")
         value1 = sum(cost1[basis[i]] * T[i][ncols] for i in live)
         if value1 < 0:
             y = tuple(-obj1[2 * n + i] for i in range(m))
-            assert all(v >= 0 for v in y)
-            assert all(sum(y[i] * A[i][j] for i in range(m)) == 0 for j in range(n))
-            assert sum(y[i] * b[i] for i in range(m)) < 0
+            if any(v < 0 for v in y):
+                raise EngineConsistencyError("Farkas vector has a negative entry")
+            if any(sum(y[i] * A[i][j] for i in range(m)) != 0 for j in range(n)):
+                raise EngineConsistencyError("Farkas vector does not annihilate the constraint rows")
+            if sum(y[i] * b[i] for i in range(m)) >= 0:
+                raise EngineConsistencyError("Farkas vector does not separate the right-hand side")
             return LpSolution(status="infeasible", farkas=y)
         # Drive any residual artificials out of the basis.
         for i in list(live):
@@ -134,14 +139,17 @@ def solve_lp(A, b, c):
         for i in live:
             d[basis[i]] = -T[i][enter]
         ray = tuple(d[j] - d[n + j] for j in range(n))
-        assert all(sum(A[i][j] * ray[j] for j in range(n)) <= 0 for i in range(m))
-        assert sum(c[j] * ray[j] for j in range(n)) > 0
+        if any(sum(A[i][j] * ray[j] for j in range(n)) > 0 for i in range(m)):
+            raise EngineConsistencyError("unbounded ray leaves the feasible cone")
+        if sum(c[j] * ray[j] for j in range(n)) <= 0:
+            raise EngineConsistencyError("unbounded ray does not improve the objective")
         return LpSolution(status="unbounded", ray=ray)
 
     vals = [Fraction(0)] * ncols
     for i in live:
         vals[basis[i]] = T[i][ncols]
     x = tuple(vals[j] - vals[n + j] for j in range(n))
-    assert all(sum(A[i][j] * x[j] for j in range(n)) <= b[i] for i in range(m))
+    if any(sum(A[i][j] * x[j] for j in range(n)) > b[i] for i in range(m)):
+        raise EngineConsistencyError("optimal point violates a constraint")
     objective = sum(c[j] * x[j] for j in range(n))
     return LpSolution(status="optimal", x=x, objective=objective)

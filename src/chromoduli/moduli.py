@@ -8,25 +8,40 @@ bitmasks normalized to exclude a fixed anchor label.  A class is a formal
 integer combination of strata, optionally decorated with cotangent-class
 exponents at flags.
 
-The three rewrites implemented on this encoding:
+The engine (`omega`, `kapranov_degree`) folds pulled-back cotangent classes
+into a starting class, keeping every cotangent class symbolic:
 
-* multiplying by a boundary divisor either refines a node (adds a compatible
-  split), self-intersects (an existing split acquires minus-cotangent
-  decorations at the two germs of its edge), or vanishes (crossing split);
-* a cotangent exponent at a flag of a node with at least four flags expands
-  into the refinements separating that flag from two fixed anchor flags, and
-  vanishes on a three-flag node;
-* integration counts the strata with the maximal number of edges (all nodes
-  three-valent), each contributing its coefficient.
+* multiplying by the pullback of the cotangent class at i from the space
+  marked by a subset S uses  pi^* psi_i = psi_i - sum_{T} D_{{i} u T},  the
+  sum over nonempty sets T of markings outside S (zero when |S| = 3).  The
+  psi_i term raises the exponent at the flag of marking i; each divisor
+  either refines a node (adds a compatible split), self-intersects (an
+  existing split acquires minus-cotangent decorations at the two germs of its
+  edge), or vanishes (crossing split);
+* a term is dropped as soon as some node carries a total exponent above its
+  valence minus three, the dimension of that node's factor.  Refinement
+  splits a node into two of smaller total dimension and self-intersection
+  only raises exponents, so such a term never revives;
+* at the end every term has top degree (edges plus exponents equal n - 3),
+  so every node is exact, and a node with k flags and exponents a_f
+  contributes the genus-zero multinomial (k-3)! / prod a_f!.  A term's value
+  is its coefficient times the product over its nodes.
 
-Coefficients stay integers throughout; no division ever occurs.
+Coefficients stay integers throughout; each multinomial is an exact integer
+quotient.
+
+The older route rewrites every cotangent class into boundary divisors
+(`psi_as_boundary`, `pullback_psi`, `expand_psi_decorations`) and counts the
+undecorated top strata (`integrate`).  The engine no longer takes it; it is
+kept, with its public contracts, as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, EngineConsistencyError
 from .graphs import Digraph, SimpleGraph, label_sort_key
 
 DEFAULT_TERM_CAP = 10_000_000
@@ -160,7 +175,7 @@ def psi_as_boundary(marking_set, i, j, k):
     """Express the cotangent class at i through divisors separating i from j, k.
 
     With exactly three markings the class vanishes and the zero expression is
-    returned.
+    returned.  Part of the boundary-expansion reference route.
     """
     ctx = _Ctx(marking_set)
     if len({i, j, k}) != 3:
@@ -208,7 +223,8 @@ def pullback_psi(sub_marking_set, i, marking_set, anchors=None):
     The class is first written as a divisor sum on the small space (against
     two anchor markings, by default the two smallest others) and each divisor
     is pulled back; the result is a pure divisor expression.  Integrated
-    answers do not depend on the anchor choice.
+    answers do not depend on the anchor choice.  Part of the
+    boundary-expansion reference route; the engine keeps the class symbolic.
     """
     sub = frozenset(sub_marking_set)
     full = frozenset(marking_set)
@@ -320,7 +336,7 @@ def multiply_by_divisor(expr: ClassExpression, part, marking_set=None):
 
 
 def _mul_by_divisor_sum(expr: ClassExpression, divisors: ClassExpression, term_cap=None):
-    """Multiply by a pure divisor expression, term by term."""
+    """Multiply by a pure divisor expression, term by term (reference route)."""
     if expr.ctx.labels != divisors.ctx.labels:
         raise ValueError("marking sets differ")
     out = {}
@@ -419,7 +435,8 @@ def expand_psi_decorations(expr: ClassExpression, term_cap=DEFAULT_TERM_CAP):
 
     Each rewrite preserves codimension and strictly lowers the total
     exponent degree, so this terminates; running it on an already-pure
-    expression is the identity.
+    expression is the identity.  Part of the boundary-expansion reference
+    route.
     """
     ctx = expr.ctx
     terms = expr.terms
@@ -443,13 +460,111 @@ def expand_psi_decorations(expr: ClassExpression, term_cap=DEFAULT_TERM_CAP):
 
 def integrate(expr: ClassExpression, marking_set=None):
     """Degree of a fully expanded class: total coefficient of the strata with
-    the maximal number of edges (all components three-flagged)."""
+    the maximal number of edges (all components three-flagged).  Part of the
+    boundary-expansion reference route."""
     if marking_set is not None and frozenset(marking_set) != expr.marking_set:
         raise ValueError("marking set does not match the expression")
     if expr.has_decorations:
         raise ValueError("expression still carries cotangent exponents; expand first")
     top = expr.ctx.n - 3
     return sum(c for (splits, _), c in expr.terms.items() if len(splits) == top)
+
+
+def _node_of(ctx, splits, flag):
+    """The node holding a flag (node ids as in `_tree_structure`)."""
+    if flag[0] == 1 and flag[2] == 0:
+        return flag[1]
+    inner = 1 << flag[1] if flag[0] == 0 else flag[1]
+    # The splits strictly containing `inner` form a chain, whose smallest set
+    # is also its smallest mask.
+    return min((t for t in splits if t & inner == inner and t != inner), default=ctx.full)
+
+
+def _valence(ctx, splits, node):
+    """Number of flags at a node: its own markings, child germs and parent germ."""
+    covered = 0
+    kids = 0
+    for t in reversed(splits):  # splits ascend, so a set comes before its subsets
+        if t != node and t & node == t and not t & covered:
+            covered |= t
+            kids += 1
+    return (node & ~covered).bit_count() + kids + (node != ctx.full)
+
+
+def _node_exponents(ctx, splits, decor):
+    """Cotangent exponents grouped by the node carrying their flag."""
+    loads = {}
+    for flag, exp in decor:
+        loads.setdefault(_node_of(ctx, splits, flag), []).append(exp)
+    return loads
+
+
+def _alive(ctx, splits, decor):
+    """False when some node's exponents exceed the dimension of its factor."""
+    for node, exps in _node_exponents(ctx, splits, decor).items():
+        if sum(exps) > _valence(ctx, splits, node) - 3:
+            return False
+    return True
+
+
+def _integrate_symbolic(ctx, terms):
+    """Degree of a top-degree class: per node, the multinomial (k-3)!/prod a_f!."""
+    top = ctx.n - 3
+    total = 0
+    for (splits, decor), coeff in terms.items():
+        if len(splits) + sum(exp for _, exp in decor) != top:
+            raise EngineConsistencyError(
+                f"stratum with {len(splits)} edges and cotangent degree "
+                f"{sum(exp for _, exp in decor)} is not of top degree {top}"
+            )
+        for node, exps in _node_exponents(ctx, splits, decor).items():
+            load = sum(exps)
+            if load != _valence(ctx, splits, node) - 3:
+                raise EngineConsistencyError("a node's cotangent degree differs from its dimension")
+            multinomial = math.factorial(load)
+            for exp in exps:
+                multinomial //= math.factorial(exp)
+            coeff *= multinomial
+        total += coeff
+    return total
+
+
+def _fold_pullbacks(expr: ClassExpression, pullbacks, term_cap):
+    """Degree of expr times the pulled-back cotangent classes, with term stats.
+
+    `pullbacks` lists (subset, i): one factor pi^* psi_i from the space marked
+    by the subset.  See the module docstring for the product, the pruning and
+    the integration.
+    """
+    ctx = expr.ctx
+    terms = expr.terms
+    stats = {"terms_peak": len(terms), "terms_final": 0}
+    for subset, mark in pullbacks:
+        sub = ctx.mask(subset)
+        out = {}
+        if sub.bit_count() > 3:  # the cotangent class of a three-marked line is zero
+            psi = (0, ctx.bit[mark])
+            own = 1 << ctx.bit[mark]
+            forgotten = ctx.full ^ sub
+            divisors = []
+            extra = forgotten
+            while extra:
+                divisors.append(ctx.norm(own | extra))
+                extra = (extra - 1) & forgotten
+            for (splits, decor), coeff in terms.items():
+                bumped = _decor_bump(decor, psi, 1)
+                if _alive(ctx, splits, bumped):
+                    _accum(out, (splits, bumped), coeff)
+                for q in divisors:
+                    for s2, d2, c2 in _mul_term(splits, decor, q):
+                        if _alive(ctx, s2, d2):
+                            _accum(out, (s2, d2), -coeff * c2)
+        if len(out) > term_cap:
+            raise BudgetExceededError(f"{len(out)} strata exceed the term cap {term_cap}")
+        terms = out
+        stats["terms_peak"] = max(stats["terms_peak"], len(terms))
+    stats["terms_final"] = len(terms)
+    return _integrate_symbolic(ctx, terms), stats
 
 
 def cerberus_check(constraints):
@@ -477,8 +592,8 @@ def cerberus_check(constraints):
 def kapranov_degree_with_stats(constraints, marking_set, shortcut=True, term_cap=DEFAULT_TERM_CAP):
     """Degree of a product of pulled-back cotangent classes, with term statistics.
 
-    Folds constraint by constraint: rewrite the pullback as divisors,
-    multiply term by term, expand decorations, and integrate at the end.
+    Folds the constraints one by one into the fundamental class, keeping the
+    cotangent classes symbolic, and integrates at the end.
     """
     full = frozenset(marking_set)
     ctx = _Ctx(full)
@@ -497,14 +612,7 @@ def kapranov_degree_with_stats(constraints, marking_set, shortcut=True, term_cap
         any(len(s) == 3 for s, _ in constraints) or not cerberus_check(constraints)
     ):
         return 0, stats
-    expr = ClassExpression.unit(full)
-    for subset, mark in constraints:
-        divisors = pullback_psi(subset, mark, full)
-        expr = _mul_by_divisor_sum(expr, divisors, term_cap)
-        expr = expand_psi_decorations(expr, term_cap)
-        stats["terms_peak"] = max(stats["terms_peak"], expr.term_count)
-    stats["terms_final"] = expr.term_count
-    return integrate(expr), stats
+    return _fold_pullbacks(ClassExpression.unit(full), constraints, term_cap)
 
 
 def kapranov_degree(constraints, marking_set, shortcut=True, term_cap=DEFAULT_TERM_CAP):
@@ -555,16 +663,8 @@ def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
         raise ValueError(f"m must be at least 3, got {m}")
     marks = _fresh_marks(graph.vertices, m)
     full = frozenset(graph.vertices) | frozenset(marks)
-    expr = point_class_pullback(frozenset(marks), full)
-    stats = {"terms_peak": expr.term_count, "terms_final": 0}
-    for v in graph.vertices:
-        subset = _neighborhood(graph, v, mode) | frozenset(marks)
-        divisors = pullback_psi(subset, v, full)
-        expr = _mul_by_divisor_sum(expr, divisors, term_cap)
-        expr = expand_psi_decorations(expr, term_cap)
-        stats["terms_peak"] = max(stats["terms_peak"], expr.term_count)
-    stats["terms_final"] = expr.term_count
-    return integrate(expr), stats
+    pullbacks = [(_neighborhood(graph, v, mode) | frozenset(marks), v) for v in graph.vertices]
+    return _fold_pullbacks(point_class_pullback(frozenset(marks), full), pullbacks, term_cap)
 
 
 def omega(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):

@@ -3,10 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromoduli.errors import BudgetExceededError
+from chromoduli import moduli
+from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import Digraph, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import (
+    DEFAULT_TERM_CAP,
     ClassExpression,
     boundary_divisor,
     cerberus_check,
@@ -43,6 +47,27 @@ def _fold(expr, divisor_sums):
         expr = _mul_by_divisor_sum(expr, d)
         expr = expand_psi_decorations(expr)
     return expr
+
+
+def _omega_by_expansion(graph, m, mode="undirected"):
+    """The engine's value through the boundary-expansion reference route."""
+    marks = moduli._fresh_marks(graph.vertices, m)
+    P = frozenset(graph.vertices) | frozenset(marks)
+    base = point_class_pullback(frozenset(marks), P)
+    psis = [
+        pullback_psi(moduli._neighborhood(graph, v, mode) | frozenset(marks), v, P)
+        for v in graph.vertices
+    ]
+    return integrate(_fold(base, psis))
+
+
+def _kapranov_by_expansion(constraints, P):
+    psis = [pullback_psi(subset, mark, P) for subset, mark in constraints]
+    return integrate(_fold(ClassExpression.unit(P), psis))
+
+
+def _symbolic_fold(expr, pullbacks=()):
+    return moduli._fold_pullbacks(expr, pullbacks, DEFAULT_TERM_CAP)
 
 
 def test_psi_four_markings_single_divisor():
@@ -199,18 +224,21 @@ def test_point_class_caterpillar_order_is_immaterial():
     assert results == {6}  # omega of a single edge with four extra markings
 
 
+def _psi_monomial(n, exponents):
+    ctx = moduli._Ctx(range(n))
+    decor = tuple(sorted(((0, ctx.bit[lab]), e) for lab, e in exponents.items() if e))
+    return ClassExpression(ctx, {((), decor): 1})
+
+
 def _psi_power_integral(n, exponents):
     """Integral of a pure cotangent monomial over the n-marking space."""
-    from chromoduli.moduli import _Ctx
-
-    ctx = _Ctx(range(n))
-    decor = tuple(sorted(((0, ctx.bit[lab]), e) for lab, e in exponents.items() if e))
-    return integrate(expand_psi_decorations(ClassExpression(ctx, {((), decor): 1})))
+    return integrate(expand_psi_decorations(_psi_monomial(n, exponents)))
 
 
 def test_cotangent_powers_integrate_to_multinomials():
     # independent oracle: the genus-zero string-equation values
-    # (n-3)! / prod(e_i!) for exponents summing to n-3
+    # (n-3)! / prod(e_i!) for exponents summing to n-3, reached both by the
+    # boundary expansion and by the engine's symbolic integration
     for n in (4, 5, 6, 7):
         for pattern in itertools.combinations_with_replacement(range(n), n - 3):
             exps = {}
@@ -220,6 +248,23 @@ def test_cotangent_powers_integrate_to_multinomials():
             for e in exps.values():
                 want //= math.factorial(e)
             assert _psi_power_integral(n, exps) == want, (n, exps)
+            assert _symbolic_fold(_psi_monomial(n, exps)) == (want, {"terms_peak": 1, "terms_final": 1})
+
+
+def test_symbolic_fold_prunes_overloaded_node():
+    # psi_0 * pi^* psi_0 on five markings, pulled back from {0,1,2,3}: the
+    # divisor term D_{04} leaves psi_0 on a three-flag node, so it is dropped
+    expr = _psi_monomial(5, {0: 1})
+    value, stats = _symbolic_fold(expr, [(frozenset({0, 1, 2, 3}), 0)])
+    assert stats == {"terms_peak": 1, "terms_final": 1}
+    assert value == 1 == integrate(_fold(expr, [pullback_psi({0, 1, 2, 3}, 0, range(5))]))
+
+
+def test_symbolic_fold_rejects_wrong_degree():
+    with pytest.raises(EngineConsistencyError):
+        _symbolic_fold(ClassExpression.unit(P5))
+    with pytest.raises(EngineConsistencyError):
+        _symbolic_fold(_psi_monomial(5, {0: 1, 1: 2}))
 
 
 def test_integrate_unit_three_markings():
@@ -408,6 +453,79 @@ def test_omega_mode_validation():
 def test_omega_term_cap():
     with pytest.raises(BudgetExceededError):
         omega(paw_graph(), 4, term_cap=10)
+
+
+def test_omega_edgeless_five_term_peak():
+    value, stats = omega_with_stats(SimpleGraph.of(range(5)), 5)
+    assert value == 3 ** 5
+    assert stats["terms_peak"] < 20_913  # the peak of the boundary expansion
+
+
+def test_engine_keeps_cotangent_classes_symbolic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine took the boundary-expansion route")
+
+    for name in ("expand_psi_decorations", "pullback_psi", "_mul_by_divisor_sum", "integrate"):
+        monkeypatch.setattr(moduli, name, refuse)
+    paw = paw_graph()
+    assert omega(paw, 4) == chromatic_polynomial(paw).evaluate(-2)
+    P = frozenset([1, 2, 3, 4, "a", "b", "c"])
+    extras = {"a", "b", "c"}
+    constraints = [
+        (frozenset({1, 2, 3, 4}) | extras, 1),
+        (frozenset({1, 2, 3}) | extras, 2),
+        (frozenset({1, 2, 3}) | extras, 3),
+        (frozenset({1, 4}) | extras, 4),
+    ]
+    assert kapranov_degree(constraints, P) == kapranov_degree(constraints, P, shortcut=False) == 12
+
+
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+
+
+@st.composite
+def simple_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.of(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def digraphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.permutations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph.of(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def constraint_systems(draw, max_n):
+    n = draw(st.integers(4, max_n))
+    constraints = []
+    for _ in range(n - 3):
+        subset = draw(st.sets(st.integers(0, n - 1), min_size=3))
+        constraints.append((frozenset(subset), draw(st.sampled_from(sorted(subset)))))
+    return constraints, frozenset(range(n))
+
+
+@ORACLE_SETTINGS
+@given(simple_graphs(max_n=5), st.sampled_from([3, 4]))
+def test_omega_random_graphs_match_chromatic(g, m):
+    assert omega(g, m) == (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
+
+
+@ORACLE_SETTINGS
+@given(digraphs(max_n=3), st.sampled_from(["in", "out"]), st.sampled_from([3, 4]))
+def test_omega_random_digraphs_match_expansion(d, mode, m):
+    assert omega(d, m, mode) == _omega_by_expansion(d, m, mode)
+
+
+@ORACLE_SETTINGS
+@given(constraint_systems(max_n=7))
+def test_kapranov_random_systems_match_expansion(system):
+    constraints, P = system
+    assert kapranov_degree(constraints, P, shortcut=False) == _kapranov_by_expansion(constraints, P)
 
 
 def test_all_coefficients_are_integers():
