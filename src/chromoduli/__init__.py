@@ -8,9 +8,7 @@ from .arrangement import (
     bounded_chambers_lp,
     build_arrangement,
     chamber_to_pair,
-    interior_point,
     pair_to_chamber,
-    recession_ray,
 )
 from .critical import (
     CriticalPointReport,

@@ -8,7 +8,8 @@ z_u - z_w.  Bounded chambers are enumerated two independent ways:
   interior witness, and
 * by incremental sign-vector search with exact-LP feasibility certificates,
   restricted a priori to the open cube (0, m-2)^V, which contains every
-  bounded chamber.
+  bounded chamber; each chamber found is certified by exact substitution
+  of the witness it carries.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .lp import solve_lp
 from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
+_MARGIN_CAP = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,12 @@ def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
     return Arrangement(graph, m, tuple(fns))
 
 
-def _margin_lp(functionals, signs, cap=Fraction(1)):
+def _margin_lp(functionals, signs):
     """Maximize the weighted margin over the region {sign_i * f_i > 0}.
 
-    Returns (witness, margin) with margin > 0, or None when the sign vector
-    has no strict interior.
+    The margin is capped at _MARGIN_CAP so the LP is bounded.  Returns a
+    witness with positive margin, or None when the sign vector has no
+    strict interior.
     """
     dim = len(functionals[0].coefficients)
     rows = []
@@ -109,42 +112,12 @@ def _margin_lp(functionals, signs, cap=Fraction(1)):
         rows.append([-s * a for a in f.coefficients] + [f.weight])
         rhs.append(s * f.constant)
     rows.append([Fraction(0)] * dim + [Fraction(1)])
-    rhs.append(cap)
+    rhs.append(_MARGIN_CAP)
     objective = [Fraction(0)] * dim + [Fraction(1)]
     sol = solve_lp(rows, rhs, objective)
-    if sol.status != "optimal":
+    if sol.status != "optimal" or sol.x[dim] <= 0:
         return None
-    margin = sol.x[dim]
-    if margin <= 0:
-        return None
-    return sol.x[:dim], margin
-
-
-def recession_ray(functionals, signs):
-    """A nonzero direction in the chamber's recession cone, or None if bounded.
-
-    The cone is {d : sign_i * a_i.d >= 0}.  It is {0} exactly when the LP
-    max sum_i sign_i a_i.d  s.t.  0 <= sign_i a_i.d <= 1  has optimum 0.
-    """
-    dim = len(functionals[0].coefficients)
-    rows = []
-    rhs = []
-    obj = [Fraction(0)] * dim
-    for f, s in zip(functionals, signs):
-        rows.append([-s * a for a in f.coefficients])
-        rhs.append(Fraction(0))
-        rows.append([s * a for a in f.coefficients])
-        rhs.append(Fraction(1))
-        for j, a in enumerate(f.coefficients):
-            obj[j] += s * a
-    sol = solve_lp(rows, rhs, obj)
-    if sol.status != "optimal":  # pragma: no cover - objective is capped
-        raise EngineConsistencyError("recession LP must have a bounded optimum")
-    if sol.objective == 0:
-        return None
-    if not any(sol.x):
-        raise EngineConsistencyError("recession LP has a positive optimum at the zero direction")
-    return sol.x
+    return sol.x[:dim]
 
 
 def _signs_at(functionals, witness):
@@ -208,9 +181,10 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
 
     Every bounded chamber satisfies 0 < z_v < m-2 coordinatewise, so the
     search fixes those signs up front and only splits on the remaining
-    functionals.  Every result therefore lies in the open cube, so it is
-    bounded; this is checked by confirming that its final sign vector still
-    carries every fixed cube sign.
+    functionals.  A split keeps the region's witness on the side it already
+    lies on and solves a margin LP for the other side.  Each result is
+    certified by substituting its witness into every functional: the signs
+    must equal the chamber's, cube signs included, so it is also bounded.
     """
     fns = arr.functionals
     if len(fns) > functional_budget:
@@ -230,46 +204,32 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
             free_idx.append(idx)
 
     center = tuple(Fraction(m - 2, 2) for _ in range(arr.dimension))
-    regions = [(dict(fixed), center)]
+    regions = [(fixed, center)]
     for idx in free_idx:
         f = fns[idx]
         next_regions = []
         for signs, witness in regions:
             val = f.value(witness)
-            side_hit = 0 if val == 0 else (1 if val > 0 else -1)
             for side in (1, -1):
-                if side == side_hit:
-                    trial = dict(signs)
-                    trial[idx] = side
-                    next_regions.append((trial, witness))
-                    continue
                 trial = dict(signs)
                 trial[idx] = side
+                if side * val > 0:
+                    next_regions.append((trial, witness))
+                    continue
                 order = sorted(trial)
                 res = _margin_lp([fns[i] for i in order], [trial[i] for i in order])
                 if res is not None:
-                    next_regions.append((trial, res[0]))
+                    next_regions.append((trial, res))
         regions = next_regions
 
     chambers = []
-    for signs, _ in regions:
+    for signs, witness in regions:
         sign_vec = tuple(signs[i] for i in range(len(fns)))
-        res = _margin_lp(fns, sign_vec)
-        if res is None:  # pragma: no cover - regions carry strict witnesses
-            raise EngineConsistencyError("final margin LP lost a feasible region")
-        if any(sign_vec[i] != s for i, s in fixed.items()):  # pragma: no cover - splits skip fixed signs
-            raise EngineConsistencyError("chamber lost a fixed cube sign")
-        chambers.append(Chamber(sign_vec, res[0], True))
+        if _signs_at(fns, witness) != sign_vec:
+            raise EngineConsistencyError("LP witness lies outside its chamber")
+        chambers.append(Chamber(sign_vec, witness, True))
     chambers.sort(key=lambda c: c.signs)
     return chambers
-
-
-def interior_point(arr: Arrangement, chamber: Chamber):
-    """Margin-maximizing interior point of the chamber (deterministic)."""
-    res = _margin_lp(arr.functionals, chamber.signs)
-    if res is None:
-        raise ValueError("sign vector is infeasible")
-    return res[0]
 
 
 def chamber_to_pair(arr: Arrangement, chamber: Chamber):

@@ -219,13 +219,12 @@ def _verify_simple_row(graph, name, m, args):
     except BudgetExceededError:
         chambers = None
         skipped.append("chambers_bijective")
+    arr = arr_mod.build_arrangement(graph, m)
     try:
-        arr = arr_mod.build_arrangement(graph, m)
         values["chambers_lp"] = len(arr_mod.bounded_chambers_lp(arr, args.budget_lp))
     except BudgetExceededError:
         skipped.append("chambers_lp")
     if chambers is not None:
-        arr = arr_mod.build_arrangement(graph, m)
         weights = crit_mod.default_weights(arr, args.seed)
         reports = crit_mod.solve_all_chambers(arr, weights, chambers)
         values["critical_points"] = sum(1 for r in reports if r.converged)

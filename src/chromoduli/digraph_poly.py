@@ -188,18 +188,18 @@ class DigraphPolynomialReport:
         }
 
 
-def digraph_polynomial_report(graph: Digraph, term_cap=DEFAULT_TERM_CAP, cross_check=True):
-    """Compute both polynomials, cross-checking every applicable route."""
+def digraph_polynomial_report(graph: Digraph, term_cap=DEFAULT_TERM_CAP):
+    """Interpolate both polynomials; on acyclic digraphs also cross-check two more routes."""
     acyclic = graph.is_acyclic()
     chis = {}
     routes = {}
     consistent = True
     for mode in ("in", "out"):
-        interp = chi_interpolated(graph, mode, term_cap) if cross_check or not acyclic else None
+        interp = chi_interpolated(graph, mode, term_cap)
         if acyclic:
             closed = chi_acyclic(graph, mode)
             peeled = full_peel(graph, mode)
-            if closed != peeled or (interp is not None and closed != interp):
+            if closed != peeled or closed != interp:
                 consistent = False
             chis[mode] = closed
             routes[mode] = "acyclic-formula"

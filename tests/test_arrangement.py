@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from chromoduli import arrangement
 from chromoduli.arrangement import (
     bounded_chambers_bijective,
     bounded_chambers_lp,
     build_arrangement,
     chamber_to_pair,
-    interior_point,
     pair_to_chamber,
-    recession_ray,
 )
-from chromoduli.errors import BudgetExceededError
+from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
 from graph_catalog import all_graphs_up_to_4, paw_graph
@@ -55,7 +54,6 @@ def test_single_vertex_chamber():
     assert chambers[0].witness == (Fraction(1, 2),)
     arr = build_arrangement(g, 3)
     assert len(bounded_chambers_lp(arr)) == 1
-    assert interior_point(arr, chambers[0]) == (Fraction(1, 2),)
 
 
 def test_edgeless_chamber_counts():
@@ -148,30 +146,33 @@ def test_chamber_to_pair_requires_bounded():
         chamber_to_pair(arr, unbounded)
 
 
-def test_interior_point_k2_margin_maximizer():
-    # LP by hand in the chamber 0 < x0 < x1 < 1 gives (1/4, 3/4)
-    arr = build_arrangement(K2, 3)
-    chambers = bounded_chambers_lp(arr)
-    points = {interior_point(arr, c) for c in chambers}
-    assert points == {(Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 4), Fraction(1, 4))}
+@pytest.mark.parametrize("name,lp_calls", [("paw", 22), ("K4", 62)])
+def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, lp_calls):
+    # an LP only for a split side the region's witness misses, none per chamber
+    g = dict(all_graphs_up_to_4())[name]
+    real = arrangement.solve_lp
+    calls = []
+
+    def counting_solve_lp(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arrangement, "solve_lp", counting_solve_lp)
+    chambers = bounded_chambers_lp(build_arrangement(g, 3))
+    assert len(chambers) == (-1) ** g.n * chromatic_polynomial(g).evaluate(-1)
+    assert len(calls) == lp_calls
 
 
-def test_interior_point_preserves_signs():
-    arr = build_arrangement(paw_graph(), 3)
-    for c in bounded_chambers_bijective(paw_graph(), 3):
-        p = interior_point(arr, c)
-        for f, s in zip(arr.functionals, c.signs):
-            assert (f.value(p) > 0) == (s > 0)
+def test_lp_witness_outside_chamber_is_rejected(monkeypatch):
+    real = arrangement._margin_lp
 
+    def off_by_far(functionals, signs):
+        witness = real(functionals, signs)
+        return None if witness is None else tuple(x + 10 for x in witness)
 
-def test_recession_ray_detects_unbounded_region():
-    arr = build_arrangement(SimpleGraph.of([0]), 3)
-    # region z < 0: both functionals negative; unbounded toward -infinity
-    ray = recession_ray(arr.functionals, (-1, -1))
-    assert ray is not None
-    assert all(-f.value(ray) + f.constant >= 0 for f in arr.functionals)
-    # bounded chamber 0 < z < 1 has no ray
-    assert recession_ray(arr.functionals, (1, -1)) is None
+    monkeypatch.setattr(arrangement, "_margin_lp", off_by_far)
+    with pytest.raises(EngineConsistencyError):
+        bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 
 
 def test_lp_budget():
