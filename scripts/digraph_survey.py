@@ -29,14 +29,13 @@ def all_three_vertex_digraphs():
 def main():
     tallies = Counter()
     seen = set()
-    for d in all_three_vertex_digraphs():
-        report = digraph_polynomial_report(d)
-        reversed_report = digraph_polynomial_report(d.reverse())
+    reports = {d: digraph_polynomial_report(d) for d in all_three_vertex_digraphs()}
+    for d, report in reports.items():
         if not report.consistent:
             failure = "routes disagree"
         elif d.is_acyclic() and report.chi_in != chi_acyclic(d, "in"):
             failure = "chi_in differs from the closed formula"
-        elif reversed_report.chi_in != report.chi_out:
+        elif reports[d.reverse()].chi_in != report.chi_out:
             failure = "reversal does not swap chi_in and chi_out"
         else:
             failure = None

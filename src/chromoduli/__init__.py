@@ -12,8 +12,6 @@ from .arrangement import (
 )
 from .critical import (
     CriticalPointReport,
-    NewtonConfig,
-    count_critical_points,
     critical_point_reports,
     default_weights,
     gradient,

@@ -6,6 +6,13 @@ coordinate), so damped Newton ascent seeded at the chamber's witness
 converges to the unique interior maximizer.  One critical point per bounded
 chamber is found and certified: tiny gradient, negative definite Hessian
 (via Cholesky of its negation), and the iterate never leaves the chamber.
+
+Newton runs the same value, gradient and Hessian kernels as `log_master`,
+`gradient` and `hessian`.  Its constants: it stops once the gradient's
+inf-norm is at most GRADIENT_TOL (1e-10) and raises ConvergenceError after
+MAX_ITERATIONS (200) steps; the backtracking line search accepts a step
+inside the chamber with Armijo slope ARMIJO_SLOPE (1e-4), shrinking by
+STEP_SHRINK (1/2) and stalling below MIN_STEP (1e-18).
 """
 
 from __future__ import annotations
@@ -18,13 +25,11 @@ from .arrangement import Arrangement, Chamber, bounded_chambers_bijective, build
 from .errors import ConvergenceError, EngineConsistencyError
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    gradient_tol: float = 1e-10
-    max_iterations: int = 200
-    armijo_slope: float = 1e-4
-    step_shrink: float = 0.5
-    min_step: float = 1e-18
+GRADIENT_TOL = 1e-10
+MAX_ITERATIONS = 200
+ARMIJO_SLOPE = 1e-4
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-18
 
 
 @dataclass(frozen=True)
@@ -66,33 +71,44 @@ def default_weights(arr: Arrangement, seed=0):
     return rng.uniform(0.5, 2.0, len(arr.functionals))
 
 
-def log_master(arr: Arrangement, weights, z):
-    """sum_H u_H log|f_H(z)|; real on every chamber, same critical points."""
-    A, b, u = _matrices(arr, weights)
+def _affine(A, b, z):
+    """f = A z + b, the functional values at z; ValueError on a hyperplane."""
     f = A @ np.asarray(z, dtype=float) + b
     if np.any(f == 0):
         raise ValueError("point lies on a hyperplane")
+    return f
+
+
+def _value(u, f):
     return float(u @ np.log(np.abs(f)))
+
+
+def _gradient(A, u, f):
+    return A.T @ (u / f)
+
+
+def _hessian(A, u, f):
+    return -(A.T * (u / f**2)) @ A
+
+
+def log_master(arr: Arrangement, weights, z):
+    """sum_H u_H log|f_H(z)|; real on every chamber, same critical points."""
+    A, b, u = _matrices(arr, weights)
+    return _value(u, _affine(A, b, z))
 
 
 def gradient(arr: Arrangement, weights, z):
     """Component v: sum_i u_{v,i}/(z_v - i) + sum_{e=(v,w)} u_e/(z_v - z_w)."""
     A, b, u = _matrices(arr, weights)
-    f = A @ np.asarray(z, dtype=float) + b
-    if np.any(f == 0):
-        raise ValueError("point lies on a hyperplane")
-    return A.T @ (u / f)
+    return _gradient(A, u, _affine(A, b, z))
 
 
 def hessian(arr: Arrangement, weights, z):
     A, b, u = _matrices(arr, weights)
-    f = A @ np.asarray(z, dtype=float) + b
-    if np.any(f == 0):
-        raise ValueError("point lies on a hyperplane")
-    return -(A.T * (u / f**2)) @ A
+    return _hessian(A, u, _affine(A, b, z))
 
 
-def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=NewtonConfig()):
+def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0):
     """Damped Newton ascent seeded at the chamber's witness.
 
     Raises ValueError if the witness, rounded to floats, is not strictly
@@ -100,26 +116,17 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
     """
     A, b, u = _matrices(arr, weights)
     signs = np.array(chamber.signs, dtype=float)
-
-    def inside(z):
-        return bool(np.all(signs * (A @ z + b) > 0))
-
-    def value(z):
-        return float(u @ np.log(np.abs(A @ z + b)))
-
     z = np.array([float(x) for x in chamber.witness])
-    if not inside(z):
+    f = A @ z + b
+    if not np.all(signs * f > 0):
         raise ValueError(f"witness of chamber {chamber.sign_string} is not strictly inside it")
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        f = A @ z + b
-        g = A.T @ (u / f)
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        g = _gradient(A, u, f)
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= config.gradient_tol:
+        if gnorm <= GRADIENT_TOL:
             break
-        H = -(A.T * (u / f**2)) @ A
-        step = np.linalg.solve(-H, g)
-        base = value(z)
+        step = np.linalg.solve(-_hessian(A, u, f), g)
+        base = _value(u, f)
         slope = float(g @ step)
         # Near the optimum the expected gain (about slope/2) sinks below the
         # rounding noise of the objective; value comparisons are then
@@ -128,30 +135,25 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
         t = 1.0
         while True:
             trial = z + t * step
-            if inside(trial) and (
-                not value_test
-                or value(trial) >= base + config.armijo_slope * t * slope
+            f = A @ trial + b
+            if np.all(signs * f > 0) and (
+                not value_test or _value(u, f) >= base + ARMIJO_SLOPE * t * slope
             ):
                 break
-            t *= config.step_shrink
-            if t < config.min_step:
+            t *= STEP_SHRINK
+            if t < MIN_STEP:
                 raise ConvergenceError("line search stalled")
-        z = z + t * step
+        z = trial  # f is already A z + b for the accepted step
     else:
         raise ConvergenceError(
-            f"gradient norm {gnorm:.3e} above {config.gradient_tol} after "
-            f"{config.max_iterations} iterations"
+            f"gradient norm {gnorm:.3e} above {GRADIENT_TOL} after {MAX_ITERATIONS} iterations"
         )
-    f = A @ z + b
-    g = A.T @ (u / f)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    H = -(A.T * (u / f**2)) @ A
     try:
-        np.linalg.cholesky(-H)
+        np.linalg.cholesky(-_hessian(A, u, f))
         negdef = True
     except np.linalg.LinAlgError:  # pragma: no cover
         negdef = False
-    if not inside(z):  # pragma: no cover - the line search only accepts inside points
+    if not np.all(signs * f > 0):  # pragma: no cover - the line search only accepts inside points
         raise EngineConsistencyError("Newton iterate left its chamber")
     return CriticalPointReport(
         chamber_index=index,
@@ -160,13 +162,13 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, config=N
         gradient_inf_norm=gnorm,
         hessian_negative_definite=negdef,
         iterations=iterations,
-        converged=gnorm <= config.gradient_tol and negdef,
+        converged=gnorm <= GRADIENT_TOL and negdef,
     )
 
 
-def _try_solve(arr, weights, chamber, index, config):
+def _try_solve(arr, weights, chamber, index):
     try:
-        return solve_chamber(arr, weights, chamber, index, config)
+        return solve_chamber(arr, weights, chamber, index)
     except ConvergenceError:
         return CriticalPointReport(
             chamber_index=index,
@@ -174,26 +176,18 @@ def _try_solve(arr, weights, chamber, index, config):
             point=(),
             gradient_inf_norm=float("inf"),
             hessian_negative_definite=False,
-            iterations=config.max_iterations,
+            iterations=MAX_ITERATIONS,
             converged=False,
         )
 
 
-def solve_all_chambers(arr: Arrangement, weights, chambers, config=NewtonConfig()):
+def solve_all_chambers(arr: Arrangement, weights, chambers):
     """Solve every chamber in order, collecting failures per chamber."""
-    return [_try_solve(arr, weights, c, i, config) for i, c in enumerate(chambers)]
+    return [_try_solve(arr, weights, c, i) for i, c in enumerate(chambers)]
 
 
-def critical_point_reports(graph, m, weights=None, seed=0, config=NewtonConfig()):
+def critical_point_reports(graph, m, seed=0):
     """One report per bounded chamber, seeded at the chamber's witness."""
     arr = build_arrangement(graph, m)
-    if weights is None:
-        weights = default_weights(arr, seed)
     chambers = bounded_chambers_bijective(graph, m)
-    return solve_all_chambers(arr, weights, chambers, config)
-
-
-def count_critical_points(graph, m, weights=None, seed=0, config=NewtonConfig()):
-    """Number of certified critical points, one per bounded chamber."""
-    reports = critical_point_reports(graph, m, weights, seed, config)
-    return sum(1 for r in reports if r.converged)
+    return solve_all_chambers(arr, default_weights(arr, seed), chambers)

@@ -1,6 +1,6 @@
 import json
 
-from chromoduli import cli
+from chromoduli import cli, moduli
 from chromoduli.errors import EngineConsistencyError
 
 PAW = str(cli.DATA_DIR / "paw.txt")
@@ -148,6 +148,21 @@ def test_verify_default_suite(capsys):
         "critical_points": 12,
         "engine_omega": 12,
     }
+
+
+def test_verify_digraph_builds_one_report(capsys, monkeypatch):
+    calls = []
+    engine = moduli.omega_with_stats
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "omega_with_stats", counted)
+    code, _ = run(capsys, "verify", "--graph", INSTAR, "--m", "3,4")
+    assert code == 0
+    # one report interpolates m = 3..6 in both modes; each row adds in and out at its m
+    assert len(calls) == 12
 
 
 def test_verify_deterministic_output(capsys):

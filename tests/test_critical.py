@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chromoduli import arrangement
+from chromoduli import arrangement, critical
 from chromoduli.arrangement import Chamber, bounded_chambers_bijective, build_arrangement
 from chromoduli.critical import (
-    NewtonConfig,
-    count_critical_points,
     critical_point_reports,
     default_weights,
     gradient,
@@ -133,7 +131,7 @@ def test_solve_k2_all_chambers():
 def test_count_matches_chambers_and_chromatic(name, g, m):
     expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
     assert len(bounded_chambers_bijective(g, m)) == expected
-    assert count_critical_points(g, m, seed=0) == expected
+    assert sum(r.converged for r in critical_point_reports(g, m, seed=0)) == expected
 
 
 def test_solutions_distinct_and_off_walls():
@@ -149,15 +147,36 @@ def test_solutions_distinct_and_off_walls():
     assert np.min(gaps[np.triu_indices(len(pts), 1)]) >= 1e-8
 
 
-def test_iteration_budget_raises_and_reports():
+def test_certificate_uses_the_public_gradient_and_hessian():
+    arr = build_arrangement(paw_graph(), 3)
+    u = default_weights(arr, seed=0)
+    reports = critical_point_reports(paw_graph(), 3, seed=0)
+    assert len(reports) == 12
+    for r in reports:
+        assert r.gradient_inf_norm == np.max(np.abs(gradient(arr, u, r.point)))
+        np.linalg.cholesky(-hessian(arr, u, r.point))  # raises if not positive definite
+
+
+def test_newton_does_not_call_the_public_functions(monkeypatch):
+    def public(*args, **kwargs):
+        raise AssertionError("Newton must run the private kernels")
+
+    for name in ("log_master", "gradient", "hessian"):
+        monkeypatch.setattr(critical, name, public)
+    reports = critical_point_reports(paw_graph(), 3, seed=0)
+    assert len(reports) == 12 and all(r.converged for r in reports)
+
+
+def test_iteration_budget_raises_and_reports(monkeypatch):
     arr = build_arrangement(paw_graph(), 3)
     chambers = bounded_chambers_bijective(paw_graph(), 3)
     u = default_weights(arr, seed=0)
-    strict = NewtonConfig(max_iterations=1, gradient_tol=1e-16)
+    monkeypatch.setattr(critical, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
-        solve_chamber(arr, u, chambers[0], config=strict)
-    reports = solve_all_chambers(arr, u, chambers, config=strict)
+        solve_chamber(arr, u, chambers[0])
+    reports = solve_all_chambers(arr, u, chambers)
     assert any(not r.converged for r in reports)
+    assert all(r.iterations == 1 for r in reports if not r.converged)
 
 
 def test_weight_validation():

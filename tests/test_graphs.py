@@ -183,6 +183,20 @@ def test_digraph_basics():
         Digraph.of(range(2), [(0, 0)])
 
 
+def test_reverse_swaps_neighborhoods_on_every_three_vertex_digraph():
+    pairs = list(itertools.permutations(range(3), 2))
+    digraphs = {
+        Digraph.of(range(3), arcs) for r in range(7) for arcs in itertools.combinations(pairs, r)
+    }
+    assert len(digraphs) == 64
+    for d in digraphs:
+        rev = d.reverse()
+        assert rev in digraphs and rev.reverse() == d
+        for v in d.vertices:
+            assert rev.in_neighborhood(v) == d.out_neighborhood(v)
+            assert rev.out_neighborhood(v) == d.in_neighborhood(v)
+
+
 def test_digraph_from_symmetric():
     g = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
     d = Digraph.from_symmetric(g)
