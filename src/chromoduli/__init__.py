@@ -46,18 +46,11 @@ from .graphs import (
 )
 from .moduli import (
     ClassExpression,
-    boundary_divisor,
     cerberus_check,
-    expand_psi_decorations,
-    integrate,
     kapranov_degree,
-    multiply_by_divisor,
     omega,
     omega_with_stats,
     point_class_pullback,
-    psi_as_boundary,
-    pullback_divisor,
-    pullback_psi,
 )
 from .orientations import acyclic_orientations, proper_coloring_count, stanley_pair_count
 

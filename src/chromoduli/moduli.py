@@ -8,8 +8,8 @@ bitmasks normalized to exclude a fixed anchor label.  A class is a formal
 integer combination of strata, optionally decorated with cotangent-class
 exponents at flags.
 
-The engine (`omega`, `kapranov_degree`) folds pulled-back cotangent classes
-into a starting class, keeping every cotangent class symbolic:
+The engine folds pulled-back cotangent classes into a starting class,
+keeping every cotangent class symbolic:
 
 * multiplying by the pullback of the cotangent class at i from the space
   marked by a subset S uses  pi^* psi_i = psi_i - sum_{T} D_{{i} u T},  the
@@ -28,12 +28,33 @@ into a starting class, keeping every cotangent class symbolic:
   is its coefficient times the product over its nodes.
 
 Coefficients stay integers throughout; each multinomial is an exact integer
-quotient.
+quotient.  `kapranov_degree` is one such fold, starting from the
+fundamental class.
 
-The older route rewrites every cotangent class into boundary divisors
-(`psi_as_boundary`, `pullback_psi`, `expand_psi_decorations`) and counts the
-undecorated top strata (`integrate`).  The engine no longer takes it; it is
-kept, with its public contracts, as the reference the tests compare against.
+`omega` splits its integral at the point class instead of folding once over
+the whole space.  The point class pulled back from the m extra markings is
+the sum of caterpillar strata, one per map sigma from the vertices to the
+caterpillar's m - 2 nodes; node t is a copy of the space marked by three
+special flags s1, s2, s3 and the vertices sigma^-1(t).  On such a stratum
+the factor of vertex v restricts to its node as the pullback of psi_v from
+the space marked by {s1, s2, s3} and the vertices of N(v) at that node, N
+the closed (or in-, or out-) neighborhood.  Hence
+
+    omega(G, m) = sum over sigma of prod over t of K(sigma^-1(t))
+                = sum over set partitions pi of V with |pi| <= m - 2
+                  of (m-2)(m-3)...(m-1-|pi|) * prod over B in pi of K(B),
+
+where the local integral K(B) is the fold of the constraints
+({s1, s2, s3} u (N(v) n B), v), v in B, into the fundamental class of the
+space marked by {s1, s2, s3} u B, and K(empty) = 1.  A vertex v of B whose
+neighborhood meets B only in v, and which lies in no other member's
+neighborhood, can be dropped: K(B) = K(B - v).  Its factor is then the
+pulled-back point class of the four-marked space {s1, s2, s3, v}; splitting
+there puts every other vertex on the side of s1 and s2, since a vertex on
+v's side carries classes pulled back from a space of one dimension less.
+After stripping such vertices, K is memoized on the block's relabelled
+local neighborhoods, so each distinct local integral is folded once per
+call.
 """
 
 from __future__ import annotations
@@ -68,9 +89,6 @@ class _Ctx:
                 raise ValueError(f"{lab!r} is not in the marking set")
             m |= 1 << self.bit[lab]
         return m
-
-    def unmask(self, m):
-        return frozenset(lab for lab, i in self.bit.items() if (m >> i) & 1)
 
     def norm(self, m):
         """The side of the bipartition not containing the anchor label."""
@@ -119,10 +137,6 @@ class ClassExpression:
     def is_zero(self):
         return not self.terms
 
-    @property
-    def has_decorations(self):
-        return any(decor for _, decor in self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, ClassExpression):
             return NotImplemented
@@ -147,111 +161,6 @@ class ClassExpression:
         return ClassExpression(self.ctx, {k: scalar * c for k, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def strata(self):
-        """Label-level view: (splits as frozensets, decoration dict, coefficient)."""
-        for (splits, decor), coeff in sorted(self.terms.items()):
-            sets = tuple(self.ctx.unmask(m) for m in splits)
-            psi = {}
-            for flag, exp in decor:
-                if flag[0] == 0:
-                    psi[("mark", self.ctx.labels[flag[1]])] = exp
-                else:
-                    psi[("germ", self.ctx.unmask(flag[1]), flag[2])] = exp
-            yield sets, psi, coeff
-
-
-def boundary_divisor(marking_set, part):
-    """The divisor class of two-component curves split along the given part."""
-    ctx = _Ctx(marking_set)
-    q = ctx.norm(ctx.mask(part))
-    size = q.bit_count()
-    if size < 2 or size > ctx.n - 2:
-        raise ValueError("divisor part must have between 2 and n-2 markings on each side")
-    return ClassExpression(ctx, {((q,), ()): 1})
-
-
-def psi_as_boundary(marking_set, i, j, k):
-    """Express the cotangent class at i through divisors separating i from j, k.
-
-    With exactly three markings the class vanishes and the zero expression is
-    returned.  Part of the boundary-expansion reference route.
-    """
-    ctx = _Ctx(marking_set)
-    if len({i, j, k}) != 3:
-        raise ValueError("i, j, k must be three distinct markings")
-    for lab in (i, j, k):
-        if lab not in ctx.bit:
-            raise ValueError(f"{lab!r} is not in the marking set")
-    if ctx.n == 3:
-        return ClassExpression(ctx, {})
-    rest = sorted(set(ctx.labels) - {i, j, k}, key=label_sort_key)
-    terms = {}
-    for r in range(1, len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            q = ctx.norm(ctx.mask((i,) + extra))
-            _accum(terms, ((q,), ()), 1)
-    return ClassExpression(ctx, terms)
-
-
-def pullback_divisor(part, sub_marking_set, marking_set):
-    """Pull a divisor back along the map forgetting markings outside the subset.
-
-    The result sums the divisors whose part consists of the given part plus
-    any subset of the forgotten markings.
-    """
-    sub = frozenset(sub_marking_set)
-    full = frozenset(marking_set)
-    part = frozenset(part)
-    if not part <= sub or not sub <= full:
-        raise ValueError("need part within the subset within the marking set")
-    if len(part) < 2 or len(part) > len(sub) - 2:
-        raise ValueError("divisor part must have between 2 and n-2 markings on each side")
-    ctx = _Ctx(full)
-    extras = sorted(full - sub, key=label_sort_key)
-    terms = {}
-    for r in range(len(extras) + 1):
-        for extra in itertools.combinations(extras, r):
-            q = ctx.norm(ctx.mask(tuple(part) + extra))
-            _accum(terms, ((q,), ()), 1)
-    return ClassExpression(ctx, terms)
-
-
-def pullback_psi(sub_marking_set, i, marking_set, anchors=None):
-    """Pullback of the cotangent class at i from the subset-marked space.
-
-    The class is first written as a divisor sum on the small space (against
-    two anchor markings, by default the two smallest others) and each divisor
-    is pulled back; the result is a pure divisor expression.  Integrated
-    answers do not depend on the anchor choice.  Part of the
-    boundary-expansion reference route; the engine keeps the class symbolic.
-    """
-    sub = frozenset(sub_marking_set)
-    full = frozenset(marking_set)
-    if i not in sub or not sub <= full:
-        raise ValueError("need the marking inside the subset inside the marking set")
-    if len(sub) < 3:
-        raise ValueError("subset must keep at least three markings")
-    ctx = _Ctx(full)
-    if len(sub) == 3:
-        return ClassExpression(ctx, {})
-    if anchors is None:
-        j, k = sorted(sub - {i}, key=label_sort_key)[:2]
-    else:
-        j, k = anchors
-    if len({i, j, k}) != 3 or j not in sub or k not in sub:
-        raise ValueError("anchors must be two further distinct markings of the subset")
-    rest = sorted(sub - {i, j, k}, key=label_sort_key)
-    extras = sorted(full - sub, key=label_sort_key)
-    terms = {}
-    for r in range(1, len(rest) + 1):
-        for inner in itertools.combinations(rest, r):
-            base = (i,) + inner
-            for s in range(len(extras) + 1):
-                for outer in itertools.combinations(extras, s):
-                    q = ctx.norm(ctx.mask(base + outer))
-                    _accum(terms, ((q,), ()), 1)
-    return ClassExpression(ctx, terms)
 
 
 def point_class_pullback(small_marking_set, marking_set, caterpillar_order=None):
@@ -319,159 +228,13 @@ def _mul_term(splits, decor, q):
     return ((tuple(sorted(splits + (q,))), decor, 1),)
 
 
-def multiply_by_divisor(expr: ClassExpression, part, marking_set=None):
-    """Multiply an expression by the boundary divisor with the given part."""
-    ctx = expr.ctx
-    if marking_set is not None and frozenset(marking_set) != expr.marking_set:
-        raise ValueError("marking set does not match the expression")
-    q = ctx.norm(ctx.mask(part))
-    size = q.bit_count()
-    if size < 2 or size > ctx.n - 2:
-        raise ValueError("divisor part must have between 2 and n-2 markings on each side")
-    out = {}
-    for (splits, decor), coeff in expr.terms.items():
-        for s2, d2, c2 in _mul_term(splits, decor, q):
-            _accum(out, (s2, d2), coeff * c2)
-    return ClassExpression(ctx, out)
-
-
-def _mul_by_divisor_sum(expr: ClassExpression, divisors: ClassExpression, term_cap=None):
-    """Multiply by a pure divisor expression, term by term (reference route)."""
-    if expr.ctx.labels != divisors.ctx.labels:
-        raise ValueError("marking sets differ")
-    out = {}
-    for (dsplits, ddecor), dcoeff in divisors.terms.items():
-        if ddecor or len(dsplits) != 1:
-            raise ValueError("multiplier must be a pure divisor expression")
-        q = dsplits[0]
-        for (splits, decor), coeff in expr.terms.items():
-            for s2, d2, c2 in _mul_term(splits, decor, q):
-                _accum(out, (s2, d2), coeff * c2 * dcoeff)
-        if term_cap is not None and len(out) > term_cap:
-            raise BudgetExceededError(f"{len(out)} strata exceed the term cap {term_cap}")
-    return ClassExpression(expr.ctx, out)
-
-
-def _tree_structure(ctx, splits):
-    """Parent map and per-node sorted flag lists for a laminar split family.
-
-    Node ids are the split masks; the root is ctx.full.  Flags are
-    (0, bit) for markings, (1, mask, 0) for the germ at the node on the
-    mask side of that edge, (1, mask, 1) for the germ at its parent.
-    """
-    order = sorted(splits, key=lambda m: (m.bit_count(), m))
-    parent = {}
-    for idx, mk in enumerate(order):
-        par = ctx.full
-        for other in order[idx + 1:]:
-            if mk & other == mk and other != mk:
-                par = other
-                break
-        parent[mk] = par
-    children = {node: [] for node in order}
-    children[ctx.full] = []
-    for mk in order:
-        children[parent[mk]].append(mk)
-    flags = {}
-    for node, kids in children.items():
-        kid_union = 0
-        for c in kids:
-            kid_union |= c
-        marks = (node if node != ctx.full else ctx.full) & ~kid_union
-        fl = [(0, b) for b in range(ctx.n) if (marks >> b) & 1]
-        if node != ctx.full:
-            fl.append((1, node, 0))
-        fl.extend((1, c, 1) for c in kids)
-        flags[node] = sorted(fl)
-    return parent, flags
-
-
-def _flag_node(ctx, splits, parent, flag):
-    if flag[0] == 1:
-        return flag[1] if flag[2] == 0 else parent[flag[1]]
-    bit = 1 << flag[1]
-    best = None
-    for mk in splits:
-        if mk & bit and (best is None or mk.bit_count() < best.bit_count()):
-            best = mk
-    return best if best is not None else ctx.full
-
-
-def _flag_content(ctx, flag, node):
-    """Markings on the far side of a flag as seen from its node."""
-    if flag[0] == 0:
-        return 1 << flag[1]
-    mask, side = flag[1], flag[2]
-    return (ctx.full ^ mask) if side == 0 else mask
-
-
-def _expand_term_once(ctx, splits, decor):
-    """Rewrite one cotangent exponent; None if the term carries none."""
-    if not decor:
-        return None
-    flag, _exp = decor[0]
-    parent, flags = _tree_structure(ctx, splits)
-    node = _flag_node(ctx, splits, parent, flag)
-    node_flags = flags[node]
-    if len(node_flags) == 3:
-        return ()  # the cotangent class of a three-flag component vanishes
-    rest = [f for f in node_flags if f != flag]
-    others = rest[2:]  # rest[:2] are the anchor flags
-    base_decor = _decor_bump(decor, flag, -1)
-    self_content = _flag_content(ctx, flag, node)
-    out = []
-    for r in range(1, len(others) + 1):
-        for picked in itertools.combinations(others, r):
-            content = self_content
-            for f in picked:
-                content |= _flag_content(ctx, f, node)
-            q = ctx.norm(content)
-            out.append((tuple(sorted(splits + (q,))), base_decor, 1))
-    return out
-
-
-def expand_psi_decorations(expr: ClassExpression, term_cap=DEFAULT_TERM_CAP):
-    """Rewrite cotangent exponents to pure boundary strata, one flag at a time.
-
-    Each rewrite preserves codimension and strictly lowers the total
-    exponent degree, so this terminates; running it on an already-pure
-    expression is the identity.  Part of the boundary-expansion reference
-    route.
-    """
-    ctx = expr.ctx
-    terms = expr.terms
-    while True:
-        changed = False
-        out = {}
-        for (splits, decor), coeff in terms.items():
-            res = _expand_term_once(ctx, splits, decor)
-            if res is None:
-                _accum(out, (splits, decor), coeff)
-            else:
-                changed = True
-                for s2, d2, c2 in res:
-                    _accum(out, (s2, d2), coeff * c2)
-        if len(out) > term_cap:
-            raise BudgetExceededError(f"{len(out)} strata exceed the term cap {term_cap}")
-        terms = out
-        if not changed:
-            return ClassExpression(ctx, terms)
-
-
-def integrate(expr: ClassExpression, marking_set=None):
-    """Degree of a fully expanded class: total coefficient of the strata with
-    the maximal number of edges (all components three-flagged).  Part of the
-    boundary-expansion reference route."""
-    if marking_set is not None and frozenset(marking_set) != expr.marking_set:
-        raise ValueError("marking set does not match the expression")
-    if expr.has_decorations:
-        raise ValueError("expression still carries cotangent exponents; expand first")
-    top = expr.ctx.n - 3
-    return sum(c for (splits, _), c in expr.terms.items() if len(splits) == top)
-
-
 def _node_of(ctx, splits, flag):
-    """The node holding a flag (node ids as in `_tree_structure`)."""
+    """The node holding a flag.
+
+    Node ids are the split masks, and ctx.full for the root.  Flags are
+    (0, bit) for markings, (1, mask, 0) for the germ at the node on the mask
+    side of that edge and (1, mask, 1) for the germ at its parent.
+    """
     if flag[0] == 1 and flag[2] == 0:
         return flag[1]
     inner = 1 << flag[1] if flag[0] == 0 else flag[1]
@@ -620,21 +383,6 @@ def kapranov_degree(constraints, marking_set, shortcut=True, term_cap=DEFAULT_TE
     return value
 
 
-def _fresh_marks(vertices, m):
-    used = set(vertices)
-    names = []
-    alphabet = "abcdefghijklmnopqrstuvwxyz"
-    candidates = itertools.chain(
-        alphabet, ("".join(p) for p in itertools.product(alphabet, repeat=2))
-    )
-    for name in candidates:
-        if name not in used:
-            names.append(name)
-            if len(names) == m:
-                return tuple(names)
-    raise ValueError("could not allocate fresh marking labels")  # pragma: no cover
-
-
 def _neighborhood(graph, v, mode):
     if mode == "undirected":
         if not isinstance(graph, SimpleGraph):
@@ -651,20 +399,80 @@ def _neighborhood(graph, v, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _local_key(block, nbhds):
+    """A caterpillar node's local constraints, isolated vertices stripped.
+
+    `block` is a bitmask of vertex indices and `nbhds[i]` the bitmask of
+    vertex i's neighborhood.  A vertex whose neighborhood meets the block only
+    in itself, and which lies in no other member's neighborhood, is dropped.
+    The rest are relabelled 0..k-1 in vertex order; the key lists each one's
+    neighborhood within the block in these labels.
+    """
+    members = [i for i in range(len(nbhds)) if block >> i & 1]
+    covered = 0
+    for i in members:
+        covered |= nbhds[i] & block & ~(1 << i)
+    kept = [i for i in members if covered >> i & 1 or nbhds[i] & block != 1 << i]
+    return tuple(tuple(j for j, u in enumerate(kept) if nbhds[i] >> u & 1) for i in kept)
+
+
+def _local_integral(key, term_cap):
+    """K of a node with local constraints `key` (as from `_local_key`), with stats.
+
+    The node is the space marked by its vertices 0..k-1 plus three special
+    flags k, k+1, k+2; vertex i carries the pullback of its cotangent class
+    from the space marked by the special flags and its local neighborhood.
+    """
+    k = len(key)
+    special = frozenset(range(k, k + 3))
+    pullbacks = [(special | frozenset(nbhd), i) for i, nbhd in enumerate(key)]
+    return _fold_pullbacks(ClassExpression.unit(special | frozenset(range(k))), pullbacks, term_cap)
+
+
 def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
     """The graph's intersection number with m extra markings, plus term stats.
 
-    The marking set is the vertex set plus m fresh labels; a pulled-back
-    point class is multiplied by one pulled-back cotangent class per vertex,
-    with the per-vertex subset given by its (closed, in-, or out-)
-    neighborhood together with the fresh labels.
+    Sums, over set partitions of the vertices into at most m - 2 blocks, the
+    falling factorial (m-2)(m-3)... (one factor per block) times the product
+    of the blocks' local integrals K; see the module docstring.  Each
+    distinct K is folded once per call.  `terms_peak` is the most terms any
+    local fold reached and `terms_final` sums the distinct folds' final term
+    counts; `term_cap` bounds each local fold.
     """
     if m < 3:
         raise ValueError(f"m must be at least 3, got {m}")
-    marks = _fresh_marks(graph.vertices, m)
-    full = frozenset(graph.vertices) | frozenset(marks)
-    pullbacks = [(_neighborhood(graph, v, mode) | frozenset(marks), v) for v in graph.vertices]
-    return _fold_pullbacks(point_class_pullback(frozenset(marks), full), pullbacks, term_cap)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    nbhds = [sum(1 << index[u] for u in _neighborhood(graph, v, mode)) for v in graph.vertices]
+    stats = {"terms_peak": 1, "terms_final": 0}
+    memo = {}
+
+    def node_integral(block):
+        key = _local_key(block, nbhds)
+        if key not in memo:
+            memo[key], fold = _local_integral(key, term_cap)
+            stats["terms_peak"] = max(stats["terms_peak"], fold["terms_peak"])
+            stats["terms_final"] += fold["terms_final"]
+        return memo[key]
+
+    def place(rest, nodes):
+        """Sum over maps from the vertices of `rest` to `nodes` free nodes of
+        the product of K over the occupied nodes, grouped by partition."""
+        if not rest:
+            return 1
+        low = rest & -rest  # the block holding the lowest vertex comes first
+        others = rest ^ low
+        total = 0
+        sub = others
+        while True:
+            block = low | sub
+            if nodes > 1 or block == rest:  # what is left needs a node of its own
+                total += node_integral(block) * place(rest ^ block, nodes - 1)
+            if not sub:
+                break
+            sub = (sub - 1) & others
+        return nodes * total
+
+    return place((1 << len(nbhds)) - 1, m - 2), stats
 
 
 def omega(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):

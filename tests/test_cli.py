@@ -54,6 +54,15 @@ def test_omega_digraph_needs_mode(capsys):
     assert code == 0 and json.loads(out)["value"] == 3
 
 
+def test_omega_term_budget_caps_each_local_fold(tmp_path, capsys):
+    # the edgeless graph's local integrals are all trivial, so a budget far
+    # below the old global fold's peak is enough
+    edgeless = tmp_path / "e6.txt"
+    edgeless.write_text("6 0\n")
+    code, out = run(capsys, "omega", "--graph", str(edgeless), "--m", "5", "--budget-terms", "1000")
+    assert code == 0 and json.loads(out)["value"] == 729
+
+
 def test_malformed_graph_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")

@@ -12,20 +12,25 @@ from chromoduli.graphs import Digraph, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import (
     DEFAULT_TERM_CAP,
     ClassExpression,
-    boundary_divisor,
     cerberus_check,
-    expand_psi_decorations,
-    integrate,
     kapranov_degree,
-    multiply_by_divisor,
     omega,
     omega_with_stats,
     point_class_pullback,
+)
+
+import boundary_reference
+from boundary_reference import (
+    _mul_by_divisor_sum,
+    boundary_divisor,
+    expand_psi_decorations,
+    integrate,
+    multiply_by_divisor,
     psi_as_boundary,
     pullback_divisor,
     pullback_psi,
+    strata,
 )
-
 from graph_catalog import paw_graph, instar_digraph, graphs_with_at_most
 
 P4 = frozenset("ijkl")
@@ -41,24 +46,34 @@ def _sum_divisors(P, parts):
 
 def _fold(expr, divisor_sums):
     """Multiply an expression by divisor expressions, expanding as the engine does."""
-    from chromoduli.moduli import _mul_by_divisor_sum
-
     for d in divisor_sums:
         expr = _mul_by_divisor_sum(expr, d)
         expr = expand_psi_decorations(expr)
     return expr
 
 
+def _extra_marks(graph, m):
+    marks = frozenset(f"x{j}" for j in range(m))
+    if marks & set(graph.vertices):
+        raise ValueError("vertex labels collide with the extra markings")
+    return marks
+
+
 def _omega_by_expansion(graph, m, mode="undirected"):
     """The engine's value through the boundary-expansion reference route."""
-    marks = moduli._fresh_marks(graph.vertices, m)
-    P = frozenset(graph.vertices) | frozenset(marks)
-    base = point_class_pullback(frozenset(marks), P)
-    psis = [
-        pullback_psi(moduli._neighborhood(graph, v, mode) | frozenset(marks), v, P)
-        for v in graph.vertices
-    ]
+    marks = _extra_marks(graph, m)
+    P = frozenset(graph.vertices) | marks
+    base = point_class_pullback(marks, P)
+    psis = [pullback_psi(moduli._neighborhood(graph, v, mode) | marks, v, P) for v in graph.vertices]
     return integrate(_fold(base, psis))
+
+
+def _omega_by_global_fold(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
+    """omega as one symbolic fold over the whole pulled-back point class."""
+    marks = _extra_marks(graph, m)
+    P = frozenset(graph.vertices) | marks
+    pullbacks = [(moduli._neighborhood(graph, v, mode) | marks, v) for v in graph.vertices]
+    return moduli._fold_pullbacks(point_class_pullback(marks, P), pullbacks, term_cap)
 
 
 def _kapranov_by_expansion(constraints, P):
@@ -150,9 +165,9 @@ def test_multiply_self_intersection_decorations():
     d = boundary_divisor(P5, {1, 2})
     prod = multiply_by_divisor(d, {1, 2})
     assert prod.term_count == 2
-    strata = list(prod.strata())
-    assert all(coeff == -1 for _, _, coeff in strata)
-    assert all(sum(psi.values()) == 1 for _, psi, _ in strata)
+    strata_list = list(strata(prod))
+    assert all(coeff == -1 for _, _, coeff in strata_list)
+    assert all(sum(psi.values()) == 1 for _, psi, _ in strata_list)
     # expansion: the exponent on the two-marking component vanishes, the other
     # refines to the three-component chain
     expanded = expand_psi_decorations(prod)
@@ -166,7 +181,7 @@ def test_multiply_disjoint_divisors_chain():
     d12 = boundary_divisor(P5, {1, 2})
     prod = multiply_by_divisor(d12, {3, 4})
     assert prod.term_count == 1
-    ((splits, psi, coeff),) = list(prod.strata())
+    ((splits, psi, coeff),) = list(strata(prod))
     assert coeff == 1 and not psi and len(splits) == 2
 
 
@@ -189,7 +204,7 @@ def test_expand_exponent_on_four_flag_component_single_refinement():
     prod = multiply_by_divisor(boundary_divisor(P5, {1, 2}), {1, 2})
     expanded = expand_psi_decorations(prod)
     assert expanded.term_count == 1
-    ((splits, psi, coeff),) = list(expanded.strata())
+    ((splits, psi, coeff),) = list(strata(expanded))
     assert coeff == -1 and not psi and len(splits) == 2
 
 
@@ -451,8 +466,12 @@ def test_omega_mode_validation():
 
 
 def test_omega_term_cap():
+    # the cap bounds each local fold; three disjoint edges at m=5 fold a
+    # six-vertex node whose fold peaks at 1,099 terms
+    three_k2 = SimpleGraph.of(range(6), [(0, 1), (2, 3), (4, 5)])
     with pytest.raises(BudgetExceededError):
-        omega(paw_graph(), 4, term_cap=10)
+        omega(three_k2, 5, term_cap=100)
+    assert omega(paw_graph(), 4, term_cap=10) == 72  # local folds peak at 3 terms
 
 
 def test_omega_edgeless_five_term_peak():
@@ -461,12 +480,34 @@ def test_omega_edgeless_five_term_peak():
     assert stats["terms_peak"] < 20_913  # the peak of the boundary expansion
 
 
+def test_omega_edgeless_six_term_peak():
+    value, stats = omega_with_stats(SimpleGraph.of(range(6)), 5)
+    assert value == 3 ** 6
+    assert 1 <= stats["terms_peak"] < 1_000  # the global fold peaked at 170,688
+
+
+def test_omega_many_extra_markings():
+    p3 = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
+    assert omega(p3, 800) == -chromatic_polynomial(p3).evaluate(-798)
+
+
+def test_local_key_strips_only_isolated_vertices():
+    p3 = [0b011, 0b111, 0b110]  # closed neighborhoods of the path 0-1-2
+    assert moduli._local_key(0b101, p3) == ()
+    assert moduli._local_key(0b111, p3) == ((0, 1), (0, 1, 2), (1, 2))
+    assert moduli._local_key(0b110, p3) == ((0, 1), (0, 1))
+    instar_in = [0b001, 0b111, 0b100]  # in-neighborhoods of 0 -> 1 <- 2
+    assert moduli._local_key(0b101, instar_in) == ()
+    assert moduli._local_key(0b111, instar_in) == ((0,), (0, 1, 2), (2,))
+
+
 def test_engine_keeps_cotangent_classes_symbolic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the engine took the boundary-expansion route")
 
     for name in ("expand_psi_decorations", "pullback_psi", "_mul_by_divisor_sum", "integrate"):
-        monkeypatch.setattr(moduli, name, refuse)
+        assert not hasattr(moduli, name)
+        monkeypatch.setattr(boundary_reference, name, refuse)
     paw = paw_graph()
     assert omega(paw, 4) == chromatic_polynomial(paw).evaluate(-2)
     P = frozenset([1, 2, 3, 4, "a", "b", "c"])
@@ -526,6 +567,38 @@ def test_omega_random_digraphs_match_expansion(d, mode, m):
 def test_kapranov_random_systems_match_expansion(system):
     constraints, P = system
     assert kapranov_degree(constraints, P, shortcut=False) == _kapranov_by_expansion(constraints, P)
+
+
+@ORACLE_SETTINGS
+@given(simple_graphs(max_n=5), st.sampled_from([3, 4, 5]))
+def test_omega_random_graphs_match_global_fold(g, m):
+    assert omega(g, m) == _omega_by_global_fold(g, m)[0]
+
+
+@ORACLE_SETTINGS
+@given(digraphs(max_n=4), st.sampled_from(["in", "out"]), st.sampled_from([3, 4]))
+def test_omega_random_digraphs_match_global_fold(d, mode, m):
+    assert omega(d, m, mode) == _omega_by_global_fold(d, m, mode)[0]
+
+
+@st.composite
+def local_constraints_with_isolated_vertex(draw, max_k):
+    """Local neighborhoods on 0..k-1, and the same with an isolated vertex inserted."""
+    k = draw(st.integers(0, max_k))
+    nbhds = [draw(st.sets(st.integers(0, k - 1))) | {i} for i in range(k)]
+    v = draw(st.integers(0, k))
+    shift = [j if j < v else j + 1 for j in range(k)]
+    with_v = [tuple(sorted(shift[j] for j in nb)) for nb in nbhds]
+    with_v.insert(v, (v,))
+    return tuple(tuple(sorted(nb)) for nb in nbhds), tuple(with_v)
+
+
+@ORACLE_SETTINGS
+@given(local_constraints_with_isolated_vertex(max_k=4))
+def test_isolated_vertex_leaves_local_integral_unchanged(pair):
+    without, with_v = pair
+    value, _ = moduli._local_integral(with_v, DEFAULT_TERM_CAP)
+    assert value == moduli._local_integral(without, DEFAULT_TERM_CAP)[0]
 
 
 def test_all_coefficients_are_integers():
