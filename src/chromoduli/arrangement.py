@@ -25,19 +25,19 @@ from .lp import solve_lp
 from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
-_MARGIN_CAP = Fraction(1)
+_MARGIN_CAP = 1
 
 
 @dataclass(frozen=True)
 class AffineFunctional:
     """Exact affine functional a.z + b with an identifying tag."""
 
-    coefficients: tuple  # Fractions, aligned with the arrangement vertex order
-    constant: Fraction
+    coefficients: tuple  # ints, aligned with the arrangement vertex order
+    constant: int
     tag: tuple  # ("level", v, i) or ("edge", u, w)
 
     def value(self, z):
-        return sum(a * x for a, x in zip(self.coefficients, z)) + self.constant
+        return sum(a * x for a, x in zip(self.coefficients, z) if a) + self.constant
 
     @property
     def weight(self):
@@ -85,14 +85,11 @@ def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
     fns = []
     for v in vs:
         for i in range(m - 1):
-            coeffs = tuple(Fraction(1) if j == pos[v] else Fraction(0) for j in range(n))
-            fns.append(AffineFunctional(coeffs, Fraction(-i), ("level", v, i)))
+            coeffs = tuple(1 if j == pos[v] else 0 for j in range(n))
+            fns.append(AffineFunctional(coeffs, -i, ("level", v, i)))
     for u, w in graph.edges:
-        coeffs = tuple(
-            Fraction(1) if j == pos[u] else Fraction(-1) if j == pos[w] else Fraction(0)
-            for j in range(n)
-        )
-        fns.append(AffineFunctional(coeffs, Fraction(0), ("edge", u, w)))
+        coeffs = tuple(1 if j == pos[u] else -1 if j == pos[w] else 0 for j in range(n))
+        fns.append(AffineFunctional(coeffs, 0, ("edge", u, w)))
     if len(fns) != (m - 1) * n + len(graph.edges):
         raise EngineConsistencyError("arrangement has the wrong number of hyperplanes")
     return Arrangement(graph, m, tuple(fns))
@@ -111,9 +108,9 @@ def _margin_lp(functionals, signs):
     for f, s in zip(functionals, signs):
         rows.append([-s * a for a in f.coefficients] + [f.weight])
         rhs.append(s * f.constant)
-    rows.append([Fraction(0)] * dim + [Fraction(1)])
+    rows.append([0] * dim + [1])
     rhs.append(_MARGIN_CAP)
-    objective = [Fraction(0)] * dim + [Fraction(1)]
+    objective = [0] * dim + [1]
     sol = solve_lp(rows, rhs, objective)
     if sol.status != "optimal" or sol.x[dim] <= 0:
         return None

@@ -1,6 +1,14 @@
-"""Shared small-graph catalog: one representative per isomorphism class."""
+"""Shared small-graph catalog (one representative per isomorphism class) and random graphs."""
+
+import itertools
+
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from chromoduli.graphs import Digraph, SimpleGraph
+
+# Reproducible hypothesis runs for the cross-route oracle tests.
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
 
 PAW_EDGES = [(1, 2), (2, 3), (1, 3), (1, 4)]
 
@@ -44,3 +52,11 @@ def all_graphs_up_to_4():
 
 def graphs_with_at_most(k):
     return [(name, g) for name, g in all_graphs_up_to_4() if g.n <= k]
+
+
+@st.composite
+def simple_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.of(range(n), [p for p, k in zip(pairs, keep) if k])

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromoduli import arrangement
+from chromoduli import arrangement, lp
 from chromoduli.arrangement import (
     bounded_chambers_bijective,
     bounded_chambers_lp,
@@ -13,7 +15,7 @@ from chromoduli.arrangement import (
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
-from graph_catalog import all_graphs_up_to_4, paw_graph
+from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, paw_graph, simple_graphs
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
 K3 = SimpleGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
@@ -146,8 +148,15 @@ def test_chamber_to_pair_requires_bounded():
         chamber_to_pair(arr, unbounded)
 
 
-@pytest.mark.parametrize("name,lp_calls", [("paw", 22), ("K4", 62)])
-def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, lp_calls):
+@pytest.mark.parametrize(
+    "name,m,lp_calls",
+    [
+        pytest.param("paw", 3, 22, id="paw-22"),
+        pytest.param("K4", 3, 62, id="K4-62"),
+        pytest.param("K4", 4, 398, id="K4-m4-398"),
+    ],
+)
+def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
     # an LP only for a split side the region's witness misses, none per chamber
     g = dict(all_graphs_up_to_4())[name]
     real = arrangement.solve_lp
@@ -158,9 +167,47 @@ def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, lp_calls):
         return real(*args)
 
     monkeypatch.setattr(arrangement, "solve_lp", counting_solve_lp)
-    chambers = bounded_chambers_lp(build_arrangement(g, 3))
-    assert len(chambers) == (-1) ** g.n * chromatic_polynomial(g).evaluate(-1)
+    chambers = bounded_chambers_lp(build_arrangement(g, m))
+    assert len(chambers) == (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
     assert len(calls) == lp_calls
+
+
+def test_lp_search_witness_is_pinned():
+    # the search's pivot path decides which point of a chamber it returns
+    arr = build_arrangement(dict(all_graphs_up_to_4())["P4"], 4)
+    witnesses = {c.sign_string: c.witness for c in bounded_chambers_lp(arr)}
+    assert witnesses["++-++-++-++---+"] == (
+        Fraction(7, 6),
+        Fraction(3, 2),
+        Fraction(11, 6),
+        Fraction(7, 6),
+    )
+
+
+def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
+    # a margin LP whose dual no longer proves its optimum must stop the search
+    real = lp._check_optimal
+
+    def perturbed_dual(A, b, c, x, y, d):
+        real(A, b, c, x, [v + 1 for v in y], d)
+
+    monkeypatch.setattr(lp, "_check_optimal", perturbed_dual)
+    with pytest.raises(EngineConsistencyError):
+        bounded_chambers_lp(build_arrangement(paw_graph(), 3))
+
+
+@st.composite
+def graphs_and_m(draw):
+    m = draw(st.sampled_from([3, 4]))
+    return draw(simple_graphs(max_n=5 if m == 3 else 4)), m
+
+
+@settings(ORACLE_SETTINGS, max_examples=50)
+@given(graphs_and_m())
+def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m):
+    g, m = graph_and_m
+    cl = bounded_chambers_lp(build_arrangement(g, m))
+    assert [c.signs for c in cl] == [c.signs for c in bounded_chambers_bijective(g, m)]
 
 
 def test_lp_witness_outside_chamber_is_rejected(monkeypatch):

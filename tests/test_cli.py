@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import chromoduli
 from chromoduli import cli, moduli
 from chromoduli.errors import EngineConsistencyError
 
@@ -211,3 +216,21 @@ def test_verify_pretty_table(capsys):
     code, out = run(capsys, "verify", "--pretty", "--graph", PAW, "--m", "3")
     assert code == 0
     assert "graph" in out and "paw.txt" in out and "True" in out
+
+
+def test_lp_chambers_run_under_optimize(tmp_path):
+    # the LP certificates must survive `python -O`, which strips asserts
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    src = str(Path(chromoduli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["chambers", "--graph", str(k4), "--m", "4", "--method", "lp"]
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "chromoduli.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["count_lp"] == 120

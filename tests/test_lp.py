@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from chromoduli import lp
+from chromoduli.errors import EngineConsistencyError
 from chromoduli.lp import solve_lp
 
-scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+from lp_reference import solve_lp as reference_solve_lp
 
 
 def test_simple_optimum():
@@ -59,6 +63,7 @@ def test_degenerate_equality_like():
 
 
 def test_random_instances_against_scipy():
+    scipy_linprog = pytest.importorskip("scipy.optimize").linprog
     rng = random.Random(20240401)
     agree = 0
     for _ in range(80):
@@ -80,3 +85,67 @@ def test_random_instances_against_scipy():
         elif ref.status == 3:
             assert ours.status == "unbounded"
     assert agree > 10  # the sample must include plenty of bounded instances
+
+
+def test_optimal_dual_certificate():
+    # max x + y s.t. x <= 1, y <= 2, x + y <= 5/2: the third row binds with x
+    A = [[1, 0], [0, 1], [1, 1]]
+    b = [1, 2, Fraction(5, 2)]
+    c = [1, 1]
+    sol = solve_lp(A, b, c)
+    assert sol.status == "optimal" and sol.objective == Fraction(5, 2)
+    y = sol.dual
+    assert all(v >= 0 for v in y)
+    assert [sum(y[i] * A[i][j] for i in range(3)) for j in range(2)] == c
+    assert sum(y[i] * b[i] for i in range(3)) == sol.objective
+
+
+def test_dual_is_rescaled_from_the_integer_data():
+    # fractional A, b and c are scaled by different lcms before solving
+    A = [[Fraction(1, 2), 0], [0, Fraction(1, 3)], [-1, 0], [0, -1]]
+    b = [Fraction(3, 4), 1, 0, 0]
+    c = [Fraction(2, 5), Fraction(1, 7)]
+    sol = solve_lp(A, b, c)
+    assert sol.x == (Fraction(3, 2), Fraction(3))
+    assert sol.dual == (Fraction(4, 5), Fraction(3, 7), 0, 0)
+
+
+def test_check_optimal_accepts_a_certified_optimum():
+    # max x s.t. x <= 1, -x <= 0: x = 1 with y = (1, 0), all over d = 2
+    lp._check_optimal([[1], [-1]], [1, 0], [1], x=[2], y=[2, 0], d=2)
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ([2], [2, 1]),  # perturbed dual: y A != c
+        ([2], [3, 1]),  # perturbed dual: y A = c, but y.b != c.x
+        ([2], [-2, -4]),  # negative dual
+        ([1], [2, 0]),  # feasible but suboptimal point
+        ([4], [2, 0]),  # infeasible point
+    ],
+)
+def test_check_optimal_rejects_a_wrong_certificate(x, y):
+    with pytest.raises(EngineConsistencyError):
+        lp._check_optimal([[1], [-1]], [1, 0], [1], x=x, y=y, d=2)
+
+
+def _random_rational(rng):
+    if rng.random() < 0.3:
+        return 0
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 4, 6]))
+
+
+def test_matches_the_fraction_tableau_on_random_rational_lps():
+    rng = random.Random(20261018)
+    statuses = Counter()
+    for _ in range(2000):
+        m = rng.randint(0, 7)
+        n = rng.randint(1, 4)
+        A = [[_random_rational(rng) for _ in range(n)] for _ in range(m)]
+        b = [_random_rational(rng) for _ in range(m)]
+        c = [_random_rational(rng) for _ in range(n)]
+        ours = solve_lp(A, b, c)
+        assert replace(ours, dual=None) == reference_solve_lp(A, b, c)
+        statuses[ours.status] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 300

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chromoduli import moduli
@@ -31,7 +31,13 @@ from boundary_reference import (
     pullback_psi,
     strata,
 )
-from graph_catalog import paw_graph, instar_digraph, graphs_with_at_most
+from graph_catalog import (
+    ORACLE_SETTINGS,
+    graphs_with_at_most,
+    instar_digraph,
+    paw_graph,
+    simple_graphs,
+)
 
 P4 = frozenset("ijkl")
 P5 = frozenset(range(1, 6))
@@ -519,17 +525,6 @@ def test_engine_keeps_cotangent_classes_symbolic(monkeypatch):
         (frozenset({1, 4}) | extras, 4),
     ]
     assert kapranov_degree(constraints, P) == kapranov_degree(constraints, P, shortcut=False) == 12
-
-
-ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=20, deadline=None)
-
-
-@st.composite
-def simple_graphs(draw, max_n):
-    n = draw(st.integers(1, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return SimpleGraph.of(range(n), [p for p, k in zip(pairs, keep) if k])
 
 
 @st.composite
