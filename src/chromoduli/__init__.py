@@ -25,7 +25,6 @@ from .digraph_poly import (
     chi_interpolated,
     digraph_polynomial_report,
     full_peel,
-    omega_one_zero,
     peel_step,
 )
 from .errors import (

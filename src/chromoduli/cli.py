@@ -5,8 +5,11 @@ critical-points, chi, kapranov, parse); `verify` runs every route on the
 same inputs and cross-checks the results.
 
 Exit codes: 0 all agree, 1 disagreement or solver failure, 2 parse/usage
-error, 3 budget exceeded.  JSON goes to stdout (JSON lines for verify),
-diagnostics to stderr.
+error (malformed graph, weights and constraint files included), 3 budget
+exceeded.  JSON goes to stdout (JSON lines for verify), diagnostics to
+stderr.  A subcommand takes only the budget flags it reads: omega, chi and
+kapranov --budget-terms; chambers --budget-orientations and --budget-lp;
+critical-points --budget-orientations; verify all three.
 """
 
 from __future__ import annotations
@@ -32,6 +35,15 @@ EXIT_BUDGET = 3
 DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_SUITE = (DATA_DIR / "paw.txt", DATA_DIR / "instar.txt")
 
+# Each `--budget-<name>` flag and the library default it overrides.
+BUDGETS = {
+    "orientations": ori_mod.DEFAULT_CANDIDATE_BUDGET,
+    "lp": arr_mod.DEFAULT_LP_FUNCTIONAL_BUDGET,
+    "terms": mod_mod.DEFAULT_TERM_CAP,
+}
+
+_NEEDS = {SimpleGraph: "a simple graph file", Digraph: "a digraph file (header line 'digraph')"}
+
 
 def _emit(obj, pretty=False):
     if pretty:
@@ -40,11 +52,15 @@ def _emit(obj, pretty=False):
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _load(path):
+def _load(path, kind=None, command=None):
+    """Read a graph file; with `kind`, reject the other kind of graph for `command`."""
     try:
-        return load_graph_file(path)
+        graph = load_graph_file(path)
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
+    if kind is not None and not isinstance(graph, kind):
+        raise GraphParseError(f"{command} needs {_NEEDS[kind]}")
+    return graph
 
 
 def _load_weights(path, expected):
@@ -65,9 +81,7 @@ def cmd_parse(args):
 
 
 def cmd_chromatic(args):
-    graph = _load(args.graph)
-    if not isinstance(graph, SimpleGraph):
-        raise GraphParseError("chromatic needs a simple graph file")
+    graph = _load(args.graph, SimpleGraph, args.command)
     poly = chromatic_polynomial(graph)
     _emit(
         {
@@ -109,9 +123,7 @@ def cmd_omega(args):
 
 
 def cmd_chambers(args):
-    graph = _load(args.graph)
-    if not isinstance(graph, SimpleGraph):
-        raise GraphParseError("chambers needs a simple graph file")
+    graph = _load(args.graph, SimpleGraph, args.command)
     out = {"graph": graph_to_json(graph), "m": args.m}
     counts = []
     if args.method in ("bijective", "both"):
@@ -134,9 +146,7 @@ def cmd_chambers(args):
 
 
 def cmd_critical_points(args):
-    graph = _load(args.graph)
-    if not isinstance(graph, SimpleGraph):
-        raise GraphParseError("critical-points needs a simple graph file")
+    graph = _load(args.graph, SimpleGraph, args.command)
     arr = arr_mod.build_arrangement(graph, args.m)
     if args.weights:
         weights = _load_weights(args.weights, len(arr.functionals))
@@ -149,9 +159,7 @@ def cmd_critical_points(args):
 
 
 def cmd_chi(args):
-    graph = _load(args.graph)
-    if not isinstance(graph, Digraph):
-        raise GraphParseError("chi needs a digraph file (header line 'digraph')")
+    graph = _load(args.graph, Digraph, args.command)
     report = dig_mod.digraph_polynomial_report(graph, args.budget_terms)
     out = report.to_json()
     if args.mode != "both":
@@ -160,6 +168,11 @@ def cmd_chi(args):
     out["graph"] = graph_to_json(graph)
     _emit(out, args.pretty)
     return EXIT_OK if report.consistent else EXIT_DISAGREE
+
+
+def _labels(value):
+    """True for a JSON array of marking labels (integers or strings)."""
+    return isinstance(value, list) and all(isinstance(x, (int, str)) for x in value)
 
 
 def cmd_kapranov(args):
@@ -171,13 +184,15 @@ def cmd_kapranov(args):
     else:
         raw = data
         markings = None
+    if not isinstance(raw, list) or (markings is not None and not _labels(markings)):
+        raise GraphParseError("constraints must be a JSON array, markings an array of integers or strings")
     constraints = []
     for item in raw:
-        if isinstance(item, dict):
-            constraints.append((frozenset(item["subset"]), item["marking"]))
-        else:
-            subset, mark = item
-            constraints.append((frozenset(subset), mark))
+        pair = [item.get("subset"), item.get("marking")] if isinstance(item, dict) else item
+        # [subset, marking]: a list of labels, then one label
+        if not (isinstance(pair, list) and len(pair) == 2 and _labels(pair[0]) and _labels(pair[1:])):
+            raise GraphParseError(f"constraint {json.dumps(item)} needs a subset array and a marking")
+        constraints.append((frozenset(pair[0]), pair[1]))
     if markings is None:
         markings = frozenset().union(*(s for s, _ in constraints))
     check = mod_mod.cerberus_check(constraints)
@@ -299,15 +314,14 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def _add_common(sub, graph_required=True, needs_m=False):
+def _add_common(sub, budgets=(), graph_required=True, needs_m=False):
     if graph_required:
         sub.add_argument("--graph", required=True, help="graph file path")
     if needs_m:
         sub.add_argument("--m", type=int, required=True, help="number of extra markings")
     sub.add_argument("--pretty", action="store_true")
-    sub.add_argument("--budget-orientations", type=int, default=ori_mod.DEFAULT_CANDIDATE_BUDGET)
-    sub.add_argument("--budget-lp", type=int, default=arr_mod.DEFAULT_LP_FUNCTIONAL_BUDGET)
-    sub.add_argument("--budget-terms", type=int, default=mod_mod.DEFAULT_TERM_CAP)
+    for name in budgets:
+        sub.add_argument(f"--budget-{name}", type=int, default=BUDGETS[name])
 
 
 def build_parser():
@@ -326,38 +340,37 @@ def build_parser():
     p.set_defaults(func=cmd_chromatic)
 
     p = subs.add_parser("omega", help="intersection number of a graph")
-    _add_common(p, needs_m=True)
+    _add_common(p, ("terms",), needs_m=True)
     p.add_argument("--g", type=int, default=0, help="genus (handled by exact reduction)")
     p.add_argument("--mode", choices=["undirected", "in", "out"], default="undirected")
     p.set_defaults(func=cmd_omega)
 
     p = subs.add_parser("chambers", help="bounded chambers of the graph arrangement")
-    _add_common(p, needs_m=True)
+    _add_common(p, ("orientations", "lp"), needs_m=True)
     p.add_argument("--method", choices=["bijective", "lp", "both"], default="both")
     p.set_defaults(func=cmd_chambers)
 
     p = subs.add_parser("critical-points", help="one certified critical point per chamber")
-    _add_common(p, needs_m=True)
+    _add_common(p, ("orientations",), needs_m=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", help="JSON array of positive weights, one per functional")
     p.set_defaults(func=cmd_critical_points)
 
     p = subs.add_parser("chi", help="digraph polynomials (in/out)")
-    _add_common(p)
+    _add_common(p, ("terms",))
     p.add_argument("--mode", choices=["in", "out", "both"], default="both")
     p.set_defaults(func=cmd_chi)
 
     p = subs.add_parser("kapranov", help="degree of a constraint system from a JSON file")
+    _add_common(p, ("terms",), graph_required=False)
     p.add_argument("--constraints", required=True)
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--budget-terms", type=int, default=mod_mod.DEFAULT_TERM_CAP)
     p.set_defaults(func=cmd_kapranov)
 
     p = subs.add_parser("verify", help="run all routes and cross-check them")
     p.add_argument("--graph", action="append", help="graph file; repeatable (default: shipped suite)")
     p.add_argument("--m", default="3,4", help="comma-separated list of extra-marking counts")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, graph_required=False)
+    _add_common(p, tuple(BUDGETS), graph_required=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -368,18 +381,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (json.JSONDecodeError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # GraphParseError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (EngineConsistencyError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE

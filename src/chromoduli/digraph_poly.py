@@ -58,28 +58,23 @@ def peel_step(graph: Digraph, v, mode):
 
 
 def full_peel(graph: Digraph, mode) -> IntPolynomial:
-    """Peel sinks (or sources) until the graph is exhausted.
+    """Peel sinks (or sources) with `peel_step` until one vertex is left.
 
-    Only completes on acyclic digraphs; raises otherwise.
+    The last vertex has degree 0, so its factor is x.  Only completes on
+    acyclic digraphs; raises otherwise.
     """
     _check_mode(mode)
-    out = IntPolynomial((1,))
+    is_end = Digraph.is_sink if mode == "in" else Digraph.is_source
+    out = IntPolynomial.monomial(1)
     current = graph
-    while True:
-        pick = None
-        for v in sorted(current.vertices, key=label_sort_key):
-            if (mode == "in" and current.is_sink(v)) or (
-                mode == "out" and current.is_source(v)
-            ):
-                pick = v
-                break
+    while current.n > 1:
+        ends = (v for v in sorted(current.vertices, key=label_sort_key) if is_end(current, v))
+        pick = next(ends, None)
         if pick is None:
             raise ValueError("no sink/source available; digraph has a directed cycle")
-        factor = IntPolynomial((-_degree(current, pick, mode), 1))
+        factor, current = peel_step(current, pick, mode)
         out = out * factor
-        if current.n == 1:
-            return out
-        current = current.delete_vertex(pick)
+    return out
 
 
 def _lagrange_integer(points):
@@ -125,14 +120,6 @@ def chi_interpolated(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPoly
             f"interpolated polynomial {poly.coefficients} is not monic of degree {n}"
         )
     return poly
-
-
-def omega_one_zero(graph: Digraph, mode, chi: IntPolynomial | None = None) -> int:
-    """The genus-one no-extra-markings value: signed linear coefficient."""
-    _check_mode(mode)
-    if chi is None:
-        chi = chi_for(graph, mode)
-    return (-1) ** (graph.n - 1) * chi.derivative_at_zero()
 
 
 def chi_for(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPolynomial:

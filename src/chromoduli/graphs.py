@@ -54,10 +54,6 @@ class SimpleGraph:
     def n(self):
         return len(self.vertices)
 
-    def has_edge(self, e):
-        u, w = e
-        return _norm_edge(u, w) in self.edges
-
     def neighbors(self, v):
         out = []
         for u, w in self.edges:
@@ -279,21 +275,22 @@ def chromatic_polynomial(graph: SimpleGraph, memoize=True) -> IntPolynomial:
     the memo cache (local to this call) is keyed by a canonical form of the
     edge set, so equal keys imply isomorphic graphs.
     """
-    cache = {} if memoize else None
+    return _deletion_contraction(graph, {} if memoize else None)
 
-    def rec(g):
-        if not g.edges:
-            return IntPolynomial.monomial(g.n)
-        key = canonical_key(g) if cache is not None else None
-        if key is not None and key in cache:
-            return cache[key]
-        e = g.edges[0]
-        value = rec(g.delete_edge(e)) - rec(g.contract_edge(e))
-        if key is not None:
-            cache[key] = value
-        return value
 
-    return rec(graph)
+def _deletion_contraction(g, cache):
+    # module-level, so that no function -> cell -> function cycle keeps `cache` alive
+    if not g.edges:
+        return IntPolynomial.monomial(g.n)
+    key = canonical_key(g) if cache is not None else None
+    if key is not None and key in cache:
+        return cache[key]
+    e = g.edges[0]
+    value = _deletion_contraction(g.delete_edge(e), cache)
+    value = value - _deletion_contraction(g.contract_edge(e), cache)
+    if key is not None:
+        cache[key] = value
+    return value
 
 
 def canonical_key(graph: SimpleGraph):

@@ -454,25 +454,27 @@ def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
             stats["terms_final"] += fold["terms_final"]
         return memo[key]
 
-    def place(rest, nodes):
-        """Sum over maps from the vertices of `rest` to `nodes` free nodes of
-        the product of K over the occupied nodes, grouped by partition."""
-        if not rest:
-            return 1
-        low = rest & -rest  # the block holding the lowest vertex comes first
-        others = rest ^ low
-        total = 0
-        sub = others
-        while True:
-            block = low | sub
-            if nodes > 1 or block == rest:  # what is left needs a node of its own
-                total += node_integral(block) * place(rest ^ block, nodes - 1)
-            if not sub:
-                break
-            sub = (sub - 1) & others
-        return nodes * total
+    return _place((1 << len(nbhds)) - 1, m - 2, node_integral), stats
 
-    return place((1 << len(nbhds)) - 1, m - 2), stats
+
+def _place(rest, nodes, node_integral):
+    """Sum over maps from the vertices of `rest` to `nodes` free nodes of the
+    product of K over the occupied nodes, grouped by partition."""
+    # module-level, so that no function -> cell -> function cycle keeps the memo alive
+    if not rest:
+        return 1
+    low = rest & -rest  # the block holding the lowest vertex comes first
+    others = rest ^ low
+    total = 0
+    sub = others
+    while True:
+        block = low | sub
+        if nodes > 1 or block == rest:  # what is left needs a node of its own
+            total += node_integral(block) * _place(rest ^ block, nodes - 1, node_integral)
+        if not sub:
+            break
+        sub = (sub - 1) & others
+    return nodes * total
 
 
 def omega(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):

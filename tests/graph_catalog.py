@@ -60,3 +60,10 @@ def simple_graphs(draw, max_n):
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph.of(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def graphs_and_m(draw):
+    """A graph with n <= 5 at m = 3 or n <= 4 at m = 4 (the chamber routes' reach)."""
+    m = draw(st.sampled_from([3, 4]))
+    return draw(simple_graphs(max_n=5 if m == 3 else 4)), m

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chromoduli import arrangement, lp
 from chromoduli.arrangement import (
@@ -15,7 +14,7 @@ from chromoduli.arrangement import (
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
-from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, paw_graph, simple_graphs
+from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
 K3 = SimpleGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
@@ -194,12 +193,6 @@ def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
     monkeypatch.setattr(lp, "_check_optimal", perturbed_dual)
     with pytest.raises(EngineConsistencyError):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
-
-
-@st.composite
-def graphs_and_m(draw):
-    m = draw(st.sampled_from([3, 4]))
-    return draw(simple_graphs(max_n=5 if m == 3 else 4)), m
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)

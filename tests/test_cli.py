@@ -1,8 +1,11 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import chromoduli
 from chromoduli import cli, moduli
@@ -50,6 +53,14 @@ def test_omega_genus_one_no_markings(capsys):
     blob = json.loads(out)
     assert code == 0
     assert blob["value"] == 2 and blob["route"] == "chromatic-derivative"
+
+
+def test_omega_genus_one_no_markings_instar(capsys):
+    # chi_out = x^3 - 2x^2 + x and chi_in = x^3 - 2x^2: signed linear coefficients
+    code, out = run(capsys, "omega", "--graph", INSTAR, "--g", "1", "--m", "0", "--mode", "out")
+    assert code == 0 and json.loads(out)["value"] == 1
+    code, out = run(capsys, "omega", "--graph", INSTAR, "--g", "1", "--m", "0", "--mode", "in")
+    assert code == 0 and json.loads(out)["value"] == 0
 
 
 def test_omega_digraph_needs_mode(capsys):
@@ -123,6 +134,62 @@ def test_chi_rejects_simple_graph(capsys):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["chromatic", "--graph", INSTAR], "chromatic needs a simple graph file"),
+        (["chambers", "--graph", INSTAR, "--m", "3"], "chambers needs a simple graph file"),
+        (["critical-points", "--graph", INSTAR, "--m", "3"], "critical-points needs a simple graph file"),
+        (["chi", "--graph", PAW], "chi needs a digraph file (header line 'digraph')"),
+    ],
+    ids=["chromatic", "chambers", "critical-points", "chi"],
+)
+def test_graph_kind_mismatch_message(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_each_subcommand_takes_only_the_budgets_it_reads():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sub in subs.choices.items()
+    }
+    assert options == {
+        "parse": ["--graph", "--pretty"],
+        "chromatic": ["--graph", "--pretty"],
+        "omega": ["--graph", "--m", "--pretty", "--budget-terms", "--g", "--mode"],
+        "chambers": ["--graph", "--m", "--pretty", "--budget-orientations", "--budget-lp", "--method"],
+        "critical-points": ["--graph", "--m", "--pretty", "--budget-orientations", "--seed", "--weights"],
+        "chi": ["--graph", "--pretty", "--budget-terms", "--mode"],
+        "kapranov": ["--pretty", "--budget-terms", "--constraints"],
+        "verify": [
+            "--graph", "--m", "--seed", "--pretty",
+            "--budget-orientations", "--budget-lp", "--budget-terms",
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", "--graph", PAW, "--budget-lp", "3"], ["chi", "--graph", INSTAR, "--budget-orientations", "3"]],
+)
+def test_unread_budget_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_read_budget_flags_are_accepted():
+    parser = cli.build_parser()
+    args = parser.parse_args(["omega", "--graph", PAW, "--m", "3", "--budget-terms", "7"])
+    assert args.budget_terms == 7
+    args = parser.parse_args(["verify", "--budget-lp", "5"])
+    assert args.budget_lp == 5 and args.budget_terms == cli.BUDGETS["terms"]
+
+
 def test_kapranov_file(tmp_path, capsys):
     payload = {
         "markings": [1, 2, 3, 4, "a", "b", "c"],
@@ -145,6 +212,21 @@ def test_kapranov_bare_list_infers_markings(tmp_path, capsys):
     path.write_text(json.dumps([[[1, 2, 3, 4], 4]]))
     code, out = run(capsys, "kapranov", "--constraints", str(path))
     assert code == 0 and json.loads(out)["degree"] == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"constraints": 5}, {"constraints": [[5, 1]]}, [[[1, 2, 3, 4], [1]]]],
+    ids=["constraints-not-a-list", "subset-not-a-list", "marking-is-a-list"],
+)
+def test_kapranov_malformed_file_exit_two(tmp_path, capsys, payload):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["kapranov", "--constraints", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_default_suite(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from chromoduli import arrangement, critical
 from chromoduli.arrangement import Chamber, bounded_chambers_bijective, build_arrangement
@@ -17,7 +18,7 @@ from chromoduli.critical import (
 from chromoduli.errors import ConvergenceError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
-from graph_catalog import all_graphs_up_to_4, paw_graph
+from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph
 
 K1 = SimpleGraph.of([0])
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
@@ -132,6 +133,14 @@ def test_count_matches_chambers_and_chromatic(name, g, m):
     expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
     assert len(bounded_chambers_bijective(g, m)) == expected
     assert sum(r.converged for r in critical_point_reports(g, m, seed=0)) == expected
+
+
+@settings(ORACLE_SETTINGS, max_examples=50)  # 20 draw no 5-vertex graph
+@given(graphs_and_m())
+def test_newton_count_matches_chromatic_on_random_graphs(graph_and_m):
+    g, m = graph_and_m
+    expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
+    assert sum(r.converged for r in critical_point_reports(g, m)) == expected
 
 
 def test_solutions_distinct_and_off_walls():

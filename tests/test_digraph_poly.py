@@ -9,7 +9,6 @@ from chromoduli.digraph_poly import (
     chi_interpolated,
     digraph_polynomial_report,
     full_peel,
-    omega_one_zero,
     peel_step,
 )
 from chromoduli.errors import EngineConsistencyError
@@ -130,13 +129,6 @@ def test_report_routes_and_consistency():
     assert repc.consistent
     assert repc.route_in == repc.route_out == "interpolation"
     assert repc.chi_in == repc.chi_out  # the directed triangle is reversal-symmetric
-
-
-def test_omega_one_zero_values():
-    assert omega_one_zero(Digraph.of([0]), "in") == 1  # chi = x
-    assert omega_one_zero(Digraph.of(range(2)), "in") == 0  # chi = x^2
-    assert omega_one_zero(instar_digraph(), "out") == 1  # linear coefficient of x^3-2x^2+x
-    assert omega_one_zero(instar_digraph(), "in") == 0
 
 
 def test_chi_for_picks_cheapest_route():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromoduli import moduli
+from chromoduli.digraph_poly import digraph_polynomial_report
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import Digraph, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import (
@@ -594,6 +596,26 @@ def test_isolated_vertex_leaves_local_integral_unchanged(pair):
     without, with_v = pair
     value, _ = moduli._local_integral(with_v, DEFAULT_TERM_CAP)
     assert value == moduli._local_integral(without, DEFAULT_TERM_CAP)[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: omega(paw_graph(), 4), id="omega"),
+        pytest.param(lambda: chromatic_polynomial(paw_graph()), id="chromatic"),
+        pytest.param(lambda: digraph_polynomial_report(instar_digraph()), id="digraph-report"),
+    ],
+)
+def test_call_leaves_no_cyclic_garbage(call):
+    # a recursive closure (function -> cell -> function) would keep its memo
+    # alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_all_coefficients_are_integers():

@@ -11,7 +11,7 @@ from chromoduli.orientations import (
     stanley_pair_count,
 )
 
-from graph_catalog import paw_graph, graphs_with_at_most
+from graph_catalog import ORACLE_SETTINGS, graphs_with_at_most, paw_graph, simple_graphs
 
 
 def _has_directed_cycle(vertices, arcs):
@@ -99,6 +99,13 @@ def test_stanley_budget():
 def test_stanley_equals_signed_chromatic(name, g, k):
     chi = chromatic_polynomial(g)
     assert stanley_pair_count(g, k) == (-1) ** g.n * chi.evaluate(-k)
+
+
+@ORACLE_SETTINGS
+@given(simple_graphs(max_n=5), st.sampled_from([3, 4]))
+def test_stanley_matches_chromatic_on_random_graphs(g, m):
+    chi = chromatic_polynomial(g)
+    assert stanley_pair_count(g, m - 2) == (-1) ** g.n * chi.evaluate(-(m - 2))
 
 
 @pytest.mark.parametrize("name,g", graphs_with_at_most(4))
