@@ -149,9 +149,9 @@ def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
     return tuple(witness[v] for v in graph.vertices)
 
 
-def bounded_chambers_bijective(graph: SimpleGraph, m, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
-    """One chamber per compatible (coloring, acyclic orientation) pair."""
-    arr = build_arrangement(graph, m)
+def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
+    """One chamber of `arr` per compatible (coloring, acyclic orientation) pair of its graph."""
+    graph, m = arr.graph, arr.m
     k = m - 2
     cost = (k ** graph.n) * (2 ** len(graph.edges))
     if cost > candidate_budget:

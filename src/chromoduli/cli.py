@@ -2,7 +2,9 @@
 
 Subcommands wrap the library one-to-one (chromatic, omega, chambers,
 critical-points, chi, kapranov, parse); `verify` runs every route on the
-same inputs and cross-checks the results.
+same inputs and cross-checks the results.  `simple_routes(graph, m)` is the
+one table of the simple-graph routes: the six verify-row keys in row order,
+each mapped to a zero-argument callable, over one arrangement per (graph, m).
 
 Exit codes: 0 all agree, 1 disagreement or solver failure, 2 parse/usage
 error (malformed graph, weights and constraint files included), 3 budget
@@ -15,6 +17,7 @@ critical-points --budget-orientations; verify all three.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -63,12 +66,20 @@ def _load(path, kind=None, command=None):
     return graph
 
 
+def _is_number(value):
+    """True for a JSON number (bool is an int subclass, but `true` is not a number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_weights(path, expected):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, list) or len(data) != expected:
+    if not (isinstance(data, list) and len(data) == expected and all(map(_is_number, data))):
         raise GraphParseError(f"weights file must hold a JSON array of {expected} numbers")
-    return [float(x) for x in data]
+    try:
+        return [float(x) for x in data]
+    except OverflowError:  # an integer literal past the float range
+        raise GraphParseError("weights must be finite") from None
 
 
 def _signed_chromatic(graph: SimpleGraph, x: int) -> int:
@@ -124,15 +135,15 @@ def cmd_omega(args):
 
 def cmd_chambers(args):
     graph = _load(args.graph, SimpleGraph, args.command)
+    arr = arr_mod.build_arrangement(graph, args.m)
     out = {"graph": graph_to_json(graph), "m": args.m}
     counts = []
     if args.method in ("bijective", "both"):
-        cb = arr_mod.bounded_chambers_bijective(graph, args.m, args.budget_orientations)
+        cb = arr_mod.bounded_chambers_bijective(arr, args.budget_orientations)
         out["count_bijective"] = len(cb)
         out["chambers"] = [c.to_json() for c in cb]
         counts.append(len(cb))
     if args.method in ("lp", "both"):
-        arr = arr_mod.build_arrangement(graph, args.m)
         cl = arr_mod.bounded_chambers_lp(arr, args.budget_lp)
         out["count_lp"] = len(cl)
         out.setdefault("chambers", [c.to_json() for c in cl])
@@ -152,7 +163,7 @@ def cmd_critical_points(args):
         weights = _load_weights(args.weights, len(arr.functionals))
     else:
         weights = crit_mod.default_weights(arr, args.seed)
-    chambers = arr_mod.bounded_chambers_bijective(graph, args.m, args.budget_orientations)
+    chambers = arr_mod.bounded_chambers_bijective(arr, args.budget_orientations)
     reports = crit_mod.solve_all_chambers(arr, weights, chambers)
     _emit([r.to_json() for r in reports], args.pretty)
     return EXIT_OK if all(r.converged for r in reports) else EXIT_DISAGREE
@@ -211,40 +222,54 @@ def cmd_kapranov(args):
     return EXIT_OK
 
 
-def _verify_simple_row(graph, name, m, args):
-    row = {"graph": name, "kind": "simple", "m": m}
-    skipped = []
-    values = {}
-    values["chromatic"] = _signed_chromatic(graph, -(m - 2))
-    try:
-        values["stanley"] = ori_mod.stanley_pair_count(graph, m - 2, args.budget_orientations)
-    except BudgetExceededError:
-        skipped.append("stanley")
-    try:
-        chambers = arr_mod.bounded_chambers_bijective(graph, m, args.budget_orientations)
-        values["chambers_bijective"] = len(chambers)
-    except BudgetExceededError:
-        chambers = None
-        skipped.append("chambers_bijective")
+def simple_routes(graph, m, budgets=BUDGETS, seed=0):
+    """The verify-row routes of a simple graph at m: row key -> zero-argument callable.
+
+    Every callable returns (-1)^n chi(-(m-2)) when the routes agree, or
+    raises BudgetExceededError past its budget (`budgets` maps each BUDGETS
+    name to its cap).  Newton (`seed` picks its weights) runs on the
+    bijective chambers, computed once per table; their budget error is
+    raised before any work and not kept, so Newton re-raises it.  The
+    callables look up the library functions when called.
+    """
     arr = arr_mod.build_arrangement(graph, m)
-    try:
-        values["chambers_lp"] = len(arr_mod.bounded_chambers_lp(arr, args.budget_lp))
-    except BudgetExceededError:
-        skipped.append("chambers_lp")
-    if chambers is not None:
-        weights = crit_mod.default_weights(arr, args.seed)
-        reports = crit_mod.solve_all_chambers(arr, weights, chambers)
-        values["critical_points"] = sum(1 for r in reports if r.converged)
-    else:
-        skipped.append("critical_points")
-    try:
-        values["engine_omega"] = mod_mod.omega(graph, m, "undirected", args.budget_terms)
-    except BudgetExceededError:
-        skipped.append("engine_omega")
-    row["values"] = values
-    row["skipped"] = sorted(skipped)
-    row["agree"] = len(set(values.values())) == 1
-    return row
+
+    @functools.cache
+    def bijective():
+        return arr_mod.bounded_chambers_bijective(arr, budgets["orientations"])
+
+    def critical_points():
+        chambers = bijective()
+        reports = crit_mod.solve_all_chambers(arr, crit_mod.default_weights(arr, seed), chambers)
+        return sum(1 for r in reports if r.converged)
+
+    return {
+        "chromatic": lambda: _signed_chromatic(graph, -(m - 2)),
+        "stanley": lambda: ori_mod.stanley_pair_count(graph, m - 2, budgets["orientations"]),
+        "chambers_bijective": lambda: len(bijective()),
+        "chambers_lp": lambda: len(arr_mod.bounded_chambers_lp(arr, budgets["lp"])),
+        "critical_points": critical_points,
+        "engine_omega": lambda: mod_mod.omega(graph, m, "undirected", budgets["terms"]),
+    }
+
+
+def _verify_simple_row(graph, name, m, args):
+    budgets = {key: getattr(args, f"budget_{key}") for key in BUDGETS}
+    values = {}
+    skipped = []
+    for key, route in simple_routes(graph, m, budgets, args.seed).items():
+        try:
+            values[key] = route()
+        except BudgetExceededError:
+            skipped.append(key)
+    return {
+        "graph": name,
+        "kind": "simple",
+        "m": m,
+        "values": values,
+        "skipped": sorted(skipped),
+        "agree": len(set(values.values())) == 1,
+    }
 
 
 def _verify_digraph_row(graph, name, m, args, reports):

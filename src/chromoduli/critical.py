@@ -17,6 +17,7 @@ STEP_SHRINK (1/2) and stalling below MIN_STEP (1e-18).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,13 @@ class CriticalPointReport:
     converged: bool
 
     def to_json(self):
+        """JSON fields; a failed run's infinite gradient norm becomes null."""
+        gnorm = self.gradient_inf_norm
         return {
             "chamber_index": self.chamber_index,
             "signs": self.sign_string,
             "point": list(self.point),
-            "gradient_inf_norm": self.gradient_inf_norm,
+            "gradient_inf_norm": gnorm if math.isfinite(gnorm) else None,
             "hessian_negative_definite": self.hessian_negative_definite,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -60,6 +63,8 @@ def _matrices(arr: Arrangement, weights):
     u = np.asarray(weights, dtype=float)
     if u.shape != (len(arr.functionals),):
         raise ValueError(f"expected {len(arr.functionals)} weights, got {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("weights must be finite")
     if np.any(u <= 0):
         raise ValueError("weights must be strictly positive")
     return A, b, u
@@ -189,5 +194,5 @@ def solve_all_chambers(arr: Arrangement, weights, chambers):
 def critical_point_reports(graph, m, seed=0):
     """One report per bounded chamber, seeded at the chamber's witness."""
     arr = build_arrangement(graph, m)
-    chambers = bounded_chambers_bijective(graph, m)
+    chambers = bounded_chambers_bijective(arr)
     return solve_all_chambers(arr, default_weights(arr, seed), chambers)

@@ -10,12 +10,11 @@ import time
 import numpy as np
 
 from chromoduli import cli
-from chromoduli.arrangement import bounded_chambers_bijective, bounded_chambers_lp, build_arrangement
+from chromoduli.arrangement import build_arrangement
 from chromoduli.critical import critical_point_reports, default_weights, gradient, log_master
 from chromoduli.digraph_poly import chi_acyclic, chi_interpolated, digraph_polynomial_report
 from chromoduli.graphs import SimpleGraph, canonical_key, chromatic_polynomial
 from chromoduli.moduli import cerberus_check, kapranov_degree, omega
-from chromoduli.orientations import stanley_pair_count
 
 from graph_catalog import all_graphs_up_to_4, paw_graph, instar_digraph
 
@@ -36,16 +35,18 @@ def signed_chromatic(graph, m):
 def test_criterion_1_flagship_five_way_agreement():
     start = time.perf_counter()
     g = paw_graph()
-    values = {
-        "chromatic": signed_chromatic(g, 3),
-        "stanley": stanley_pair_count(g, 1),
-        "chambers_bijective": len(bounded_chambers_bijective(g, 3)),
-        "chambers_lp": len(bounded_chambers_lp(build_arrangement(g, 3))),
-        "engine": omega(g, 3),
-    }
-    reports = critical_point_reports(g, 3, seed=0)
-    values["critical_points"] = sum(1 for r in reports if r.converged)
+    routes = cli.simple_routes(g, 3)
+    assert list(routes) == [
+        "chromatic",
+        "stanley",
+        "chambers_bijective",
+        "chambers_lp",
+        "critical_points",
+        "engine_omega",
+    ]
+    values = {name: route() for name, route in routes.items()}
     assert set(values.values()) == {12}, values
+    reports = critical_point_reports(g, 3, seed=0)
     assert all(r.gradient_inf_norm <= 1e-10 for r in reports)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"flagship took {elapsed:.1f}s"

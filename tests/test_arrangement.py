@@ -49,11 +49,10 @@ def test_functional_structure():
 
 
 def test_single_vertex_chamber():
-    g = SimpleGraph.of([0])
-    chambers = bounded_chambers_bijective(g, 3)
+    arr = build_arrangement(SimpleGraph.of([0]), 3)
+    chambers = bounded_chambers_bijective(arr)
     assert len(chambers) == 1
     assert chambers[0].witness == (Fraction(1, 2),)
-    arr = build_arrangement(g, 3)
     assert len(bounded_chambers_lp(arr)) == 1
 
 
@@ -61,7 +60,7 @@ def test_edgeless_chamber_counts():
     for n in (1, 2, 3):
         for m in (3, 4):
             g = SimpleGraph.of(range(n))
-            assert len(bounded_chambers_bijective(g, m)) == (m - 2) ** n
+            assert len(bounded_chambers_bijective(build_arrangement(g, m))) == (m - 2) ** n
 
 
 def test_k2_lp_chambers():
@@ -80,8 +79,9 @@ def test_k3_lp_chambers():
 
 def test_paw_both_routes():
     g = paw_graph()
-    cb = bounded_chambers_bijective(g, 3)
-    cl = bounded_chambers_lp(build_arrangement(g, 3))
+    arr = build_arrangement(g, 3)
+    cb = bounded_chambers_bijective(arr)
+    cl = bounded_chambers_lp(arr)
     assert len(cb) == len(cl) == 12
 
 
@@ -89,8 +89,9 @@ def test_paw_both_routes():
 @pytest.mark.parametrize("m", [3, 4])
 def test_routes_agree_and_match_chromatic(name, g, m):
     expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
-    cb = bounded_chambers_bijective(g, m)
-    cl = bounded_chambers_lp(build_arrangement(g, m))
+    arr = build_arrangement(g, m)
+    cb = bounded_chambers_bijective(arr)
+    cl = bounded_chambers_lp(arr)
     assert len(cb) == len(cl) == expected
     assert {c.signs for c in cb} == {c.signs for c in cl}
 
@@ -100,14 +101,14 @@ def test_witnesses_inside_open_cube(m):
     for name, g in all_graphs_up_to_4():
         if g.n > 3:
             continue
-        for c in bounded_chambers_bijective(g, m):
+        for c in bounded_chambers_bijective(build_arrangement(g, m)):
             assert all(0 < x < m - 2 for x in c.witness)
 
 
 def test_chamber_to_pair_single_vertex():
     g = SimpleGraph.of([0])
     arr = build_arrangement(g, 3)
-    (c,) = bounded_chambers_bijective(g, 3)
+    (c,) = bounded_chambers_bijective(arr)
     sigma, arcs = chamber_to_pair(arr, c)
     assert sigma == {0: 1} and arcs == ()
 
@@ -125,7 +126,7 @@ def test_chamber_to_pair_k2_orientation():
 
 def test_round_trip_k3_exhaustive():
     arr = build_arrangement(K3, 3)
-    for c in bounded_chambers_bijective(K3, 3):
+    for c in bounded_chambers_bijective(arr):
         sigma, arcs = chamber_to_pair(arr, c)
         back = pair_to_chamber(arr, sigma, arcs)
         assert back.signs == c.signs
@@ -199,8 +200,9 @@ def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
 @given(graphs_and_m())
 def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m):
     g, m = graph_and_m
-    cl = bounded_chambers_lp(build_arrangement(g, m))
-    assert [c.signs for c in cl] == [c.signs for c in bounded_chambers_bijective(g, m)]
+    arr = build_arrangement(g, m)
+    cl, cb = bounded_chambers_lp(arr), bounded_chambers_bijective(arr)
+    assert [c.signs for c in cl] == [c.signs for c in cb]
 
 
 def test_lp_witness_outside_chamber_is_rejected(monkeypatch):
@@ -223,17 +225,17 @@ def test_lp_budget():
 
 def test_bijective_budget():
     with pytest.raises(BudgetExceededError):
-        bounded_chambers_bijective(paw_graph(), 4, candidate_budget=10)
+        bounded_chambers_bijective(build_arrangement(paw_graph(), 4), candidate_budget=10)
 
 
 def test_chamber_json():
-    (c,) = bounded_chambers_bijective(SimpleGraph.of([0]), 3)
+    (c,) = bounded_chambers_bijective(build_arrangement(SimpleGraph.of([0]), 3))
     blob = c.to_json()
     assert blob == {"signs": "+-", "witness": ["1/2"], "bounded": True}
 
 
 def test_enumeration_deterministic():
     g = paw_graph()
-    assert bounded_chambers_bijective(g, 3) == bounded_chambers_bijective(g, 3)
     arr = build_arrangement(g, 3)
+    assert bounded_chambers_bijective(arr) == bounded_chambers_bijective(arr)
     assert bounded_chambers_lp(arr) == bounded_chambers_lp(arr)

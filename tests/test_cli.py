@@ -6,10 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import chromoduli
-from chromoduli import cli, moduli
+from chromoduli import arrangement, cli, critical, moduli
 from chromoduli.errors import EngineConsistencyError
+from chromoduli.graphs import chromatic_polynomial
+
+from graph_catalog import ORACLE_SETTINGS, graphs_and_m, paw_graph
 
 PAW = str(cli.DATA_DIR / "paw.txt")
 INSTAR = str(cli.DATA_DIR / "instar.txt")
@@ -117,6 +121,77 @@ def test_critical_points_weights_file(tmp_path, capsys):
     weights.write_text(json.dumps([1.0] * 3))
     code, _ = run(capsys, "critical-points", "--graph", PAW, "--m", "3", "--weights", str(weights))
     assert code == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[1.0], None, "1", True, float("nan"), float("inf"), 10**400],
+    ids=["list", "null", "string", "true", "NaN", "Infinity", "past-float-range"],
+)
+def test_critical_points_malformed_weight_exit_two(tmp_path, capsys, entry):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([1.0] * 11 + [entry]))
+    code = cli.main(["critical-points", "--graph", PAW, "--m", "3", "--weights", str(weights)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_critical_points_failed_run_prints_valid_json(capsys, monkeypatch):
+    def reject(constant):
+        pytest.fail(f"critical-points printed {constant}, which is not JSON")
+
+    monkeypatch.setattr(critical, "MAX_ITERATIONS", 1)
+    code, out = run(capsys, "critical-points", "--graph", PAW, "--m", "3")
+    reports = json.loads(out, parse_constant=reject)
+    assert code == cli.EXIT_DISAGREE
+    failed = [r for r in reports if not r["converged"]]
+    assert failed and all(r["gradient_inf_norm"] is None for r in failed)
+
+
+def _count_arrangements(monkeypatch):
+    calls = []
+    build = arrangement.build_arrangement
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    # critical.py holds its own reference to the function
+    monkeypatch.setattr(arrangement, "build_arrangement", counted)
+    monkeypatch.setattr(critical, "build_arrangement", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--graph", PAW, "--m", "3"],
+        ["chambers", "--graph", PAW, "--m", "3", "--method", "both"],
+        ["critical-points", "--graph", PAW, "--m", "3"],
+    ],
+    ids=["verify", "chambers", "critical-points"],
+)
+def test_one_arrangement_per_graph_and_m(capsys, monkeypatch, argv):
+    calls = _count_arrangements(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_critical_point_reports_build_one_arrangement(monkeypatch):
+    calls = _count_arrangements(monkeypatch)
+    assert len(critical.critical_point_reports(paw_graph(), 3)) == 12
+    assert len(calls) == 1
+
+
+@settings(ORACLE_SETTINGS, max_examples=50)  # 20 draw no 5-vertex graph
+@given(graphs_and_m())
+def test_every_simple_route_matches_chromatic_on_random_graphs(graph_and_m):
+    g, m = graph_and_m
+    expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
+    values = {name: route() for name, route in cli.simple_routes(g, m).items()}
+    assert values == dict.fromkeys(values, expected)
 
 
 def test_chi_instar(capsys):

@@ -103,7 +103,7 @@ def test_hessian_negative_definite_inside():
 
 def test_solve_single_vertex_balanced():
     arr = build_arrangement(K1, 3)
-    (c,) = bounded_chambers_bijective(K1, 3)
+    (c,) = bounded_chambers_bijective(arr)
     r = solve_chamber(arr, [1.0, 1.0], c)
     assert r.converged and r.hessian_negative_definite
     assert r.point[0] == pytest.approx(0.5, abs=1e-12)
@@ -112,14 +112,14 @@ def test_solve_single_vertex_balanced():
 
 def test_solve_single_vertex_weighted():
     arr = build_arrangement(K1, 3)
-    (c,) = bounded_chambers_bijective(K1, 3)
+    (c,) = bounded_chambers_bijective(arr)
     r = solve_chamber(arr, [2.0, 1.0], c)
     assert r.point[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_solve_k2_all_chambers():
     arr = build_arrangement(K2, 3)
-    chambers = bounded_chambers_bijective(K2, 3)
+    chambers = bounded_chambers_bijective(arr)
     u = default_weights(arr, seed=7)
     reports = solve_all_chambers(arr, u, chambers)
     assert len(reports) == 2
@@ -131,7 +131,7 @@ def test_solve_k2_all_chambers():
 @pytest.mark.parametrize("m", [3, 4])
 def test_count_matches_chambers_and_chromatic(name, g, m):
     expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
-    assert len(bounded_chambers_bijective(g, m)) == expected
+    assert len(bounded_chambers_bijective(build_arrangement(g, m))) == expected
     assert sum(r.converged for r in critical_point_reports(g, m, seed=0)) == expected
 
 
@@ -178,7 +178,7 @@ def test_newton_does_not_call_the_public_functions(monkeypatch):
 
 def test_iteration_budget_raises_and_reports(monkeypatch):
     arr = build_arrangement(paw_graph(), 3)
-    chambers = bounded_chambers_bijective(paw_graph(), 3)
+    chambers = bounded_chambers_bijective(arr)
     u = default_weights(arr, seed=0)
     monkeypatch.setattr(critical, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
@@ -194,6 +194,9 @@ def test_weight_validation():
         log_master(arr, [1.0], [0.5])
     with pytest.raises(ValueError):
         log_master(arr, [1.0, -1.0], [0.5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            log_master(arr, [1.0, bad], [0.5])
 
 
 def test_solving_is_deterministic():
@@ -215,7 +218,7 @@ def test_critical_route_solves_no_lp(monkeypatch):
 
 def test_witness_outside_chamber_is_rejected():
     arr = build_arrangement(K2, 3)
-    chamber = bounded_chambers_bijective(K2, 3)[0]
+    chamber = bounded_chambers_bijective(arr)[0]
     x0, x1 = chamber.witness
     swapped = Chamber(chamber.signs, (x1, x0), True)  # wrong side of z_0 = z_1
     with pytest.raises(ValueError):

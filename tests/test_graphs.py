@@ -98,13 +98,13 @@ def test_chromatic_k3_matches_coloring_oracle():
     assert [chi.evaluate(k) for k in range(4)] == [0, 0, 0, 6]
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(simple_graphs(), st.integers(min_value=0, max_value=4))
 def test_chromatic_counts_proper_colorings(g, k):
     assert chromatic_polynomial(g).evaluate(k) == proper_coloring_count(g, k)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(simple_graphs(max_vertices=5))
 def test_deletion_contraction_identity_every_edge(g):
     chi = chromatic_polynomial(g)
@@ -114,7 +114,7 @@ def test_deletion_contraction_identity_every_edge(g):
         )
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(simple_graphs())
 def test_chromatic_shape(g):
     chi = chromatic_polynomial(g)
@@ -125,7 +125,7 @@ def test_chromatic_shape(g):
             assert (c > 0) == ((-1) ** (g.n - d) > 0)
 
 
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(simple_graphs(max_vertices=5))
 def test_memoized_matches_unmemoized(g):
     assert chromatic_polynomial(g, memoize=True) == chromatic_polynomial(g, memoize=False)

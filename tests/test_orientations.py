@@ -48,7 +48,7 @@ def test_paw_twelve():
     assert len(acyclic_orientations(paw_graph())) == 12
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=4), st.data())
 def test_orientations_are_acyclic_and_cover_edges(n, data):
     possible = list(itertools.combinations(range(n), 2))
