@@ -44,12 +44,10 @@ from .graphs import (
     parse_graph_text,
 )
 from .moduli import (
-    ClassExpression,
     cerberus_check,
     kapranov_degree,
     omega,
     omega_with_stats,
-    point_class_pullback,
 )
 from .orientations import acyclic_orientations, proper_coloring_count, stanley_pair_count
 

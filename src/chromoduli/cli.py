@@ -182,8 +182,11 @@ def cmd_chi(args):
 
 
 def _labels(value):
-    """True for a JSON array of marking labels (integers or strings)."""
-    return isinstance(value, list) and all(isinstance(x, (int, str)) for x in value)
+    """True for a JSON array of marking labels: integers or strings, but not `true`
+    or `false`, which would merge with the labels 1 and 0."""
+    return isinstance(value, list) and all(
+        isinstance(x, (int, str)) and not isinstance(x, bool) for x in value
+    )
 
 
 def cmd_kapranov(args):
@@ -206,14 +209,13 @@ def cmd_kapranov(args):
         constraints.append((frozenset(pair[0]), pair[1]))
     if markings is None:
         markings = frozenset().union(*(s for s, _ in constraints))
-    check = mod_mod.cerberus_check(constraints)
     value, stats = mod_mod.kapranov_degree_with_stats(
         constraints, frozenset(markings), term_cap=args.budget_terms
     )
     _emit(
         {
             "degree": value,
-            "cerberus": check,
+            "cerberus": mod_mod.cerberus_check(constraints),  # after the degree's count check
             "terms_peak": stats["terms_peak"],
             "terms_final": stats["terms_final"],
         },

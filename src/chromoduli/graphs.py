@@ -254,43 +254,27 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for d in range(self.degree, -1, -1):
-            c = self.coefficients[d]
-            if c == 0:
-                continue
-            term = "x" if d == 1 else f"x^{d}" if d else ""
-            mag = "" if abs(c) == 1 and d else str(abs(c))
-            parts.append(("-" if c < 0 else "+" if parts else "") + mag + term)
-        return " ".join(parts)
 
-
-def chromatic_polynomial(graph: SimpleGraph, memoize=True) -> IntPolynomial:
+def chromatic_polynomial(graph: SimpleGraph) -> IntPolynomial:
     """Chromatic polynomial via deletion-contraction.
 
     The recursion always splits on the lexicographically smallest edge, and
     the memo cache (local to this call) is keyed by a canonical form of the
     edge set, so equal keys imply isomorphic graphs.
     """
-    return _deletion_contraction(graph, {} if memoize else None)
+    return _deletion_contraction(graph, {})
 
 
 def _deletion_contraction(g, cache):
     # module-level, so that no function -> cell -> function cycle keeps `cache` alive
     if not g.edges:
         return IntPolynomial.monomial(g.n)
-    key = canonical_key(g) if cache is not None else None
-    if key is not None and key in cache:
-        return cache[key]
-    e = g.edges[0]
-    value = _deletion_contraction(g.delete_edge(e), cache)
-    value = value - _deletion_contraction(g.contract_edge(e), cache)
-    if key is not None:
-        cache[key] = value
-    return value
+    key = canonical_key(g)
+    if key not in cache:
+        e = g.edges[0]
+        value = _deletion_contraction(g.delete_edge(e), cache)
+        cache[key] = value - _deletion_contraction(g.contract_edge(e), cache)
+    return cache[key]
 
 
 def canonical_key(graph: SimpleGraph):

@@ -6,7 +6,8 @@ germs).  Cutting a tree edge splits the marking set in two, and the stratum
 is uniquely encoded by the laminar family of these splits, stored here as
 bitmasks normalized to exclude a fixed anchor label.  A class is a formal
 integer combination of strata, optionally decorated with cotangent-class
-exponents at flags.
+exponents at flags, held as a dict from (splits, decorations) to nonzero
+integer coefficients.
 
 The engine folds pulled-back cotangent classes into a starting class,
 keeping every cotangent class symbolic:
@@ -28,8 +29,8 @@ keeping every cotangent class symbolic:
   is its coefficient times the product over its nodes.
 
 Coefficients stay integers throughout; each multinomial is an exact integer
-quotient.  `kapranov_degree` is one such fold, starting from the
-fundamental class.
+quotient.  Every fold starts from the fundamental class: `kapranov_degree`
+is one fold, and `omega` folds one local integral per distinct block.
 
 `omega` splits its integral at the point class instead of folding once over
 the whole space.  The point class pulled back from the m extra markings is
@@ -54,7 +55,9 @@ there puts every other vertex on the side of s1 and s2, since a vertex on
 v's side carries classes pulled back from a space of one dimension less.
 After stripping such vertices, K is memoized on the block's relabelled
 local neighborhoods, so each distinct local integral is folded once per
-call.
+call.  The pulled-back point class itself is never built here; the tests'
+reference (`tests/boundary_reference.py`) builds it to fold over the whole
+space.
 """
 
 from __future__ import annotations
@@ -105,106 +108,6 @@ def _accum(terms, key, coeff):
         terms[key] = val
     elif key in terms:
         del terms[key]
-
-
-class ClassExpression:
-    """Formal integer combination of decorated boundary strata on one marking set."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = terms  # (splits tuple, decor tuple) -> nonzero int
-
-    @classmethod
-    def zero(cls, marking_set):
-        return cls(_Ctx(marking_set), {})
-
-    @classmethod
-    def unit(cls, marking_set):
-        """The fundamental class: the stratum with no edges."""
-        return cls(_Ctx(marking_set), {((), ()): 1})
-
-    @property
-    def marking_set(self):
-        return frozenset(self.ctx.labels)
-
-    @property
-    def term_count(self):
-        return len(self.terms)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassExpression):
-            return NotImplemented
-        return self.ctx.labels == other.ctx.labels and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.ctx.labels != other.ctx.labels:
-            raise ValueError("marking sets differ")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accum(out, key, coeff)
-        return ClassExpression(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        if scalar == 0:
-            return ClassExpression(self.ctx, {})
-        return ClassExpression(self.ctx, {k: scalar * c for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-
-def point_class_pullback(small_marking_set, marking_set, caterpillar_order=None):
-    """Pullback of a point class along the map forgetting extra markings.
-
-    A point on the small space is represented by a fixed zero-dimensional
-    caterpillar stratum (markings in sorted order unless an explicit order is
-    given); its pullback sums over all attachments of the extra markings to
-    the caterpillar's nodes.  Any ordering represents the same class.
-    """
-    small = frozenset(small_marking_set)
-    full = frozenset(marking_set)
-    if not small <= full:
-        raise ValueError("small marking set must be contained in the marking set")
-    if len(small) < 3:
-        raise ValueError("small marking set needs at least three labels")
-    ctx = _Ctx(full)
-    if len(small) == 3:
-        return ClassExpression(ctx, {((), ()): 1})
-    order = list(caterpillar_order) if caterpillar_order is not None else sorted(
-        small, key=label_sort_key
-    )
-    if set(order) != small or len(order) != len(small):
-        raise ValueError("caterpillar order must be a permutation of the small marking set")
-    k = len(order)
-    node_count = k - 2
-    node_marks = [set() for _ in range(node_count)]
-    node_marks[0] = {order[0], order[1]}
-    for t in range(1, node_count - 1):
-        node_marks[t] = {order[t + 1]}
-    node_marks[node_count - 1] |= {order[k - 2], order[k - 1]}
-    extras = sorted(full - small, key=label_sort_key)
-    terms = {}
-    for assignment in itertools.product(range(node_count), repeat=len(extras)):
-        prefix = 0
-        splits = []
-        for t in range(node_count - 1):
-            prefix |= ctx.mask(node_marks[t])
-            for lab, at in zip(extras, assignment):
-                if at == t:
-                    prefix |= 1 << ctx.bit[lab]
-            splits.append(ctx.norm(prefix))
-        _accum(terms, (tuple(sorted(splits)), ()), 1)
-    return ClassExpression(ctx, terms)
 
 
 def _decor_bump(decor, flag, delta):
@@ -292,15 +195,14 @@ def _integrate_symbolic(ctx, terms):
     return total
 
 
-def _fold_pullbacks(expr: ClassExpression, pullbacks, term_cap):
-    """Degree of expr times the pulled-back cotangent classes, with term stats.
+def _fold_pullbacks(ctx, terms, pullbacks, term_cap):
+    """Degree of a class times the pulled-back cotangent classes, with term stats.
 
-    `pullbacks` lists (subset, i): one factor pi^* psi_i from the space marked
-    by the subset.  See the module docstring for the product, the pruning and
-    the integration.
+    The class is `terms`, a map from (splits, decorations) to nonzero integer
+    coefficients on the marking set of `ctx`.  `pullbacks` lists (subset, i):
+    one factor pi^* psi_i from the space marked by the subset.  See the module
+    docstring for the product, the pruning and the integration.
     """
-    ctx = expr.ctx
-    terms = expr.terms
     stats = {"terms_peak": len(terms), "terms_final": 0}
     for subset, mark in pullbacks:
         sub = ctx.mask(subset)
@@ -352,34 +254,27 @@ def cerberus_check(constraints):
     return True
 
 
-def kapranov_degree_with_stats(constraints, marking_set, shortcut=True, term_cap=DEFAULT_TERM_CAP):
+def kapranov_degree_with_stats(constraints, marking_set, term_cap=DEFAULT_TERM_CAP):
     """Degree of a product of pulled-back cotangent classes, with term statistics.
 
-    Folds the constraints one by one into the fundamental class, keeping the
-    cotangent classes symbolic, and integrates at the end.
+    Zero when the union condition fails; otherwise folds the constraints one
+    by one into the fundamental class, keeping the cotangent classes
+    symbolic, and integrates at the end.
     """
     full = frozenset(marking_set)
     ctx = _Ctx(full)
     constraints = [(frozenset(s), i) for s, i in constraints]
     if len(constraints) != ctx.n - 3:
         raise ValueError(f"need exactly {ctx.n - 3} constraints, got {len(constraints)}")
-    for subset, mark in constraints:
-        if not subset <= full:
-            raise ValueError("constraint subset must lie inside the marking set")
-        if mark not in subset:
-            raise ValueError(f"marking {mark!r} must belong to its subset")
-        if len(subset) < 3:
-            raise ValueError("constraint subsets need at least three markings")
-    stats = {"terms_peak": 1, "terms_final": 0}
-    if shortcut and (
-        any(len(s) == 3 for s, _ in constraints) or not cerberus_check(constraints)
-    ):
-        return 0, stats
-    return _fold_pullbacks(ClassExpression.unit(full), constraints, term_cap)
+    if not all(subset <= full for subset, _ in constraints):
+        raise ValueError("constraint subset must lie inside the marking set")
+    if not cerberus_check(constraints):  # also checks each mark and subset size
+        return 0, {"terms_peak": 1, "terms_final": 0}
+    return _fold_pullbacks(ctx, {((), ()): 1}, constraints, term_cap)
 
 
-def kapranov_degree(constraints, marking_set, shortcut=True, term_cap=DEFAULT_TERM_CAP):
-    value, _ = kapranov_degree_with_stats(constraints, marking_set, shortcut, term_cap)
+def kapranov_degree(constraints, marking_set, term_cap=DEFAULT_TERM_CAP):
+    value, _ = kapranov_degree_with_stats(constraints, marking_set, term_cap)
     return value
 
 
@@ -426,7 +321,7 @@ def _local_integral(key, term_cap):
     k = len(key)
     special = frozenset(range(k, k + 3))
     pullbacks = [(special | frozenset(nbhd), i) for i, nbhd in enumerate(key)]
-    return _fold_pullbacks(ClassExpression.unit(special | frozenset(range(k))), pullbacks, term_cap)
+    return _fold_pullbacks(_Ctx(special | frozenset(range(k))), {((), ()): 1}, pullbacks, term_cap)
 
 
 def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):

@@ -2,8 +2,11 @@
 
 It rewrites every cotangent class into boundary divisors (`psi_as_boundary`,
 `pullback_psi`, `expand_psi_decorations`) and counts the undecorated top
-strata (`integrate`).  Classes are `chromoduli.moduli.ClassExpression`
-values; the engine itself never takes this route.
+strata (`integrate`).  Classes are `ClassExpression` values: the engine's
+term dicts (see `chromoduli.moduli`) with their marking set and integer
+arithmetic.  `point_class_pullback` builds the pulled-back point class that
+the global fold starts from; the engine itself never takes this route and
+never builds that class.
 """
 
 import itertools
@@ -12,12 +15,111 @@ from chromoduli.errors import BudgetExceededError
 from chromoduli.graphs import label_sort_key
 from chromoduli.moduli import (
     DEFAULT_TERM_CAP,
-    ClassExpression,
     _accum,
     _Ctx,
     _decor_bump,
     _mul_term,
 )
+
+
+class ClassExpression:
+    """Formal integer combination of decorated boundary strata on one marking set."""
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms):
+        self.ctx = ctx
+        self.terms = terms  # (splits tuple, decor tuple) -> nonzero int
+
+    @classmethod
+    def zero(cls, marking_set):
+        return cls(_Ctx(marking_set), {})
+
+    @classmethod
+    def unit(cls, marking_set):
+        """The fundamental class: the stratum with no edges."""
+        return cls(_Ctx(marking_set), {((), ()): 1})
+
+    @property
+    def marking_set(self):
+        return frozenset(self.ctx.labels)
+
+    @property
+    def term_count(self):
+        return len(self.terms)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassExpression):
+            return NotImplemented
+        return self.ctx.labels == other.ctx.labels and self.terms == other.terms
+
+    def __add__(self, other):
+        if self.ctx.labels != other.ctx.labels:
+            raise ValueError("marking sets differ")
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _accum(out, key, coeff)
+        return ClassExpression(self.ctx, out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        if scalar == 0:
+            return ClassExpression(self.ctx, {})
+        return ClassExpression(self.ctx, {k: scalar * c for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+def point_class_pullback(small_marking_set, marking_set, caterpillar_order=None):
+    """Pullback of a point class along the map forgetting extra markings.
+
+    A point on the small space is represented by a fixed zero-dimensional
+    caterpillar stratum (markings in sorted order unless an explicit order is
+    given); its pullback sums over all attachments of the extra markings to
+    the caterpillar's nodes.  Any ordering represents the same class.
+    """
+    small = frozenset(small_marking_set)
+    full = frozenset(marking_set)
+    if not small <= full:
+        raise ValueError("small marking set must be contained in the marking set")
+    if len(small) < 3:
+        raise ValueError("small marking set needs at least three labels")
+    ctx = _Ctx(full)
+    if len(small) == 3:
+        return ClassExpression(ctx, {((), ()): 1})
+    order = list(caterpillar_order) if caterpillar_order is not None else sorted(
+        small, key=label_sort_key
+    )
+    if set(order) != small or len(order) != len(small):
+        raise ValueError("caterpillar order must be a permutation of the small marking set")
+    k = len(order)
+    node_count = k - 2
+    node_marks = [set() for _ in range(node_count)]
+    node_marks[0] = {order[0], order[1]}
+    for t in range(1, node_count - 1):
+        node_marks[t] = {order[t + 1]}
+    node_marks[node_count - 1] |= {order[k - 2], order[k - 1]}
+    extras = sorted(full - small, key=label_sort_key)
+    terms = {}
+    for assignment in itertools.product(range(node_count), repeat=len(extras)):
+        prefix = 0
+        splits = []
+        for t in range(node_count - 1):
+            prefix |= ctx.mask(node_marks[t])
+            for lab, at in zip(extras, assignment):
+                if at == t:
+                    prefix |= 1 << ctx.bit[lab]
+            splits.append(ctx.norm(prefix))
+        _accum(terms, (tuple(sorted(splits)), ()), 1)
+    return ClassExpression(ctx, terms)
 
 
 def _unmask(ctx, m):

@@ -68,3 +68,20 @@ def graphs_and_m(draw):
     """A graph with n <= 5 at m = 3 or n <= 4 at m = 4 (the chamber routes' reach)."""
     m = draw(st.sampled_from([3, 4]))
     return draw(simple_graphs(max_n=5 if m == 3 else 4)), m
+
+
+@st.composite
+def digraphs(draw, max_n):
+    """A random digraph on 0..n-1, n <= max_n; directed cycles allowed."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.permutations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph.of(range(n), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def acyclic_digraphs(draw, max_n):
+    """A random graph, n <= max_n, oriented along a random vertex order."""
+    g = draw(simple_graphs(max_n=max_n))
+    rank = {v: i for i, v in enumerate(draw(st.permutations(g.vertices)))}
+    return Digraph.of(g.vertices, [(u, w) if rank[u] < rank[w] else (w, u) for u, w in g.edges])

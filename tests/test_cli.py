@@ -304,6 +304,41 @@ def test_kapranov_malformed_file_exit_two(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"markings": [1, 2, 3, 4, True], "constraints": [[[1, 2, 3, 4], 4]]},
+        {"markings": [1, 2, 3, 4], "constraints": [[[1, 2, 3, True], True]]},
+        [[[1, 2, 3, 4], True]],
+    ],
+    ids=["in-markings", "in-subset", "as-marking"],
+)
+def test_kapranov_boolean_label_exit_two(tmp_path, capsys, payload):
+    # `true` is an int in Python and would merge with the label 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["kapranov", "--constraints", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_kapranov_wrong_count_skips_union_check(tmp_path, capsys, monkeypatch):
+    # the union check visits all 2^k subsets of the constraints; a file with
+    # the wrong count must fail on the count alone
+    def refuse(constraints):
+        raise AssertionError("the union check ran before the count check")
+
+    monkeypatch.setattr(moduli, "cerberus_check", refuse)
+    path = tmp_path / "c.json"
+    constraints = [[list(range(10)), i % 10] for i in range(20)]
+    path.write_text(json.dumps({"markings": list(range(30)), "constraints": constraints}))
+    code = cli.main(["kapranov", "--constraints", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == "error: need exactly 27 constraints, got 20\n"
+
+
 def test_verify_default_suite(capsys):
     code, out = run(capsys, "verify")
     assert code == 0

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given
 
 from chromoduli.digraph_poly import (
     advisory_flags,
@@ -14,7 +15,7 @@ from chromoduli.digraph_poly import (
 from chromoduli.errors import EngineConsistencyError
 from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
 
-from graph_catalog import instar_digraph
+from graph_catalog import ORACLE_SETTINGS, acyclic_digraphs, digraphs, instar_digraph
 
 CYCLE3 = Digraph.of(range(3), [(0, 1), (1, 2), (2, 0)])
 
@@ -119,6 +120,22 @@ def test_edge_reversal_swaps_polynomials():
         rep = digraph_polynomial_report(d)
         rev = digraph_polynomial_report(d.reverse())
         assert rev.chi_in == rep.chi_out and rev.chi_out == rep.chi_in
+
+
+@ORACLE_SETTINGS
+@given(acyclic_digraphs(max_n=4))
+def test_acyclic_routes_agree_on_random_digraphs(d):
+    report = digraph_polynomial_report(d)
+    assert report.consistent
+    assert chi_interpolated(d, "in") == chi_acyclic(d, "in") == full_peel(d, "in") == report.chi_in
+    assert chi_interpolated(d, "out") == chi_acyclic(d, "out") == full_peel(d, "out") == report.chi_out
+
+
+@ORACLE_SETTINGS
+@given(digraphs(max_n=4))
+def test_reversal_swaps_polynomials_on_random_digraphs(d):
+    rep, rev = digraph_polynomial_report(d), digraph_polynomial_report(d.reverse())
+    assert (rev.chi_in, rev.chi_out) == (rep.chi_out, rep.chi_in)
 
 
 def test_report_routes_and_consistency():

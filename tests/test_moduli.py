@@ -13,28 +13,29 @@ from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import Digraph, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import (
     DEFAULT_TERM_CAP,
-    ClassExpression,
     cerberus_check,
     kapranov_degree,
     omega,
     omega_with_stats,
-    point_class_pullback,
 )
 
 import boundary_reference
 from boundary_reference import (
+    ClassExpression,
     _mul_by_divisor_sum,
     boundary_divisor,
     expand_psi_decorations,
     integrate,
     multiply_by_divisor,
     psi_as_boundary,
+    point_class_pullback,
     pullback_divisor,
     pullback_psi,
     strata,
 )
 from graph_catalog import (
     ORACLE_SETTINGS,
+    digraphs,
     graphs_with_at_most,
     instar_digraph,
     paw_graph,
@@ -81,7 +82,8 @@ def _omega_by_global_fold(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP
     marks = _extra_marks(graph, m)
     P = frozenset(graph.vertices) | marks
     pullbacks = [(moduli._neighborhood(graph, v, mode) | marks, v) for v in graph.vertices]
-    return moduli._fold_pullbacks(point_class_pullback(marks, P), pullbacks, term_cap)
+    base = point_class_pullback(marks, P)
+    return moduli._fold_pullbacks(base.ctx, base.terms, pullbacks, term_cap)
 
 
 def _kapranov_by_expansion(constraints, P):
@@ -90,7 +92,12 @@ def _kapranov_by_expansion(constraints, P):
 
 
 def _symbolic_fold(expr, pullbacks=()):
-    return moduli._fold_pullbacks(expr, pullbacks, DEFAULT_TERM_CAP)
+    return moduli._fold_pullbacks(expr.ctx, expr.terms, pullbacks, DEFAULT_TERM_CAP)
+
+
+def _kapranov_by_fold(constraints, P):
+    """The degree by the symbolic fold alone, without the union-condition shortcut."""
+    return _symbolic_fold(ClassExpression.unit(P), constraints)[0]
 
 
 def test_psi_four_markings_single_divisor():
@@ -349,7 +356,7 @@ def test_cerberus_false_implies_zero_degree():
         constraints, P = _random_constraint_system(rng, rng.randint(5, 7))
         if not cerberus_check(constraints):
             seen_false += 1
-            assert kapranov_degree(constraints, P, shortcut=False) == 0
+            assert _kapranov_by_fold(constraints, P) == 0
     assert seen_false >= 10
 
 
@@ -360,7 +367,7 @@ def test_cerberus_true_implies_positive_degree_spot_checks():
         constraints, P = _random_constraint_system(rng, rng.randint(5, 7))
         if all(len(s) > 3 for s, _ in constraints) and cerberus_check(constraints):
             seen_true += 1
-            assert kapranov_degree(constraints, P, shortcut=False) > 0
+            assert _kapranov_by_fold(constraints, P) > 0
     assert seen_true >= 5
 
 
@@ -381,7 +388,7 @@ def test_kapranov_flagship_example():
         (frozenset({1, 4}) | extras, 4),
     ]
     assert kapranov_degree(constraints, P) == 12
-    assert kapranov_degree(constraints, P, shortcut=False) == 12
+    assert _kapranov_by_fold(constraints, P) == 12
 
 
 def test_kapranov_constraint_order_invariance():
@@ -404,7 +411,7 @@ def test_kapranov_three_marking_subset_vanishes():
     P = frozenset(range(1, 6))
     constraints = [(frozenset({1, 2, 3}), 1), (P, 2)]
     assert kapranov_degree(constraints, P) == 0
-    assert kapranov_degree(constraints, P, shortcut=False) == 0
+    assert _kapranov_by_fold(constraints, P) == 0
 
 
 def test_kapranov_wrong_count():
@@ -526,15 +533,7 @@ def test_engine_keeps_cotangent_classes_symbolic(monkeypatch):
         (frozenset({1, 2, 3}) | extras, 3),
         (frozenset({1, 4}) | extras, 4),
     ]
-    assert kapranov_degree(constraints, P) == kapranov_degree(constraints, P, shortcut=False) == 12
-
-
-@st.composite
-def digraphs(draw, max_n):
-    n = draw(st.integers(1, max_n))
-    pairs = list(itertools.permutations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Digraph.of(range(n), [p for p, k in zip(pairs, keep) if k])
+    assert kapranov_degree(constraints, P) == _kapranov_by_fold(constraints, P) == 12
 
 
 @st.composite
@@ -563,7 +562,7 @@ def test_omega_random_digraphs_match_expansion(d, mode, m):
 @given(constraint_systems(max_n=7))
 def test_kapranov_random_systems_match_expansion(system):
     constraints, P = system
-    assert kapranov_degree(constraints, P, shortcut=False) == _kapranov_by_expansion(constraints, P)
+    assert _kapranov_by_fold(constraints, P) == _kapranov_by_expansion(constraints, P)
 
 
 @ORACLE_SETTINGS

@@ -6,8 +6,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_digraph_survey_runs():
+    # the interpolation certificates must survive `python -O`, which strips asserts
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "digraph_survey.py")],
+        [sys.executable, "-O", str(SCRIPTS / "digraph_survey.py")],
         capture_output=True,
         text=True,
         timeout=120,
