@@ -26,6 +26,19 @@ def all_three_vertex_digraphs():
         yield Digraph.of(range(3), arcs)
 
 
+# The kinds of `digraph_poly.advisory_flags` warnings, each by a phrase that
+# names it whatever value or degree the warning quotes.
+ADVISORY_KINDS = ("negative value", "breaks sign alternation", "not log-concave")
+
+
+def advisory_kind(warning):
+    """The kind of an advisory warning: "chi_in: negative value -2 at x=1" is "negative value"."""
+    for kind in ADVISORY_KINDS:
+        if kind in warning:
+            return kind
+    raise ValueError(f"unknown advisory: {warning}")
+
+
 def main():
     tallies = Counter()
     seen = set()
@@ -43,7 +56,7 @@ def main():
         tallies["digraphs"] += 1
         tallies["acyclic"] += d.is_acyclic()
         for warning in report.advisories:
-            tallies[warning.split(":")[1].strip().split(" at ")[0]] += 1
+            tallies[advisory_kind(warning)] += 1
         seen.add((report.chi_in.coefficients, report.chi_out.coefficients))
         print(
             f"arcs={list(d.arcs)!s:36s} chi_in={list(report.chi_in.coefficients)} "

@@ -215,7 +215,7 @@ def cmd_kapranov(args):
     _emit(
         {
             "degree": value,
-            "cerberus": mod_mod.cerberus_check(constraints),  # after the degree's count check
+            "cerberus": stats["cerberus"],
             "terms_peak": stats["terms_peak"],
             "terms_final": stats["terms_final"],
         },

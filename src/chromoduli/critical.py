@@ -7,6 +7,10 @@ converges to the unique interior maximizer.  One critical point per bounded
 chamber is found and certified: tiny gradient, negative definite Hessian
 (via Cholesky of its negation), and the iterate never leaves the chamber.
 
+Everything runs on the standard library.  Every functional is z_j - i
+(level) or z_u - z_w (edge), so one list of (j, k, constant, weight) per
+arrangement and weights is the whole kernel; gradient and -H come from one
+pass over it, and each Newton step solves with a Cholesky factor of -H.
 Newton runs the same value, gradient and Hessian kernels as `log_master`,
 `gradient` and `hessian`.  Its constants: it stops once the gradient's
 inf-norm is at most GRADIENT_TOL (1e-10) and raises ConvergenceError after
@@ -18,9 +22,9 @@ STEP_SHRINK (1/2) and stalling below MIN_STEP (1e-18).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .arrangement import Arrangement, Chamber, bounded_chambers_bijective, build_arrangement
 from .errors import ConvergenceError, EngineConsistencyError
@@ -57,123 +61,214 @@ class CriticalPointReport:
         }
 
 
-def _matrices(arr: Arrangement, weights):
-    A = np.array([[float(a) for a in f.coefficients] for f in arr.functionals])
-    b = np.array([float(f.constant) for f in arr.functionals])
-    u = np.asarray(weights, dtype=float)
-    if u.shape != (len(arr.functionals),):
-        raise ValueError(f"expected {len(arr.functionals)} weights, got {u.shape}")
-    if not np.all(np.isfinite(u)):
+def _kernel(arr: Arrangement, weights):
+    """One (j, k, constant, weight) per functional, so that f = z[j] - z[k] + constant.
+
+    The point z carries one extra coordinate z[n] = 0: a level functional
+    z_v - i is (v, n, -i) and an edge functional z_u - z_w is (u, w, 0).
+    """
+    fns = arr.functionals
+    u = [float(w) for w in weights]
+    if len(u) != len(fns):
+        raise ValueError(f"expected {len(fns)} weights, got {len(u)}")
+    if not all(map(math.isfinite, u)):
         raise ValueError("weights must be finite")
-    if np.any(u <= 0):
+    if any(w <= 0 for w in u):
         raise ValueError("weights must be strictly positive")
-    return A, b, u
+    n = arr.dimension
+    kernel = []
+    for f, w in zip(fns, u):
+        a = f.coefficients
+        kernel.append((a.index(1), a.index(-1) if -1 in a else n, float(f.constant), w))
+    return kernel
 
 
 def default_weights(arr: Arrangement, seed=0):
-    """Generic positive weights, uniform on [1/2, 2] with a fixed seed."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.5, 2.0, len(arr.functionals))
+    """Generic positive weights, uniform on [1/2, 2] with a fixed seed.
+
+    A negative seed is refused: `random.Random` would take its absolute
+    value and give -s the weights of s.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
+    return [rng.uniform(0.5, 2.0) for _ in arr.functionals]
 
 
-def _affine(A, b, z):
-    """f = A z + b, the functional values at z; ValueError on a hyperplane."""
-    f = A @ np.asarray(z, dtype=float) + b
-    if np.any(f == 0):
+def _values(kernel, z):
+    """The functional values at the padded point z (z[n] = 0)."""
+    return [z[j] - z[k] + c for j, k, c, _ in kernel]
+
+
+def _objective(u, absf):
+    """sum_H u_H log|f_H| from the weights and the values' absolute values."""
+    return sum(map(mul, u, map(math.log, absf)))
+
+
+def _derivatives(kernel, n, f):
+    """Gradient and -H (lists) at the functional values f."""
+    g = [0.0] * n
+    p = [[0.0] * n for _ in range(n)]
+    for (j, k, _, w), x in zip(kernel, f):
+        r = w / x
+        q = r / x
+        g[j] += r
+        pj = p[j]
+        pj[j] += q
+        if k < n:  # an edge functional; a level one has k = n
+            g[k] -= r
+            pk = p[k]
+            pk[k] += q
+            pj[k] -= q
+            pk[j] -= q
+    return g, p
+
+
+def _cholesky(a):
+    """Lower factor L of a (L L^T = a), rows as lists, read from a's lower triangle.
+
+    None unless a is positive definite: a pivot that is not strictly
+    positive (zero, negative or NaN) rejects it.  Plain loops beat sum(map())
+    on the short rows of n <= 6.
+    """
+    factor = []
+    for i, ai in enumerate(a):
+        row = []
+        for j, lj in enumerate(factor):
+            s = ai[j]
+            for k in range(j):
+                s -= row[k] * lj[k]
+            row.append(s / lj[j])
+        d = ai[i]
+        for x in row:
+            d -= x * x
+        if not d > 0:
+            return None
+        row.append(math.sqrt(d))
+        factor.append(row)
+    return factor
+
+
+def _newton_step(factor, g):
+    """The step x solving L L^T x = g for the Cholesky factor L, padded by the
+    pinned coordinate, and the slope g.x, which equals y.y where L y = g."""
+    n = len(factor)
+    y = []
+    for i, row in enumerate(factor):
+        s = g[i]
+        for k, yk in enumerate(y):
+            s -= row[k] * yk
+        y.append(s / row[i])
+    x = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, n):
+            s -= factor[k][i] * x[k]
+        x[i] = s / factor[i][i]
+    return x, sum(map(mul, y, y))
+
+
+def _values_at(arr, kernel, z):
+    """The functional values at a caller's point z; ValueError for a point of
+    the wrong dimension or on a hyperplane."""
+    z = [float(x) for x in z]
+    if len(z) != arr.dimension:
+        raise ValueError(f"expected a point with {arr.dimension} coordinates, got {len(z)}")
+    f = _values(kernel, z + [0.0])
+    if 0.0 in f:
         raise ValueError("point lies on a hyperplane")
     return f
 
 
-def _value(u, f):
-    return float(u @ np.log(np.abs(f)))
-
-
-def _gradient(A, u, f):
-    return A.T @ (u / f)
-
-
-def _hessian(A, u, f):
-    return -(A.T * (u / f**2)) @ A
-
-
 def log_master(arr: Arrangement, weights, z):
     """sum_H u_H log|f_H(z)|; real on every chamber, same critical points."""
-    A, b, u = _matrices(arr, weights)
-    return _value(u, _affine(A, b, z))
+    kernel = _kernel(arr, weights)
+    f = _values_at(arr, kernel, z)
+    return _objective([w for _, _, _, w in kernel], map(abs, f))
 
 
 def gradient(arr: Arrangement, weights, z):
     """Component v: sum_i u_{v,i}/(z_v - i) + sum_{e=(v,w)} u_e/(z_v - z_w)."""
-    A, b, u = _matrices(arr, weights)
-    return _gradient(A, u, _affine(A, b, z))
+    kernel = _kernel(arr, weights)
+    g, _ = _derivatives(kernel, arr.dimension, _values_at(arr, kernel, z))
+    return g
 
 
 def hessian(arr: Arrangement, weights, z):
-    A, b, u = _matrices(arr, weights)
-    return _hessian(A, u, _affine(A, b, z))
+    """-sum_H u_H a_H a_H^T / f_H(z)^2, as a list of rows."""
+    kernel = _kernel(arr, weights)
+    _, p = _derivatives(kernel, arr.dimension, _values_at(arr, kernel, z))
+    return [[-x for x in row] for row in p]
 
 
-def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0):
+def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=None):
     """Damped Newton ascent seeded at the chamber's witness.
+
+    Each step solves -H step = g with the Cholesky factor of -H; the factor
+    at the last iterate is the negative-definite certificate.  A factor that
+    fails before the gradient is small raises ConvergenceError.  `kernel`,
+    if given, is `_kernel(arr, weights)`, built once by the caller.
 
     Raises ValueError if the witness, rounded to floats, is not strictly
     inside the chamber's signs.
     """
-    A, b, u = _matrices(arr, weights)
-    signs = np.array(chamber.signs, dtype=float)
-    z = np.array([float(x) for x in chamber.witness])
-    f = A @ z + b
-    if not np.all(signs * f > 0):
+    if kernel is None:
+        kernel = _kernel(arr, weights)
+    n = arr.dimension
+    signs = chamber.signs
+    u = [w for _, _, _, w in kernel]
+    z = [float(x) for x in chamber.witness] + [0.0]
+    f = _values(kernel, z)
+    sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
+    if min(sf, default=1.0) <= 0:
         raise ValueError(f"witness of chamber {chamber.sign_string} is not strictly inside it")
     for iterations in range(1, MAX_ITERATIONS + 1):
-        g = _gradient(A, u, f)
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        g, p = _derivatives(kernel, n, f)
+        factor = _cholesky(p)
+        gnorm = max(map(abs, g), default=0.0)
         if gnorm <= GRADIENT_TOL:
             break
-        step = np.linalg.solve(-_hessian(A, u, f), g)
-        base = _value(u, f)
-        slope = float(g @ step)
+        if factor is None:
+            raise ConvergenceError(f"Hessian not negative definite at iteration {iterations}")
+        step, slope = _newton_step(factor, g)
+        base = _objective(u, sf)
         # Near the optimum the expected gain (about slope/2) sinks below the
         # rounding noise of the objective; value comparisons are then
         # meaningless, and undamped Newton converges quadratically anyway.
         value_test = slope > 1e-9 * (1.0 + abs(base))
         t = 1.0
         while True:
-            trial = z + t * step
-            f = A @ trial + b
-            if np.all(signs * f > 0) and (
-                not value_test or _value(u, f) >= base + ARMIJO_SLOPE * t * slope
+            trial = [a + t * b for a, b in zip(z, step)]
+            f = _values(kernel, trial)
+            sf = list(map(mul, signs, f))
+            if min(sf, default=1.0) > 0 and (
+                not value_test or _objective(u, sf) >= base + ARMIJO_SLOPE * t * slope
             ):
                 break
             t *= STEP_SHRINK
             if t < MIN_STEP:
                 raise ConvergenceError("line search stalled")
-        z = trial  # f is already A z + b for the accepted step
+        z = trial  # f is already the values at z for the accepted step
     else:
         raise ConvergenceError(
             f"gradient norm {gnorm:.3e} above {GRADIENT_TOL} after {MAX_ITERATIONS} iterations"
         )
-    try:
-        np.linalg.cholesky(-_hessian(A, u, f))
-        negdef = True
-    except np.linalg.LinAlgError:  # pragma: no cover
-        negdef = False
-    if not np.all(signs * f > 0):  # pragma: no cover - the line search only accepts inside points
+    if min(sf, default=1.0) <= 0:  # pragma: no cover - the line search only accepts inside points
         raise EngineConsistencyError("Newton iterate left its chamber")
     return CriticalPointReport(
         chamber_index=index,
         sign_string=chamber.sign_string,
-        point=tuple(float(x) for x in z),
+        point=tuple(z[:n]),
         gradient_inf_norm=gnorm,
-        hessian_negative_definite=negdef,
+        hessian_negative_definite=factor is not None,
         iterations=iterations,
-        converged=gnorm <= GRADIENT_TOL and negdef,
+        converged=gnorm <= GRADIENT_TOL and factor is not None,
     )
 
 
-def _try_solve(arr, weights, chamber, index):
+def _try_solve(arr, weights, chamber, index, kernel):
     try:
-        return solve_chamber(arr, weights, chamber, index)
+        return solve_chamber(arr, weights, chamber, index, kernel)
     except ConvergenceError:
         return CriticalPointReport(
             chamber_index=index,
@@ -188,7 +283,8 @@ def _try_solve(arr, weights, chamber, index):
 
 def solve_all_chambers(arr: Arrangement, weights, chambers):
     """Solve every chamber in order, collecting failures per chamber."""
-    return [_try_solve(arr, weights, c, i) for i, c in enumerate(chambers)]
+    kernel = _kernel(arr, weights)
+    return [_try_solve(arr, weights, c, i, kernel) for i, c in enumerate(chambers)]
 
 
 def critical_point_reports(graph, m, seed=0):

@@ -10,7 +10,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the Newton solver exhausts its iteration budget."""
+    """Raised when a Newton run exhausts its iteration budget, its line search
+    stalls, or -H fails to factor before the gradient is small."""
 
 
 class EngineConsistencyError(RuntimeError):

@@ -259,7 +259,8 @@ def kapranov_degree_with_stats(constraints, marking_set, term_cap=DEFAULT_TERM_C
 
     Zero when the union condition fails; otherwise folds the constraints one
     by one into the fundamental class, keeping the cotangent classes
-    symbolic, and integrates at the end.
+    symbolic, and integrates at the end.  The stats carry the union check's
+    answer as `cerberus`, so that no caller runs its 2^k subsets again.
     """
     full = frozenset(marking_set)
     ctx = _Ctx(full)
@@ -269,8 +270,9 @@ def kapranov_degree_with_stats(constraints, marking_set, term_cap=DEFAULT_TERM_C
     if not all(subset <= full for subset, _ in constraints):
         raise ValueError("constraint subset must lie inside the marking set")
     if not cerberus_check(constraints):  # also checks each mark and subset size
-        return 0, {"terms_peak": 1, "terms_final": 0}
-    return _fold_pullbacks(ctx, {((), ()): 1}, constraints, term_cap)
+        return 0, {"terms_peak": 1, "terms_final": 0, "cerberus": False}
+    value, stats = _fold_pullbacks(ctx, {((), ()): 1}, constraints, term_cap)
+    return value, {**stats, "cerberus": True}
 
 
 def kapranov_degree(constraints, marking_set, term_cap=DEFAULT_TERM_CAP):

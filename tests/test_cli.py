@@ -137,6 +137,14 @@ def test_critical_points_malformed_weight_exit_two(tmp_path, capsys, entry):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["critical-points", "verify"])
+def test_negative_seed_exit_two(capsys, command):
+    code = cli.main([command, "--graph", PAW, "--m", "3", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_critical_points_failed_run_prints_valid_json(capsys, monkeypatch):
     def reject(constant):
         pytest.fail(f"critical-points printed {constant}, which is not JSON")
@@ -339,6 +347,25 @@ def test_kapranov_wrong_count_skips_union_check(tmp_path, capsys, monkeypatch):
     assert err == "error: need exactly 27 constraints, got 20\n"
 
 
+@pytest.mark.parametrize("holds", [True, False], ids=["union-holds", "union-fails"])
+def test_kapranov_runs_the_union_check_once(tmp_path, capsys, monkeypatch, holds):
+    calls = []
+    check = moduli.cerberus_check
+
+    def counted(constraints):
+        calls.append(constraints)
+        return check(constraints)
+
+    monkeypatch.setattr(moduli, "cerberus_check", counted)
+    # with a three-marking subset the union {1, 2, 3} of one constraint is too small
+    subsets = [[1, 2, 3, 4], [1, 2, 3, 4, 5]] if holds else [[1, 2, 3], [1, 2, 3, 4, 5]]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"markings": [1, 2, 3, 4, 5], "constraints": [[s, 1] for s in subsets]}))
+    code, out = run(capsys, "kapranov", "--constraints", str(path))
+    assert code == cli.EXIT_OK and json.loads(out)["cerberus"] is holds
+    assert len(calls) == 1
+
+
 def test_verify_default_suite(capsys):
     code, out = run(capsys, "verify")
     assert code == 0
@@ -410,19 +437,65 @@ def test_verify_pretty_table(capsys):
     assert "graph" in out and "paw.txt" in out and "True" in out
 
 
-def test_lp_chambers_run_under_optimize(tmp_path):
-    # the LP certificates must survive `python -O`, which strips asserts
-    k4 = tmp_path / "k4.txt"
-    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+def _python(*args):
+    """Run a fresh interpreter with this package first on its path."""
     src = str(Path(chromoduli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["chambers", "--graph", str(k4), "--m", "4", "--method", "lp"]
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "chromoduli.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_lp_chambers_run_under_optimize(tmp_path):
+    # the LP certificates must survive `python -O`, which strips asserts
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    argv = ["chambers", "--graph", str(k4), "--m", "4", "--method", "lp"]
+    result = _python("-O", "-m", "chromoduli.cli", *argv)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["count_lp"] == 120
+
+
+def test_start_up_and_verify_import_no_numpy():
+    # the package runs on the standard library; numpy serves the tests only
+    script = (
+        "import sys\n"
+        "import chromoduli.cli as cli\n"
+        "print('numpy' in sys.modules)\n"
+        f"code = cli.main(['verify', '--graph', {PAW!r}, '--m', '3'])\n"
+        "print('numpy' in sys.modules, code)\n"
+    )
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "False 0"
+
+
+# critical-points with -H replaced by the zero matrix, which no Cholesky factors
+SINGULAR_HESSIAN = """
+import sys
+from chromoduli import cli, critical
+
+derivatives = critical._derivatives
+
+
+def singular(kernel, n, f):
+    g, _ = derivatives(kernel, n, f)
+    return g, [[0.0] * n for _ in range(n)]
+
+
+critical._derivatives = singular
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_failed_factorization_reads_not_converged(flags):
+    result = _python(*flags, "-c", SINGULAR_HESSIAN, "critical-points", "--graph", PAW, "--m", "3")
+    assert result.returncode == cli.EXIT_DISAGREE and result.stderr == ""
+    reports = json.loads(result.stdout)
+    assert len(reports) == 12 and not any(r["converged"] for r in reports)

@@ -61,6 +61,14 @@ def test_log_master_rejects_wall_point():
         gradient(arr, [1.0, 1.0], [0.0])
 
 
+def test_point_of_the_wrong_dimension_is_rejected():
+    # a level functional reads the coordinate after the last one as 0
+    arr = build_arrangement(K1, 3)
+    for bad in ([], [0.5, 0.25]):
+        with pytest.raises(ValueError, match="coordinates"):
+            log_master(arr, [1.0, 1.0], bad)
+
+
 def test_gradient_zero_point_single_vertex():
     arr = build_arrangement(K1, 3)
     for u0, u1 in [(1.0, 1.0), (2.0, 1.0), (0.6, 1.9)]:
@@ -98,7 +106,78 @@ def test_hessian_negative_definite_inside():
     u = default_weights(arr, seed=3)
     for z in _interior_samples(arr, 10, seed=4):
         H = hessian(arr, u, z)
-        np.linalg.cholesky(-H)  # raises if not positive definite
+        np.linalg.cholesky(-np.asarray(H))  # raises if not positive definite
+
+
+def _oracle(arr, u, z):
+    """log_master, gradient and Hessian from the matrix form f = A z + b, with
+    the magnitudes of their summands, against which each error is measured."""
+    A = np.array([[float(a) for a in f.coefficients] for f in arr.functionals])
+    b = np.array([float(f.constant) for f in arr.functionals])
+    u = np.asarray(u)
+    f = A @ z + b
+    terms = u * np.log(np.abs(f))
+    return (
+        (terms.sum(), np.abs(terms).sum()),
+        (A.T @ (u / f), np.abs(A).T @ np.abs(u / f)),
+        (-(A.T * (u / f**2)) @ A, (np.abs(A).T * (u / f**2)) @ np.abs(A)),
+    )
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 4])
+def test_kernels_match_the_matrix_form(name, g, m):
+    # relative to the summands' magnitudes, so that cancellation in a sum
+    # near zero does not hide or fake an error
+    arr = build_arrangement(g, m)
+    u = default_weights(arr, seed=m)
+    for z in _interior_samples(arr, 5, seed=g.n + len(g.edges)):
+        value, grad, hess = log_master(arr, u, z), gradient(arr, u, z), hessian(arr, u, z)
+        assert type(value) is float and type(grad) is list and type(hess) is list
+        assert all(type(x) is float for x in grad + [x for row in hess for x in row])
+        for got, (want, scale) in zip((value, grad, hess), _oracle(arr, u, z)):
+            assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * scale), name
+
+
+def test_cholesky_factors_a_positive_definite_matrix():
+    a = [[4.0, 2.0, -2.0], [2.0, 10.0, 2.0], [-2.0, 2.0, 6.0]]
+    factor = critical._cholesky(a)
+    padded = np.array([row + [0.0] * (3 - len(row)) for row in factor])
+    assert np.allclose(padded, np.linalg.cholesky(np.array(a)), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [0.0, math.nan]],
+    ],
+    ids=["indefinite", "negative-pivot", "singular", "zero", "nan"],
+)
+def test_cholesky_rejects_a_matrix_that_is_not_positive_definite(a):
+    assert critical._cholesky(a) is None
+
+
+def test_newton_raises_when_a_step_cannot_factor(monkeypatch):
+    arr = build_arrangement(paw_graph(), 3)
+    chamber = bounded_chambers_bijective(arr)[0]
+    monkeypatch.setattr(critical, "_cholesky", lambda a: None)
+    with pytest.raises(ConvergenceError, match="not negative definite"):
+        solve_chamber(arr, default_weights(arr), chamber)
+
+
+def test_failed_certificate_at_the_optimum_is_reported(monkeypatch):
+    # with equal weights the witness 1/2 of K1 is already the critical point,
+    # so the only factorization is the certificate's
+    arr = build_arrangement(K1, 3)
+    (chamber,) = bounded_chambers_bijective(arr)
+    monkeypatch.setattr(critical, "_cholesky", lambda a: None)
+    r = solve_chamber(arr, [1.0, 1.0], chamber)
+    assert r.iterations == 1 and r.gradient_inf_norm == 0.0
+    assert not r.hessian_negative_definite and not r.converged
 
 
 def test_solve_single_vertex_balanced():
@@ -163,7 +242,7 @@ def test_certificate_uses_the_public_gradient_and_hessian():
     assert len(reports) == 12
     for r in reports:
         assert r.gradient_inf_norm == np.max(np.abs(gradient(arr, u, r.point)))
-        np.linalg.cholesky(-hessian(arr, u, r.point))  # raises if not positive definite
+        np.linalg.cholesky(-np.asarray(hessian(arr, u, r.point)))  # raises if not positive definite
 
 
 def test_newton_does_not_call_the_public_functions(monkeypatch):
@@ -227,7 +306,7 @@ def test_witness_outside_chamber_is_rejected():
 
 def test_default_weights_deterministic_and_in_range():
     arr = build_arrangement(K2, 3)
-    u1 = default_weights(arr, seed=11)
+    u1 = np.asarray(default_weights(arr, seed=11))
     u2 = default_weights(arr, seed=11)
     assert np.array_equal(u1, u2)
     assert np.all((u1 >= 0.5) & (u1 <= 2.0))
