@@ -2,7 +2,7 @@
 """Survey the in/out polynomials over all labeled digraphs on three vertices.
 
 For each of the 64 digraphs this computes both polynomials (closed formula
-where acyclic, engine interpolation always), checks route agreement and the
+where acyclic, the engine's table always), checks route agreement and the
 arc-reversal swap, and tallies how often the conjectural properties
 (nonnegativity on small integers, alternating signs, log-concavity) fail.
 Failures of those properties are observations, not errors.

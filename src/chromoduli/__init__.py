@@ -22,7 +22,7 @@ from .critical import (
 from .digraph_poly import (
     DigraphPolynomialReport,
     chi_acyclic,
-    chi_interpolated,
+    chi_engine,
     digraph_polynomial_report,
     full_peel,
     peel_step,

@@ -176,6 +176,7 @@ def cmd_chi(args):
     if args.mode != "both":
         keep = {"advisories", "consistent", f"chi_{args.mode}", f"route_{args.mode}"}
         out = {k: v for k, v in out.items() if k in keep}
+        out["advisories"] = [w for w in out["advisories"] if w.startswith(f"chi_{args.mode}:")]
     out["graph"] = graph_to_json(graph)
     _emit(out, args.pretty)
     return EXIT_OK if report.consistent else EXIT_DISAGREE

@@ -6,7 +6,8 @@ polynomials behind them are computed by
 
 * the closed product formula over in/out-degrees (acyclic digraphs only),
 * sink/source peeling (acyclic digraphs only), and
-* exact Lagrange interpolation of engine values at m = 3 .. |V|+3,
+* the engine's coefficient table (`moduli.omega_coefficients`), one call
+  per mode, rewritten from falling factorials in m to powers of x,
 
 and cross-checked against each other wherever more than one route applies.
 Reversing all arcs swaps the two polynomials.
@@ -15,11 +16,9 @@ Reversing all arcs swaps the two polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import EngineConsistencyError
 from .graphs import Digraph, IntPolynomial, label_sort_key
-from .moduli import DEFAULT_TERM_CAP, omega
+from .moduli import DEFAULT_TERM_CAP, omega_coefficients
 
 
 def _degree(graph: Digraph, v, mode):
@@ -77,56 +76,28 @@ def full_peel(graph: Digraph, mode) -> IntPolynomial:
     return out
 
 
-def _lagrange_integer(points):
-    """Exact Lagrange interpolation through (x, y) pairs; coefficients must be integers."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        numerator = [Fraction(1)]  # prod over j != i of (x - x_j)
-        denominator = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            grown = [Fraction(0)] * (len(numerator) + 1)
-            for d, c in enumerate(numerator):
-                grown[d + 1] += c
-                grown[d] -= xj * c
-            numerator = grown
-            denominator *= xi - xj
-        scale = Fraction(yi) / denominator
-        for d, c in enumerate(numerator):
-            coeffs[d] += scale * c
-    if any(c.denominator != 1 for c in coeffs):
-        raise EngineConsistencyError(f"interpolation produced non-integer coefficients {coeffs}")
-    return IntPolynomial(tuple(int(c) for c in coeffs))
+def chi_engine(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPolynomial:
+    """The polynomial from one engine table c_0..c_n.
 
-
-def chi_interpolated(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPolynomial:
-    """Recover the polynomial from engine values at m = 3 .. |V|+3.
-
-    The engine value at m equals (-1)^|V| times the polynomial at -(m-2),
-    so |V|+1 nodes determine it; monicity, degree, and integrality are
-    asserted, and a failure signals an engine bug.
+    The engine value at m is sum of c_j (m-2)(m-3)...(m-1-j) and equals
+    (-1)^n times the polynomial at -(m-2), so the polynomial is
+    (-1)^n sum of c_j (-x)(-x-1)...(-x-j+1).  The c_j are integers and
+    c_n = 1, so it is monic of degree n with integer coefficients.
     """
     _check_mode(mode)
-    n = graph.n
-    sign = (-1) ** n
-    points = []
-    for m in range(3, n + 4):
-        value = omega(graph, m, mode, term_cap)
-        points.append((Fraction(-(m - 2)), Fraction(sign * value)))
-    poly = _lagrange_integer(points)
-    if poly.degree != n or not poly.is_monic:
-        raise EngineConsistencyError(
-            f"interpolated polynomial {poly.coefficients} is not monic of degree {n}"
-        )
-    return poly
+    out = IntPolynomial(())
+    falling = IntPolynomial((1,))
+    for j, c in enumerate(omega_coefficients(graph, mode, term_cap)):
+        out = out + falling * c
+        falling = falling * IntPolynomial((-j, -1))
+    return out * (-1) ** graph.n
 
 
 def chi_for(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPolynomial:
-    """Cheapest correct route: closed formula when acyclic, else interpolation."""
+    """Cheapest correct route: closed formula when acyclic, else the engine's table."""
     if graph.is_acyclic():
         return chi_acyclic(graph, mode)
-    return chi_interpolated(graph, mode, term_cap)
+    return chi_engine(graph, mode, term_cap)
 
 
 def advisory_flags(poly: IntPolynomial, name="chi"):
@@ -176,23 +147,23 @@ class DigraphPolynomialReport:
 
 
 def digraph_polynomial_report(graph: Digraph, term_cap=DEFAULT_TERM_CAP):
-    """Interpolate both polynomials; on acyclic digraphs also cross-check two more routes."""
+    """Both polynomials from the engine; on acyclic digraphs also cross-check two more routes."""
     acyclic = graph.is_acyclic()
     chis = {}
     routes = {}
     consistent = True
     for mode in ("in", "out"):
-        interp = chi_interpolated(graph, mode, term_cap)
+        engine = chi_engine(graph, mode, term_cap)
         if acyclic:
             closed = chi_acyclic(graph, mode)
             peeled = full_peel(graph, mode)
-            if closed != peeled or closed != interp:
+            if closed != peeled or closed != engine:
                 consistent = False
             chis[mode] = closed
             routes[mode] = "acyclic-formula"
         else:
-            chis[mode] = interp
-            routes[mode] = "interpolation"
+            chis[mode] = engine
+            routes[mode] = "engine"
     advisories = tuple(
         advisory_flags(chis["in"], "chi_in") + advisory_flags(chis["out"], "chi_out")
     )

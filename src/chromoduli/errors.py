@@ -17,6 +17,7 @@ class ConvergenceError(RuntimeError):
 class EngineConsistencyError(RuntimeError):
     """Raised when independently computed quantities disagree.
 
-    This always signals a bug (or a violated engine invariant such as
-    non-integral interpolation), never a property of the input.
+    This always signals a bug (or a violated engine invariant such as a
+    stratum that is not of top degree at integration), never a property of
+    the input.
     """

@@ -30,7 +30,8 @@ keeping every cotangent class symbolic:
 
 Coefficients stay integers throughout; each multinomial is an exact integer
 quotient.  Every fold starts from the fundamental class: `kapranov_degree`
-is one fold, and `omega` folds one local integral per distinct block.
+is one fold, and `omega` and `omega_coefficients` fold one local integral
+per distinct block.
 
 `omega` splits its integral at the point class instead of folding once over
 the whole space.  The point class pulled back from the m extra markings is
@@ -43,7 +44,10 @@ the closed (or in-, or out-) neighborhood.  Hence
 
     omega(G, m) = sum over sigma of prod over t of K(sigma^-1(t))
                 = sum over set partitions pi of V with |pi| <= m - 2
-                  of (m-2)(m-3)...(m-1-|pi|) * prod over B in pi of K(B),
+                  of (m-2)(m-3)...(m-1-|pi|) * prod over B in pi of K(B)
+                = sum over j of c_j (m-2)(m-3)...(m-1-j),
+
+    c_j = sum over set partitions pi of V into j blocks of prod K(B),
 
 where the local integral K(B) is the fold of the constraints
 ({s1, s2, s3} u (N(v) n B), v), v in B, into the fundamental class of the
@@ -55,9 +59,16 @@ there puts every other vertex on the side of s1 and s2, since a vertex on
 v's side carries classes pulled back from a space of one dimension less.
 After stripping such vertices, K is memoized on the block's relabelled
 local neighborhoods, so each distinct local integral is folded once per
-call.  The pulled-back point class itself is never built here; the tests'
-reference (`tests/boundary_reference.py`) builds it to fold over the whole
-space.
+call.
+
+No K and so no c_j depends on m, and the falling factorial vanishes for
+j > m - 2: omega is a polynomial in m of degree |V|, with leading
+coefficient c_|V| = prod over v of K({v}) = K(empty)^|V| = 1, since the
+vertex of a singleton block is always dropped.
+`omega_coefficients` returns the whole table c_0..c_|V|; `omega` computes
+it up to j = min(m - 2, |V|) only and sums it at m.  The pulled-back point
+class itself is never built here; the tests' reference
+(`tests/boundary_reference.py`) builds it to fold over the whole space.
 """
 
 from __future__ import annotations
@@ -326,18 +337,15 @@ def _local_integral(key, term_cap):
     return _fold_pullbacks(_Ctx(special | frozenset(range(k))), {((), ()): 1}, pullbacks, term_cap)
 
 
-def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
-    """The graph's intersection number with m extra markings, plus term stats.
+def _table(graph, nodes, mode, term_cap):
+    """The list c_0..c_L, L = min(nodes, |V|), plus term stats.
 
-    Sums, over set partitions of the vertices into at most m - 2 blocks, the
-    falling factorial (m-2)(m-3)... (one factor per block) times the product
-    of the blocks' local integrals K; see the module docstring.  Each
-    distinct K is folded once per call.  `terms_peak` is the most terms any
-    local fold reached and `terms_final` sums the distinct folds' final term
+    c_j sums the product of the local integrals K over the set partitions of
+    the vertices into exactly j blocks; no c_j depends on m.  Each distinct
+    K is folded once per call.  `terms_peak` is the most terms any local
+    fold reached and `terms_final` sums the distinct folds' final term
     counts; `term_cap` bounds each local fold.
     """
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
     index = {v: i for i, v in enumerate(graph.vertices)}
     nbhds = [sum(1 << index[u] for u in _neighborhood(graph, v, mode)) for v in graph.vertices]
     stats = {"terms_peak": 1, "terms_final": 0}
@@ -351,27 +359,58 @@ def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
             stats["terms_final"] += fold["terms_final"]
         return memo[key]
 
-    return _place((1 << len(nbhds)) - 1, m - 2, node_integral), stats
+    return _partitions((1 << len(nbhds)) - 1, min(nodes, len(nbhds)), node_integral), stats
 
 
-def _place(rest, nodes, node_integral):
-    """Sum over maps from the vertices of `rest` to `nodes` free nodes of the
-    product of K over the occupied nodes, grouped by partition."""
+def _partitions(rest, nodes, node_integral):
+    """c_0..c_nodes: the sums over partitions of the vertices of `rest` into
+    exactly j blocks, j <= nodes, of the product of K over the blocks."""
     # module-level, so that no function -> cell -> function cycle keeps the memo alive
     if not rest:
-        return 1
+        return [1]
     low = rest & -rest  # the block holding the lowest vertex comes first
     others = rest ^ low
-    total = 0
+    table = [0] * (nodes + 1)
     sub = others
     while True:
         block = low | sub
         if nodes > 1 or block == rest:  # what is left needs a node of its own
-            total += node_integral(block) * _place(rest ^ block, nodes - 1, node_integral)
+            k = node_integral(block)
+            for j, c in enumerate(_partitions(rest ^ block, nodes - 1, node_integral)):
+                table[j + 1] += k * c
         if not sub:
             break
         sub = (sub - 1) & others
-    return nodes * total
+    return table
+
+
+def omega_coefficients(graph, mode="undirected", term_cap=DEFAULT_TERM_CAP):
+    """The tuple c_0..c_n with omega(graph, m) = sum of c_j (m-2)(m-3)...(m-1-j).
+
+    c_j sums the product of the blocks' local integrals K over the set
+    partitions of the n vertices into j blocks; see the module docstring.
+    """
+    table, _ = _table(graph, graph.n, mode, term_cap)
+    return tuple(table)
+
+
+def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
+    """The graph's intersection number with m extra markings, plus term stats.
+
+    Sums c_j (m-2)(m-3)...(m-1-j) over the coefficient table c_0..c_L of
+    `omega_coefficients`, cut at L = min(m - 2, n): a partition into more
+    than m - 2 blocks has no caterpillar placement.  The stats are those of
+    the table's local folds.
+    """
+    if m < 3:
+        raise ValueError(f"m must be at least 3, got {m}")
+    table, stats = _table(graph, m - 2, mode, term_cap)
+    value = 0
+    falling = 1
+    for j, c in enumerate(table):
+        value += c * falling
+        falling *= m - 2 - j
+    return value, stats
 
 
 def omega(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):

@@ -12,7 +12,7 @@ import numpy as np
 from chromoduli import cli
 from chromoduli.arrangement import build_arrangement
 from chromoduli.critical import critical_point_reports, default_weights, gradient, log_master
-from chromoduli.digraph_poly import chi_acyclic, chi_interpolated, digraph_polynomial_report
+from chromoduli.digraph_poly import chi_acyclic, chi_engine, digraph_polynomial_report
 from chromoduli.graphs import SimpleGraph, canonical_key, chromatic_polynomial
 from chromoduli.moduli import DEFAULT_TERM_CAP, _Ctx, _fold_pullbacks, cerberus_check, omega
 
@@ -103,8 +103,8 @@ def test_criterion_6_digraph_polynomials():
     closed_in, closed_out = chi_acyclic(d, "in"), chi_acyclic(d, "out")
     assert closed_in.coefficients == (0, 0, -2, 1)
     assert closed_out.coefficients == (0, 1, -2, 1)
-    assert chi_interpolated(d, "in") == closed_in
-    assert chi_interpolated(d, "out") == closed_out
+    assert chi_engine(d, "in") == closed_in
+    assert chi_engine(d, "out") == closed_out
     rep, rev = digraph_polynomial_report(d), digraph_polynomial_report(d.reverse())
     assert rev.chi_in == rep.chi_out and rev.chi_out == rep.chi_in
     print("\ncriterion 6 (digraph polynomials, both routes + reversal): PASS")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import chromoduli
-from chromoduli import arrangement, cli, critical, moduli
+from chromoduli import arrangement, cli, critical, digraph_poly, moduli
 from chromoduli.errors import EngineConsistencyError
 from chromoduli.graphs import chromatic_polynomial
 
@@ -210,6 +210,15 @@ def test_chi_instar(capsys):
     code, out = run(capsys, "chi", "--graph", INSTAR, "--mode", "in")
     blob = json.loads(out)
     assert "chi_out" not in blob and blob["chi_in"] == [0, 0, -2, 1]
+    assert blob["advisories"] == ["chi_in: negative value -1 at x=1"]
+
+
+def test_chi_one_mode_keeps_only_its_advisories(capsys):
+    # chi_in = x^3 - 2x^2 is -1 at x = 1; chi_out = x(x - 1)^2 draws no advisory
+    code, out = run(capsys, "chi", "--graph", INSTAR, "--mode", "out")
+    blob = json.loads(out)
+    assert code == 0 and blob["chi_out"] == [0, 1, -2, 1]
+    assert blob["advisories"] == []
 
 
 def test_chi_rejects_simple_graph(capsys):
@@ -384,18 +393,24 @@ def test_verify_default_suite(capsys):
 
 
 def test_verify_digraph_builds_one_report(capsys, monkeypatch):
-    calls = []
-    engine = moduli.omega_with_stats
+    calls = {"omega_coefficients": 0, "omega_with_stats": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return engine(*args, **kwargs)
+    def count(module, name):
+        engine = getattr(module, name)
 
-    monkeypatch.setattr(moduli, "omega_with_stats", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # each name is patched where the package looks it up
+    count(digraph_poly, "omega_coefficients")
+    count(moduli, "omega_with_stats")
     code, _ = run(capsys, "verify", "--graph", INSTAR, "--m", "3,4")
     assert code == 0
-    # one report interpolates m = 3..6 in both modes; each row adds in and out at its m
-    assert len(calls) == 12
+    # one report takes one table per mode; each row adds in and out at its m
+    assert calls == {"omega_coefficients": 2, "omega_with_stats": 4}
 
 
 def test_verify_deterministic_output(capsys):

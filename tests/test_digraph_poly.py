@@ -1,19 +1,21 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from chromoduli.digraph_poly import (
     advisory_flags,
     chi_acyclic,
+    chi_engine,
     chi_for,
-    chi_interpolated,
     digraph_polynomial_report,
     full_peel,
     peel_step,
 )
-from chromoduli.errors import EngineConsistencyError
 from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
+from chromoduli.moduli import omega
 
 from graph_catalog import ORACLE_SETTINGS, acyclic_digraphs, digraphs, instar_digraph
 
@@ -67,24 +69,59 @@ def test_full_peel_matches_closed_formula():
         full_peel(CYCLE3, "in")
 
 
-def test_chi_interpolated_edgeless():
+def test_chi_engine_edgeless():
     for n in (1, 2, 3):
         d = Digraph.of(range(n))
-        assert chi_interpolated(d, "in") == IntPolynomial.monomial(n)
+        assert chi_engine(d, "in") == IntPolynomial.monomial(n)
 
 
-def test_chi_interpolated_instar():
+def test_chi_engine_instar():
     d = instar_digraph()
-    assert chi_interpolated(d, "in").coefficients == (0, 0, -2, 1)
-    assert chi_interpolated(d, "out").coefficients == (0, 1, -2, 1)
+    assert chi_engine(d, "in").coefficients == (0, 0, -2, 1)
+    assert chi_engine(d, "out").coefficients == (0, 1, -2, 1)
 
 
-def test_chi_interpolated_symmetrization_recovers_chromatic():
+def test_chi_engine_symmetrization_recovers_chromatic():
     g = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
     d = Digraph.from_symmetric(g)
     chi = chromatic_polynomial(g)
-    assert chi_interpolated(d, "in") == chi
-    assert chi_interpolated(d, "out") == chi
+    assert chi_engine(d, "in") == chi
+    assert chi_engine(d, "out") == chi
+
+
+def _lagrange_integer(points):
+    """Exact Lagrange interpolation through (x, y) pairs; coefficients must be integers."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        numerator = [Fraction(1)]  # prod over j != i of (x - x_j)
+        denominator = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            grown = [Fraction(0)] * (len(numerator) + 1)
+            for d, c in enumerate(numerator):
+                grown[d + 1] += c
+                grown[d] -= xj * c
+            numerator = grown
+            denominator *= xi - xj
+        scale = Fraction(yi) / denominator
+        for d, c in enumerate(numerator):
+            coeffs[d] += scale * c
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    return IntPolynomial(tuple(int(c) for c in coeffs))
+
+
+@ORACLE_SETTINGS
+@given(digraphs(max_n=4), st.sampled_from(["in", "out"]))
+def test_chi_engine_matches_interpolated_engine_values(d, mode):
+    # n + 1 engine values determine a degree-n polynomial; two more must lie on it
+    n = d.n
+    sign = (-1) ** n
+    points = [(-(m - 2), sign * omega(d, m, mode)) for m in range(3, n + 4)]
+    chi = chi_engine(d, mode)
+    assert chi == _lagrange_integer(points)
+    for m in (n + 4, n + 5):
+        assert sign * chi.evaluate(-(m - 2)) == omega(d, m, mode)
 
 
 def _three_vertex_digraphs():
@@ -100,19 +137,19 @@ def test_route_agreement_all_two_vertex_digraphs():
         arcs = [pairs[i] for i in range(2) if (mask >> i) & 1]
         d = Digraph.of(range(2), arcs)
         for mode in ("in", "out"):
-            interp = chi_interpolated(d, mode)
+            engine = chi_engine(d, mode)
             if d.is_acyclic():
-                assert interp == chi_acyclic(d, mode) == full_peel(d, mode)
+                assert engine == chi_acyclic(d, mode) == full_peel(d, mode)
 
 
 def test_route_agreement_sampled_three_vertex_digraphs():
     sample = [d for i, d in enumerate(_three_vertex_digraphs()) if i % 7 == 0]
     for d in sample:
         for mode in ("in", "out"):
-            interp = chi_interpolated(d, mode)
-            assert interp.is_monic and interp.degree == 3
+            engine = chi_engine(d, mode)
+            assert engine.is_monic and engine.degree == 3
             if d.is_acyclic():
-                assert interp == chi_acyclic(d, mode) == full_peel(d, mode)
+                assert engine == chi_acyclic(d, mode) == full_peel(d, mode)
 
 
 def test_edge_reversal_swaps_polynomials():
@@ -127,8 +164,8 @@ def test_edge_reversal_swaps_polynomials():
 def test_acyclic_routes_agree_on_random_digraphs(d):
     report = digraph_polynomial_report(d)
     assert report.consistent
-    assert chi_interpolated(d, "in") == chi_acyclic(d, "in") == full_peel(d, "in") == report.chi_in
-    assert chi_interpolated(d, "out") == chi_acyclic(d, "out") == full_peel(d, "out") == report.chi_out
+    assert chi_engine(d, "in") == chi_acyclic(d, "in") == full_peel(d, "in") == report.chi_in
+    assert chi_engine(d, "out") == chi_acyclic(d, "out") == full_peel(d, "out") == report.chi_out
 
 
 @ORACLE_SETTINGS
@@ -144,13 +181,13 @@ def test_report_routes_and_consistency():
     assert rep.route_in == rep.route_out == "acyclic-formula"
     repc = digraph_polynomial_report(CYCLE3)
     assert repc.consistent
-    assert repc.route_in == repc.route_out == "interpolation"
+    assert repc.route_in == repc.route_out == "engine"
     assert repc.chi_in == repc.chi_out  # the directed triangle is reversal-symmetric
 
 
 def test_chi_for_picks_cheapest_route():
     assert chi_for(instar_digraph(), "in") == chi_acyclic(instar_digraph(), "in")
-    assert chi_for(CYCLE3, "in") == chi_interpolated(CYCLE3, "in")
+    assert chi_for(CYCLE3, "in") == chi_engine(CYCLE3, "in")
 
 
 def test_advisories_warn_but_never_fail():
@@ -163,10 +200,3 @@ def test_advisories_warn_but_never_fail():
     assert advisory_flags(IntPolynomial((0, 1, 2, 1)), "p")
     assert any("log-concave" in w for w in advisory_flags(IntPolynomial((0, 1, 1, 9, 1)), "p"))
 
-
-def test_interpolation_failure_is_loud(monkeypatch):
-    import chromoduli.digraph_poly as dp
-
-    monkeypatch.setattr(dp, "omega", lambda *a, **k: 1)
-    with pytest.raises(EngineConsistencyError):
-        dp.chi_interpolated(instar_digraph(), "in")

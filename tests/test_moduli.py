@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from chromoduli import moduli
 from chromoduli.digraph_poly import digraph_polynomial_report
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
-from chromoduli.graphs import Digraph, SimpleGraph, chromatic_polynomial
+from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import (
     DEFAULT_TERM_CAP,
     cerberus_check,
     kapranov_degree,
     omega,
+    omega_coefficients,
     omega_with_stats,
 )
 
@@ -35,6 +36,7 @@ from boundary_reference import (
 )
 from graph_catalog import (
     ORACLE_SETTINGS,
+    all_graphs_up_to_4,
     digraphs,
     graphs_with_at_most,
     instar_digraph,
@@ -504,6 +506,28 @@ def test_omega_edgeless_six_term_peak():
 def test_omega_many_extra_markings():
     p3 = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
     assert omega(p3, 800) == -chromatic_polynomial(p3).evaluate(-798)
+
+
+def _chi_from_table(graph):
+    """(-1)^n sum of c_j (-x)(-x-1)...(-x-j+1) over the engine's table c_0..c_n."""
+    chi = IntPolynomial(())
+    falling = IntPolynomial((1,))
+    for j, c in enumerate(omega_coefficients(graph)):
+        chi = chi + falling * c
+        falling = falling * IntPolynomial((-j, -1))
+    return chi * (-1) ** graph.n
+
+
+def test_omega_coefficients_give_chromatic_polynomial_on_catalog():
+    # omega(G, m) = (-1)^n chi_G(-(m-2)) as one identity of polynomials
+    for name, g in all_graphs_up_to_4():
+        assert _chi_from_table(g) == chromatic_polynomial(g), name
+
+
+@ORACLE_SETTINGS
+@given(simple_graphs(max_n=6))
+def test_omega_coefficients_give_chromatic_polynomial_on_random_graphs(g):
+    assert _chi_from_table(g) == chromatic_polynomial(g)
 
 
 def test_local_key_strips_only_isolated_vertices():

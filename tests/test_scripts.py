@@ -17,7 +17,7 @@ def _load_script(name):
 
 
 def test_digraph_survey_runs():
-    # the interpolation certificates must survive `python -O`, which strips asserts
+    # the route cross-checks must survive `python -O`, which strips asserts
     result = subprocess.run(
         [sys.executable, "-O", str(SCRIPTS / "digraph_survey.py")],
         capture_output=True,
