@@ -96,23 +96,30 @@ def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
 
 
 def _margin_lp(functionals, signs):
-    """Maximize the weighted margin over the region {sign_i * f_i > 0}.
+    """Maximize the weighted margin t over the region {sign_i * f_i > 0}.
 
-    The margin is capped at _MARGIN_CAP so the LP is bounded.  Returns a
-    witness with positive margin, or None when the sign vector has no
-    strict interior.
+    The LP runs in u = t + B, with B the largest |constant| among the
+    functionals: each row's right-hand side s*b + weight*B is then >= 0
+    (every weight is at least 1), so z = 0, u = 0 is feasible at the slack
+    basis.  The margin is capped at _MARGIN_CAP so the LP is bounded; any
+    answer but an optimum is an engine fault.  Returns a witness with
+    positive margin, or None when the sign vector has no strict interior.
     """
     dim = len(functionals[0].coefficients)
+    shift = max(abs(f.constant) for f in functionals)
     rows = []
     rhs = []
     for f, s in zip(functionals, signs):
-        rows.append([-s * a for a in f.coefficients] + [f.weight])
-        rhs.append(s * f.constant)
+        w = f.weight
+        rows.append([-s * a for a in f.coefficients] + [w])
+        rhs.append(s * f.constant + w * shift)
     rows.append([0] * dim + [1])
-    rhs.append(_MARGIN_CAP)
+    rhs.append(_MARGIN_CAP + shift)
     objective = [0] * dim + [1]
     sol = solve_lp(rows, rhs, objective)
-    if sol.status != "optimal" or sol.x[dim] <= 0:
+    if sol.status != "optimal":
+        raise EngineConsistencyError(f"margin LP came back {sol.status}, not optimal")
+    if sol.x[dim] <= shift:
         return None
     return sol.x[:dim]
 

@@ -146,32 +146,29 @@ class DigraphPolynomialReport:
         }
 
 
+def chi_checked(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP):
+    """(polynomial, route, consistent) for one mode.
+
+    The engine's table always runs; on an acyclic digraph the closed formula
+    and sink/source peeling must agree with it, and the closed formula is
+    returned.
+    """
+    engine = chi_engine(graph, mode, term_cap)
+    if not graph.is_acyclic():
+        return engine, "engine", True
+    closed = chi_acyclic(graph, mode)
+    return closed, "acyclic-formula", closed == full_peel(graph, mode) == engine
+
+
 def digraph_polynomial_report(graph: Digraph, term_cap=DEFAULT_TERM_CAP):
     """Both polynomials from the engine; on acyclic digraphs also cross-check two more routes."""
-    acyclic = graph.is_acyclic()
-    chis = {}
-    routes = {}
-    consistent = True
-    for mode in ("in", "out"):
-        engine = chi_engine(graph, mode, term_cap)
-        if acyclic:
-            closed = chi_acyclic(graph, mode)
-            peeled = full_peel(graph, mode)
-            if closed != peeled or closed != engine:
-                consistent = False
-            chis[mode] = closed
-            routes[mode] = "acyclic-formula"
-        else:
-            chis[mode] = engine
-            routes[mode] = "engine"
-    advisories = tuple(
-        advisory_flags(chis["in"], "chi_in") + advisory_flags(chis["out"], "chi_out")
-    )
+    chi_in, route_in, ok_in = chi_checked(graph, "in", term_cap)
+    chi_out, route_out, ok_out = chi_checked(graph, "out", term_cap)
     return DigraphPolynomialReport(
-        chi_in=chis["in"],
-        chi_out=chis["out"],
-        route_in=routes["in"],
-        route_out=routes["out"],
-        consistent=consistent,
-        advisories=advisories,
+        chi_in=chi_in,
+        chi_out=chi_out,
+        route_in=route_in,
+        route_out=route_out,
+        consistent=ok_in and ok_out,
+        advisories=tuple(advisory_flags(chi_in, "chi_in") + advisory_flags(chi_out, "chi_out")),
     )

@@ -1,10 +1,14 @@
 """The Fraction-tableau simplex: the tests' reference for `chromoduli.lp`.
 
 A two-phase simplex with Bland's rule in `Fraction` arithmetic, normalising
-the pivot row and eliminating the pivot column on every pivot.  It takes the
-same entering and leaving decisions as the integer tableau in
-`chromoduli.lp`, so on any input the two return equal answers (that module's
-optimal dual aside, which this one does not compute).
+the pivot row and eliminating the pivot column on every pivot.  With b >= 0,
+the only right-hand sides `chromoduli.lp` takes, there is no artificial
+column and phase 1 is skipped; phase 2 then takes the same entering and
+leaving decisions as that module's integer tableau, so the two return equal
+answers (its optimal dual aside, which this one does not compute).  Only
+a system with some b_i < 0 can be infeasible; this module checks a Farkas
+vector for it and answers "infeasible", a status `chromoduli.lp` never
+returns.
 """
 
 from fractions import Fraction
@@ -102,7 +106,7 @@ def solve_lp(A, b, c):
                 raise EngineConsistencyError("Farkas vector does not annihilate the constraint rows")
             if sum(y[i] * b[i] for i in range(m)) >= 0:
                 raise EngineConsistencyError("Farkas vector does not separate the right-hand side")
-            return LpSolution(status="infeasible", farkas=y)
+            return LpSolution(status="infeasible")
         # Drive any residual artificials out of the basis.
         for i in list(live):
             if basis[i] in art_col.values():

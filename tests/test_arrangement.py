@@ -196,6 +196,27 @@ def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 
 
+def test_lp_search_surfaces_a_margin_lp_that_is_not_optimal(monkeypatch):
+    # the capped margin LP is feasible and bounded, so any other answer is a
+    # fault and must not drop the region
+    def unbounded(A, b, c):
+        return lp.LpSolution(status="unbounded", ray=tuple(c))
+
+    monkeypatch.setattr(arrangement, "solve_lp", unbounded)
+    with pytest.raises(EngineConsistencyError, match="unbounded"):
+        bounded_chambers_lp(build_arrangement(paw_graph(), 3))
+
+
+def test_margin_lp_tells_an_empty_region_from_a_chamber():
+    # the LP runs in t + B with every right-hand side >= 0 (a negative one
+    # would raise ValueError); on K2 at m=3 the region z_0 < 0 < z_1 < z_0
+    # is empty and 0 < z_1 < z_0 < 1 is a chamber
+    fns = build_arrangement(K2, 3).functionals
+    assert arrangement._margin_lp(fns, [-1, -1, 1, -1, 1]) is None
+    witness = arrangement._margin_lp(fns, [1, -1, 1, -1, 1])
+    assert arrangement._signs_at(fns, witness) == (1, -1, 1, -1, 1)
+
+
 @settings(ORACLE_SETTINGS, max_examples=50)
 @given(graphs_and_m())
 def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m):

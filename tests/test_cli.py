@@ -221,6 +221,23 @@ def test_chi_one_mode_keeps_only_its_advisories(capsys):
     assert blob["advisories"] == []
 
 
+def test_chi_one_mode_takes_one_engine_table(tmp_path, capsys, monkeypatch):
+    # a digraph with directed cycles: only the engine applies, in the asked mode only
+    cyclic = tmp_path / "cyclic.txt"
+    cyclic.write_text("digraph\n4 5\n0 1\n1 2\n2 0\n2 3\n3 1\n")
+    modes = []
+    engine = digraph_poly.omega_coefficients
+
+    def counted(graph, mode, *args):
+        modes.append(mode)
+        return engine(graph, mode, *args)
+
+    monkeypatch.setattr(digraph_poly, "omega_coefficients", counted)
+    code, out = run(capsys, "chi", "--graph", str(cyclic), "--mode", "out")
+    assert code == 0 and json.loads(out)["route_out"] == "engine"
+    assert modes == ["out"]
+
+
 def test_chi_rejects_simple_graph(capsys):
     code, _ = run(capsys, "chi", "--graph", PAW)
     assert code == cli.EXIT_PARSE

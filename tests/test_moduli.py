@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromoduli import moduli
+from chromoduli import cli, moduli, orientations
 from chromoduli.digraph_poly import digraph_polynomial_report
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
@@ -540,6 +540,38 @@ def test_local_key_strips_only_isolated_vertices():
     assert moduli._local_key(0b111, instar_in) == ((0,), (0, 1, 2), (2,))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(
+            SimpleGraph.of(range(6), [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)]),
+            id="C6-with-chords",
+        ),
+        pytest.param(SimpleGraph.of(range(6), [(i, i + 1) for i in range(5)]), id="P6"),
+        pytest.param(SimpleGraph.of(range(5), itertools.combinations(range(5), 2)), id="K5"),
+    ],
+)
+def test_local_integral_counts_acyclic_orientations_block_by_block(g, monkeypatch):
+    # at m=3 the split leaves one node, so K(B) = omega(G[B], 3): the number of
+    # acyclic orientations of the induced subgraph.  The count is this test's
+    # oracle only; the engine must never reach for it.
+    def induced(block):
+        keep = {v for i, v in enumerate(g.vertices) if block >> i & 1}
+        return SimpleGraph.of(keep, [(u, w) for u, w in g.edges if u in keep and w in keep])
+
+    blocks = range(1, 1 << g.n)
+    expected = [len(orientations.acyclic_orientations(induced(block))) for block in blocks]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine counted acyclic orientations")
+
+    monkeypatch.setattr(orientations, "acyclic_orientations", refuse)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbhds = [sum(1 << index[u] for u in g.closed_neighborhood(v)) for v in g.vertices]
+    local = [moduli._local_integral(moduli._local_key(b, nbhds), DEFAULT_TERM_CAP)[0] for b in blocks]
+    assert local == expected
+
+
 def test_engine_keeps_cotangent_classes_symbolic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the engine took the boundary-expansion route")
@@ -627,11 +659,18 @@ def test_isolated_vertex_leaves_local_integral_unchanged(pair):
         pytest.param(lambda: omega(paw_graph(), 4), id="omega"),
         pytest.param(lambda: chromatic_polynomial(paw_graph()), id="chromatic"),
         pytest.param(lambda: digraph_polynomial_report(instar_digraph()), id="digraph-report"),
+        pytest.param(
+            lambda: cli.main(["verify", "--graph", str(cli.DATA_DIR / "paw.txt"), "--m", "3"]),
+            id="cli-verify",
+        ),
     ],
 )
 def test_call_leaves_no_cyclic_garbage(call):
     # a recursive closure (function -> cell -> function) would keep its memo
-    # alive until the cyclic collector runs
+    # alive until the cyclic collector runs; so would a parser built per CLI
+    # call (argparse formatters hold cycles).  The warm-up call builds what is
+    # built once per process, the CLI parser.
+    call()
     gc.collect()
     gc.disable()
     try:

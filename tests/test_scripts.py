@@ -47,14 +47,15 @@ def test_digraph_survey_tallies_advisories_by_kind():
 
 
 def test_verify_fixtures_runs_under_optimize():
-    # every certificate check must survive `python -O`, which strips asserts
+    # every certificate check must survive `python -O`, which strips asserts;
+    # m=4 adds margin LPs whose optimal witness is not unique
     result = subprocess.run(
-        [sys.executable, "-O", str(SCRIPTS / "verify_fixtures.py"), "--m", "3"],
+        [sys.executable, "-O", str(SCRIPTS / "verify_fixtures.py"), "--m", "3,4"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
     rows = result.stdout.splitlines()[2:]  # below the header and its rule
-    assert len(rows) == 2
+    assert len(rows) == 4
     assert all(row.split()[-1] == "True" for row in rows)
