@@ -6,22 +6,25 @@ z_u - z_w.  Bounded chambers are enumerated two independent ways:
 
 * bijectively, from pairs (coloring, acyclic orientation) with an explicit
   interior witness, and
-* by incremental sign-vector search with exact-LP feasibility certificates,
-  restricted a priori to the open cube (0, m-2)^V, which contains every
-  bounded chamber; each chamber found is certified by exact substitution
-  of the witness it carries.
+* by depth-first sign-vector search, restricted a priori to the open cube
+  (0, m-2)^V, which contains every bounded chamber.  Each candidate region
+  solves a margin LP, warm-started from the tableau of its nearest solved
+  ancestor and re-optimized by the dual simplex, and its optimum is
+  certified by an exact dual; each chamber found is certified by exact
+  substitution of the witness it carries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, EngineConsistencyError
 from .graphs import SimpleGraph, topological_order
-from .lp import solve_lp
+from .lp import Tableau
 from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
@@ -36,8 +39,9 @@ class AffineFunctional:
     constant: int
     tag: tuple  # ("level", v, i) or ("edge", u, w)
 
-    def value(self, z):
-        return sum(a * x for a, x in zip(self.coefficients, z) if a) + self.constant
+    def value(self, z, d=1):
+        """d * f(z / d): the value at z, or its d-fold from integer numerators z over d > 0."""
+        return sum(map(operator.mul, self.coefficients, z)) + self.constant * d
 
     @property
     def weight(self):
@@ -95,39 +99,72 @@ def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
     return Arrangement(graph, m, tuple(fns))
 
 
-def _margin_lp(functionals, signs):
-    """Maximize the weighted margin t over the region {sign_i * f_i > 0}.
+def _margin_row(f, side, shift):
+    """The margin-LP row of the half-space side * f > 0, in the variables (z, u).
 
-    The LP runs in u = t + B, with B the largest |constant| among the
-    functionals: each row's right-hand side s*b + weight*B is then >= 0
-    (every weight is at least 1), so z = 0, u = 0 is feasible at the slack
-    basis.  The margin is capped at _MARGIN_CAP so the LP is bounded; any
-    answer but an optimum is an engine fault.  Returns a witness with
-    positive margin, or None when the sign vector has no strict interior.
+    The region's weighted margin t satisfies side * f(z) >= weight * t; in
+    u = t + shift this reads  -side*a.z + weight*u <= side*b + weight*shift,
+    whose right-hand side is >= 0 once shift >= |b| (every weight is >= 1).
     """
-    dim = len(functionals[0].coefficients)
-    shift = max(abs(f.constant) for f in functionals)
-    rows = []
-    rhs = []
-    for f, s in zip(functionals, signs):
-        w = f.weight
-        rows.append([-s * a for a in f.coefficients] + [w])
-        rhs.append(s * f.constant + w * shift)
-    rows.append([0] * dim + [1])
-    rhs.append(_MARGIN_CAP + shift)
-    objective = [0] * dim + [1]
-    sol = solve_lp(rows, rhs, objective)
-    if sol.status != "optimal":
-        raise EngineConsistencyError(f"margin LP came back {sol.status}, not optimal")
-    if sol.x[dim] <= shift:
+    w = f.weight
+    return [-side * a for a in f.coefficients] + [w], side * f.constant + w * shift
+
+
+def _cube(arr):
+    """The root of the LP search: the open cube (0, m-2)^V.
+
+    Returns the fixed cube signs (functional index -> sign), the indices of
+    the free functionals, and the solved margin tableau of the cube: its
+    rows are the cube's and the cap u <= _MARGIN_CAP + shift, which keeps
+    every margin LP bounded.  shift = m-2 is the largest |constant| of any
+    functional, so the cube's LP starts feasible at the slack basis and is
+    solved by the primal simplex; it is the one LP built from scratch.
+    """
+    m, dim = arr.m, arr.dimension
+    fixed = {}
+    free_idx = []
+    for idx, f in enumerate(arr.functionals):
+        kind = f.tag[0]
+        if kind == "level" and f.tag[2] == 0:
+            fixed[idx] = 1
+        elif kind == "level" and f.tag[2] == m - 2:
+            fixed[idx] = -1
+        else:
+            free_idx.append(idx)
+    shift = m - 2
+    rows = [_margin_row(arr.functionals[i], s, shift) for i, s in fixed.items()]
+    rows.append(([0] * dim + [1], _MARGIN_CAP + shift))
+    root = Tableau([a for a, _ in rows], [bi for _, bi in rows], [0] * dim + [1])
+    if root.primal() is not None:
+        raise EngineConsistencyError("margin LP of the cube came back unbounded")
+    root.optimum()  # certified like every warm optimum
+    return fixed, free_idx, root
+
+
+def _solve_region(solved, rows, shift):
+    """Warm-start the margin LP of a region: a solved ancestor's tableau plus `rows`.
+
+    The appended rows leave the ancestor's optimal basis dual-feasible, so
+    the dual simplex re-optimizes; the optimum is certified on the region's
+    full row set.  Returns the region's tableau and its witness with
+    positive margin, as integer numerators over the tableau's denominator
+    D, or None when the region has no strict interior (margin <= 0).
+    """
+    tab = solved.with_rows(rows)
+    tab.dual()
+    x, _ = tab.optimum()
+    if x[-1] <= shift * tab.D:
         return None
-    return sol.x[:dim]
+    return tab, (x[:-1], tab.D)
 
 
 def _signs_at(functionals, witness):
+    """The sign of every functional at the witness, by exact substitution over its common denominator."""
+    d = math.lcm(*(x.denominator for x in witness))
+    z = [x.numerator * (d // x.denominator) for x in witness]
     signs = []
     for f in functionals:
-        val = f.value(witness)
+        val = f.value(z, d)
         if val == 0:
             raise EngineConsistencyError("witness lies on a hyperplane")
         signs.append(1 if val > 0 else -1)
@@ -185,8 +222,11 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
 
     Every bounded chamber satisfies 0 < z_v < m-2 coordinatewise, so the
     search fixes those signs up front and only splits on the remaining
-    functionals.  A split keeps the region's witness on the side it already
-    lies on and solves a margin LP for the other side.  Each result is
+    functionals, depth-first.  A split keeps the region's witness on the
+    side it already lies on; the other side is a region whose margin LP is
+    warm-started from the tableau of its nearest solved ancestor, with the
+    rows added since appended, and re-optimized by the dual simplex.  Only
+    the tableaux of the current search path are alive.  Each result is
     certified by substituting its witness into every functional: the signs
     must equal the chamber's, cube signs included, so it is also bounded.
     """
@@ -195,43 +235,37 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
         raise BudgetExceededError(
             f"{len(fns)} functionals exceed LP search budget {functional_budget}"
         )
-    m = arr.m
-    fixed = {}
-    free_idx = []
-    for idx, f in enumerate(fns):
-        kind = f.tag[0]
-        if kind == "level" and f.tag[2] == 0:
-            fixed[idx] = 1
-        elif kind == "level" and f.tag[2] == m - 2:
-            fixed[idx] = -1
-        else:
-            free_idx.append(idx)
-
-    center = tuple(Fraction(m - 2, 2) for _ in range(arr.dimension))
-    regions = [(fixed, center)]
-    for idx in free_idx:
-        f = fns[idx]
-        next_regions = []
-        for signs, witness in regions:
-            val = f.value(witness)
-            for side in (1, -1):
-                trial = dict(signs)
-                trial[idx] = side
-                if side * val > 0:
-                    next_regions.append((trial, witness))
-                    continue
-                order = sorted(trial)
-                res = _margin_lp([fns[i] for i in order], [trial[i] for i in order])
-                if res is not None:
-                    next_regions.append((trial, res))
-        regions = next_regions
+    shift = arr.m - 2
+    fixed, free_idx, root = _cube(arr)
+    center = ([shift] * arr.dimension, 2)
 
     chambers = []
-    for signs, witness in regions:
-        sign_vec = tuple(signs[i] for i in range(len(fns)))
-        if _signs_at(fns, witness) != sign_vec:
-            raise EngineConsistencyError("LP witness lies outside its chamber")
-        chambers.append(Chamber(sign_vec, witness, True))
+    # (free signs so far, witness (numerators, denominator) or None while
+    # unsolved, nearest solved tableau, rows added since)
+    stack = [((), center, root, ())]
+    while stack:
+        sides, point, solved, pending = stack.pop()
+        if point is None:
+            res = _solve_region(solved, pending, shift)
+            if res is None:
+                continue
+            (solved, point), pending = res, ()
+        if len(sides) == len(free_idx):
+            signs = dict(fixed)
+            signs.update(zip(free_idx, sides))
+            sign_vec = tuple(signs[i] for i in range(len(fns)))
+            witness = tuple(Fraction(v, point[1]) for v in point[0])
+            if _signs_at(fns, witness) != sign_vec:
+                raise EngineConsistencyError("LP witness lies outside its chamber")
+            chambers.append(Chamber(sign_vec, witness, True))
+            continue
+        f = fns[free_idx[len(sides)]]
+        val = f.value(*point)
+        for side in (-1, 1):  # the + side is pushed last, so searched first
+            row = _margin_row(f, side, shift)
+            kept = point if side * val > 0 else None
+            stack.append((sides + (side,), kept, solved, pending + (row,)))
+
     chambers.sort(key=lambda c: c.signs)
     return chambers
 

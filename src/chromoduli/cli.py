@@ -9,8 +9,11 @@ each mapped to a zero-argument callable, over one arrangement per (graph, m).
 Exit codes: 0 all agree, 1 disagreement or solver failure, 2 parse/usage
 error (malformed graph, weights and constraint files included), 3 budget
 exceeded.  JSON goes to stdout (JSON lines for verify), diagnostics to
-stderr.  A subcommand takes only the budget flags it reads: omega, chi and
-kapranov --budget-terms; chambers --budget-orientations and --budget-lp;
+stderr.  In verify, a route that raises EngineConsistencyError or
+ConvergenceError is recorded in its row as "failed": {route: reason} with
+"agree": false, and the other routes and rows still run.  A subcommand
+takes only the budget flags it reads: omega, chi and kapranov
+--budget-terms; chambers --budget-orientations and --budget-lp;
 critical-points --budget-orientations; verify all three.
 """
 
@@ -261,23 +264,37 @@ def simple_routes(graph, m, budgets=BUDGETS, seed=0):
     }
 
 
+def _reason(exc):
+    """A route's solver failure as one line, also printed to stderr as a diagnostic."""
+    lines = str(exc).splitlines()
+    reason = lines[0] if lines else type(exc).__name__
+    print(f"error: {reason}", file=sys.stderr)
+    return reason
+
+
 def _verify_simple_row(graph, name, m, args):
     budgets = {key: getattr(args, f"budget_{key}") for key in BUDGETS}
     values = {}
     skipped = []
+    failed = {}
     for key, route in simple_routes(graph, m, budgets, args.seed).items():
         try:
             values[key] = route()
         except BudgetExceededError:
             skipped.append(key)
-    return {
+        except (EngineConsistencyError, ConvergenceError) as exc:
+            failed[key] = _reason(exc)
+    row = {
         "graph": name,
         "kind": "simple",
         "m": m,
         "values": values,
         "skipped": sorted(skipped),
-        "agree": len(set(values.values())) == 1,
+        "agree": len(set(values.values())) == 1 and not failed,
     }
+    if failed:
+        row["failed"] = failed
+    return row
 
 
 def _verify_digraph_row(graph, name, m, args, reports):
@@ -308,6 +325,9 @@ def _verify_digraph_row(graph, name, m, args, reports):
     except BudgetExceededError:
         skipped.append("engine")
         row["agree"] = True
+    except (EngineConsistencyError, ConvergenceError) as exc:
+        row["failed"] = {"engine": _reason(exc)}
+        row["agree"] = False
     row["skipped"] = skipped
     return row
 

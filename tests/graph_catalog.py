@@ -56,8 +56,8 @@ def graphs_with_at_most(k):
 
 
 @st.composite
-def simple_graphs(draw, max_n):
-    n = draw(st.integers(1, max_n))
+def simple_graphs(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph.of(range(n), [p for p, k in zip(pairs, keep) if k])

@@ -14,7 +14,7 @@ from chromoduli.arrangement import (
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
-from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph
+from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph, simple_graphs
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
 K3 = SimpleGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
@@ -157,19 +157,41 @@ def test_chamber_to_pair_requires_bounded():
     ],
 )
 def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
-    # an LP only for a split side the region's witness misses, none per chamber
+    # a warm LP only for a split side the region's witness misses, none per
+    # chamber; the cube's own LP is the one solved from scratch
     g = dict(all_graphs_up_to_4())[name]
-    real = arrangement.solve_lp
+    real = arrangement._solve_region
     calls = []
 
-    def counting_solve_lp(*args):
+    def counting_solve_region(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(arrangement, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(arrangement, "_solve_region", counting_solve_region)
     chambers = bounded_chambers_lp(build_arrangement(g, m))
     assert len(chambers) == (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
     assert len(calls) == lp_calls
+
+
+@pytest.mark.parametrize("name,m", [("paw", 4), ("K4", 3)])
+def test_warm_optimum_equals_a_cold_solve_on_the_same_rows(monkeypatch, name, m):
+    # the optimal margin is unique even where the witness is not
+    real = lp.Tableau.dual
+    checked = []
+
+    def compared_dual(tab):
+        real(tab)
+        x, _ = tab.optimum()
+        cold = lp.solve_lp(tab.A, tab.b, tab.c)
+        assert cold.status == "optimal"
+        assert cold.objective == Fraction(sum(c * v for c, v in zip(tab.c, x)), tab.D)
+        checked.append(cold.objective)
+
+    monkeypatch.setattr(lp.Tableau, "dual", compared_dual)
+    g = dict(all_graphs_up_to_4())[name]
+    bounded_chambers_lp(build_arrangement(g, m))
+    assert len(checked) > 50
+    assert any(v <= m - 2 for v in checked)  # empty regions are among them
 
 
 def test_lp_search_witness_is_pinned():
@@ -197,24 +219,38 @@ def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
 
 
 def test_lp_search_surfaces_a_margin_lp_that_is_not_optimal(monkeypatch):
-    # the capped margin LP is feasible and bounded, so any other answer is a
-    # fault and must not drop the region
-    def unbounded(A, b, c):
-        return lp.LpSolution(status="unbounded", ray=tuple(c))
+    # every region's LP is feasible, so a dual simplex that finds no entering
+    # column is a fault and must not drop the region; here each edge row is
+    # replaced by u >= cap + shift + 1, which the cap row contradicts
+    real = arrangement._margin_row
 
-    monkeypatch.setattr(arrangement, "solve_lp", unbounded)
-    with pytest.raises(EngineConsistencyError, match="unbounded"):
+    def infeasible_edge_row(f, side, shift):
+        if f.tag[0] != "edge":
+            return real(f, side, shift)
+        dim = len(f.coefficients)
+        return [0] * dim + [-1], -(arrangement._MARGIN_CAP + shift + 1)
+
+    monkeypatch.setattr(arrangement, "_margin_row", infeasible_edge_row)
+    with pytest.raises(EngineConsistencyError, match="no entering column"):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 
 
 def test_margin_lp_tells_an_empty_region_from_a_chamber():
-    # the LP runs in t + B with every right-hand side >= 0 (a negative one
-    # would raise ValueError); on K2 at m=3 the region z_0 < 0 < z_1 < z_0
-    # is empty and 0 < z_1 < z_0 < 1 is a chamber
-    fns = build_arrangement(K2, 3).functionals
-    assert arrangement._margin_lp(fns, [-1, -1, 1, -1, 1]) is None
-    witness = arrangement._margin_lp(fns, [1, -1, 1, -1, 1])
-    assert arrangement._signs_at(fns, witness) == (1, -1, 1, -1, 1)
+    # a region is the cube's solved tableau plus its rows, re-optimized by the
+    # dual simplex; on K2 at m=4 the region z_0 < 1 < z_1 < z_0 is empty and
+    # z_1 < 1 < z_0 is a chamber
+    arr = build_arrangement(K2, 4)
+    fns = arr.functionals
+    fixed, free_idx, root = arrangement._cube(arr)
+    assert fixed == {0: 1, 2: -1, 3: 1, 5: -1} and free_idx == [1, 4, 6]
+
+    def rows(sides):
+        return [arrangement._margin_row(fns[i], s, 2) for i, s in zip(free_idx, sides)]
+
+    assert arrangement._solve_region(root, rows([-1, 1, 1]), 2) is None
+    _, (z, d) = arrangement._solve_region(root, rows([1, -1, 1]), 2)
+    witness = tuple(Fraction(v, d) for v in z)
+    assert arrangement._signs_at(fns, witness) == (1, 1, -1, 1, -1, -1, 1)
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)
@@ -226,14 +262,25 @@ def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m):
     assert [c.signs for c in cl] == [c.signs for c in cb]
 
 
+@settings(ORACLE_SETTINGS, max_examples=10)
+@given(simple_graphs(min_n=6, max_n=6))
+def test_lp_route_matches_bijective_route_on_random_6_vertex_graphs(g):
+    arr = build_arrangement(g, 3)
+    cl, cb = bounded_chambers_lp(arr), bounded_chambers_bijective(arr)
+    assert [c.signs for c in cl] == [c.signs for c in cb]
+
+
 def test_lp_witness_outside_chamber_is_rejected(monkeypatch):
-    real = arrangement._margin_lp
+    real = arrangement._solve_region
 
-    def off_by_far(functionals, signs):
-        witness = real(functionals, signs)
-        return None if witness is None else tuple(x + 10 for x in witness)
+    def off_by_far(solved, rows, shift):
+        res = real(solved, rows, shift)
+        if res is None:
+            return None
+        tab, (z, d) = res
+        return tab, ([v + 10 * d for v in z], d)
 
-    monkeypatch.setattr(arrangement, "_margin_lp", off_by_far)
+    monkeypatch.setattr(arrangement, "_solve_region", off_by_far)
     with pytest.raises(EngineConsistencyError):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 

@@ -463,6 +463,30 @@ def test_engine_failure_exit_one_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_verify_records_a_failed_route_and_runs_every_row(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineConsistencyError("dual simplex found no entering column\nsecond line")
+
+    monkeypatch.setattr(arrangement, "bounded_chambers_lp", broken)
+    c4 = tmp_path / "c4.txt"
+    c4.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    code = cli.main(["verify", "--graph", PAW, "--graph", str(c4), "--m", "3"])
+    captured = capsys.readouterr()
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == cli.EXIT_DISAGREE
+    assert [row["graph"] for row in rows] == ["paw.txt", "c4.txt"]
+    for row in rows:
+        assert row["failed"] == {"chambers_lp": "dual simplex found no entering column"}
+        assert row["agree"] is False
+        assert len(row["values"]) == 5 and len(set(row["values"].values())) == 1
+    assert captured.err.splitlines() == ["error: dual simplex found no entering column"] * 2
+
+
+def test_verify_rows_carry_no_failed_key_when_every_route_runs(capsys):
+    _, out = run(capsys, "verify", "--graph", PAW, "--graph", INSTAR, "--m", "3")
+    assert all("failed" not in json.loads(line) for line in out.splitlines())
+
+
 def test_verify_pretty_table(capsys):
     code, out = run(capsys, "verify", "--pretty", "--graph", PAW, "--m", "3")
     assert code == 0
@@ -483,13 +507,16 @@ def _python(*args):
 
 
 def test_lp_chambers_run_under_optimize(tmp_path):
-    # the LP certificates must survive `python -O`, which strips asserts
-    k4 = tmp_path / "k4.txt"
-    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
-    argv = ["chambers", "--graph", str(k4), "--m", "4", "--method", "lp"]
-    result = _python("-O", "-m", "chromoduli.cli", *argv)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["count_lp"] == 120
+    # the LP certificates, cold and warm, must survive `python -O`, which
+    # strips asserts; K5 at m=4 runs thousands of warm LPs
+    for n, chambers in [(4, 120), (5, 720)]:
+        edges = [(u, w) for u in range(n) for w in range(u + 1, n)]
+        path = tmp_path / f"k{n}.txt"
+        path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {w}\n" for u, w in edges))
+        argv = ["chambers", "--graph", str(path), "--m", "4", "--method", "lp"]
+        result = _python("-O", "-m", "chromoduli.cli", *argv)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["count_lp"] == chambers
 
 
 def test_start_up_and_verify_import_no_numpy():

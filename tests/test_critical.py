@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from chromoduli import arrangement, critical
+from chromoduli import arrangement, critical, lp
 from chromoduli.arrangement import Chamber, bounded_chambers_bijective, build_arrangement
 from chromoduli.critical import (
     critical_point_reports,
@@ -289,7 +289,8 @@ def test_critical_route_solves_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("the critical-point route must not solve an LP")
 
-    monkeypatch.setattr(arrangement, "solve_lp", no_lp)
+    monkeypatch.setattr(arrangement, "Tableau", no_lp)
+    monkeypatch.setattr(lp, "Tableau", no_lp)
     k4 = SimpleGraph.of(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
     reports = critical_point_reports(k4, 3)
     assert len(reports) == 24 and all(r.converged for r in reports)

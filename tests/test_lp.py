@@ -145,3 +145,42 @@ def test_matches_the_fraction_tableau_on_random_rational_lps():
         statuses[ours.status] += 1
     assert statuses.keys() == {"optimal", "unbounded"}
     assert min(statuses.values()) >= 300
+
+
+def test_dual_simplex_after_an_added_row_matches_the_fraction_tableau():
+    # optimize, append a row the optimum violates, re-optimize by the dual
+    # simplex: the optimal value equals a cold solve on all the rows
+    rng = random.Random(20261019)
+    warm = 0
+    for _ in range(2000):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 4)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(0, 5) for _ in range(m)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        tab = lp.Tableau(A, b, c)
+        if tab.primal() is not None:
+            continue
+        x, y = tab.optimum()
+        row = [rng.randint(-4, 4) for _ in range(n)]
+        rhs = rng.randint(0, 3)
+        if sum(a * v for a, v in zip(row, x)) <= rhs * tab.D:
+            continue
+        child = tab.with_rows([(row, rhs)])
+        child.dual()
+        cx, _ = child.optimum()
+        ref = reference_solve_lp(A + [row], b + [rhs], c)
+        assert ref.status == "optimal"
+        assert Fraction(sum(cj * v for cj, v in zip(c, cx)), child.D) == ref.objective
+        assert tab.optimum() == (x, y)  # the parent tableau is left as it was
+        warm += 1
+    assert warm > 200
+
+
+def test_dual_simplex_with_no_entering_column_raises():
+    # max x s.t. x <= 1, then x >= 2 appended: the rows are infeasible
+    tab = lp.Tableau([[1]], [1], [1])
+    assert tab.primal() is None
+    child = tab.with_rows([([-1], -2)])
+    with pytest.raises(EngineConsistencyError, match="no entering column"):
+        child.dual()
