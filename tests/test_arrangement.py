@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromoduli import arrangement, lp
 from chromoduli.arrangement import (
@@ -153,7 +154,8 @@ def test_chamber_to_pair_requires_bounded():
     [
         pytest.param("paw", 3, 22, id="paw-22"),
         pytest.param("K4", 3, 62, id="K4-62"),
-        pytest.param("K4", 4, 398, id="K4-m4-398"),
+        pytest.param("K4", 4, 302, id="K4-m4-302"),
+        pytest.param("paw", 4, 150, id="paw-m4-150"),
     ],
 )
 def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
@@ -238,17 +240,17 @@ def test_lp_search_surfaces_a_margin_lp_that_is_not_optimal(monkeypatch):
 def test_margin_lp_tells_an_empty_region_from_a_chamber():
     # a region is the cube's solved tableau plus its rows, re-optimized by the
     # dual simplex; on K2 at m=4 the region z_0 < 1 < z_1 < z_0 is empty and
-    # z_1 < 1 < z_0 is a chamber
+    # z_1 < 1 < z_0 is a chamber; the edge is split on first
     arr = build_arrangement(K2, 4)
     fns = arr.functionals
     fixed, free_idx, root = arrangement._cube(arr)
-    assert fixed == {0: 1, 2: -1, 3: 1, 5: -1} and free_idx == [1, 4, 6]
+    assert fixed == {0: 1, 2: -1, 3: 1, 5: -1} and free_idx == [6, 1, 4]
 
     def rows(sides):
         return [arrangement._margin_row(fns[i], s, 2) for i, s in zip(free_idx, sides)]
 
-    assert arrangement._solve_region(root, rows([-1, 1, 1]), 2) is None
-    _, (z, d) = arrangement._solve_region(root, rows([1, -1, 1]), 2)
+    assert arrangement._solve_region(root, rows([1, -1, 1]), 2) is None
+    _, (z, d) = arrangement._solve_region(root, rows([1, 1, -1]), 2)
     witness = tuple(Fraction(v, d) for v in z)
     assert arrangement._signs_at(fns, witness) == (1, 1, -1, 1, -1, -1, 1)
 
@@ -262,10 +264,11 @@ def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m):
     assert [c.signs for c in cl] == [c.signs for c in cb]
 
 
+@pytest.mark.parametrize("n,m", [(6, 3), (5, 4)], ids=["n6-m3", "n5-m4"])
 @settings(ORACLE_SETTINGS, max_examples=10)
-@given(simple_graphs(min_n=6, max_n=6))
-def test_lp_route_matches_bijective_route_on_random_6_vertex_graphs(g):
-    arr = build_arrangement(g, 3)
+@given(data=st.data())
+def test_lp_route_matches_bijective_route_on_random_larger_graphs(n, m, data):
+    arr = build_arrangement(data.draw(simple_graphs(min_n=n, max_n=n)), m)
     cl, cb = bounded_chambers_lp(arr), bounded_chambers_bijective(arr)
     assert [c.signs for c in cl] == [c.signs for c in cb]
 

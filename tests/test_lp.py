@@ -149,9 +149,11 @@ def test_matches_the_fraction_tableau_on_random_rational_lps():
 
 def test_dual_simplex_after_an_added_row_matches_the_fraction_tableau():
     # optimize, append a row the optimum violates, re-optimize by the dual
-    # simplex: the optimal value equals a cold solve on all the rows
+    # simplex: the optimal value equals a cold solve on all the rows; a
+    # second sibling solved from the same parent afterwards must see the
+    # parent as it was, not the first sibling's pivots
     rng = random.Random(20261019)
-    warm = 0
+    warm = second = 0
     for _ in range(2000):
         m = rng.randint(1, 6)
         n = rng.randint(1, 4)
@@ -162,19 +164,26 @@ def test_dual_simplex_after_an_added_row_matches_the_fraction_tableau():
         if tab.primal() is not None:
             continue
         x, y = tab.optimum()
-        row = [rng.randint(-4, 4) for _ in range(n)]
-        rhs = rng.randint(0, 3)
-        if sum(a * v for a, v in zip(row, x)) <= rhs * tab.D:
-            continue
-        child = tab.with_rows([(row, rhs)])
-        child.dual()
-        cx, _ = child.optimum()
-        ref = reference_solve_lp(A + [row], b + [rhs], c)
-        assert ref.status == "optimal"
-        assert Fraction(sum(cj * v for cj, v in zip(c, cx)), child.D) == ref.objective
-        assert tab.optimum() == (x, y)  # the parent tableau is left as it was
-        warm += 1
-    assert warm > 200
+        parent = repr((tab.D, tab.obj, tab.T, tab.cols, tab.basis))
+        solved = 0
+        for _ in range(2):
+            row = [rng.randint(-4, 4) for _ in range(n)]
+            rhs = rng.randint(0, 3)
+            if sum(a * v for a, v in zip(row, x)) <= rhs * tab.D:
+                continue
+            child = tab.with_rows([(row, rhs)])
+            child.dual()
+            cx, _ = child.optimum()
+            ref = reference_solve_lp(A + [row], b + [rhs], c)
+            assert ref.status == "optimal"
+            assert Fraction(sum(cj * v for cj, v in zip(c, cx)), child.D) == ref.objective
+            assert tab.optimum() == (x, y)  # the parent tableau is left as it was
+            assert repr((tab.D, tab.obj, tab.T, tab.cols, tab.basis)) == parent
+            assert child.cols is not tab.cols
+            solved += 1
+        warm += solved
+        second += solved == 2
+    assert warm > 200 and second > 50
 
 
 def test_dual_simplex_with_no_entering_column_raises():
