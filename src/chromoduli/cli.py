@@ -377,61 +377,94 @@ def _add_common(sub, budgets=(), graph_required=True, needs_m=False):
         sub.add_argument(f"--budget-{name}", type=int, default=BUDGETS[name])
 
 
-@functools.cache  # built once: each build leaves argparse formatter cycles for the collector
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="chromoduli",
-        description="Graph intersection numbers cross-checked through independent routes",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("parse", help="echo a parsed graph file as JSON")
+def _parse_parser(p):
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 
-    p = subs.add_parser("chromatic", help="chromatic polynomial coefficients")
+
+def _chromatic_parser(p):
     _add_common(p)
     p.set_defaults(func=cmd_chromatic)
 
-    p = subs.add_parser("omega", help="intersection number of a graph")
+
+def _omega_parser(p):
     _add_common(p, ("terms",), needs_m=True)
     p.add_argument("--g", type=int, default=0, help="genus (handled by exact reduction)")
     p.add_argument("--mode", choices=["undirected", "in", "out"], default="undirected")
     p.set_defaults(func=cmd_omega)
 
-    p = subs.add_parser("chambers", help="bounded chambers of the graph arrangement")
+
+def _chambers_parser(p):
     _add_common(p, ("orientations", "lp"), needs_m=True)
     p.add_argument("--method", choices=["bijective", "lp", "both"], default="both")
     p.set_defaults(func=cmd_chambers)
 
-    p = subs.add_parser("critical-points", help="one certified critical point per chamber")
+
+def _critical_points_parser(p):
     _add_common(p, ("orientations",), needs_m=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", help="JSON array of positive weights, one per functional")
     p.set_defaults(func=cmd_critical_points)
 
-    p = subs.add_parser("chi", help="digraph polynomials (in/out)")
+
+def _chi_parser(p):
     _add_common(p, ("terms",))
     p.add_argument("--mode", choices=["in", "out", "both"], default="both")
     p.set_defaults(func=cmd_chi)
 
-    p = subs.add_parser("kapranov", help="degree of a constraint system from a JSON file")
+
+def _kapranov_parser(p):
     _add_common(p, ("terms",), graph_required=False)
     p.add_argument("--constraints", required=True)
     p.set_defaults(func=cmd_kapranov)
 
-    p = subs.add_parser("verify", help="run all routes and cross-check them")
+
+def _verify_parser(p):
     p.add_argument("--graph", action="append", help="graph file; repeatable (default: shipped suite)")
     p.add_argument("--m", default="3,4", help="comma-separated list of extra-marking counts")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, tuple(BUDGETS), graph_required=False)
     p.set_defaults(func=cmd_verify)
 
+
+# Each subcommand in help order: its one-line help and the function adding its arguments.
+_SUBCOMMANDS = {
+    "parse": ("echo a parsed graph file as JSON", _parse_parser),
+    "chromatic": ("chromatic polynomial coefficients", _chromatic_parser),
+    "omega": ("intersection number of a graph", _omega_parser),
+    "chambers": ("bounded chambers of the graph arrangement", _chambers_parser),
+    "critical-points": ("one certified critical point per chamber", _critical_points_parser),
+    "chi": ("digraph polynomials (in/out)", _chi_parser),
+    "kapranov": ("degree of a constraint system from a JSON file", _kapranov_parser),
+    "verify": ("run all routes and cross-check them", _verify_parser),
+}
+
+
+@functools.cache  # built once: each build leaves argparse formatter cycles for the collector
+def build_parser(command=None):
+    """The CLI parser; given one subcommand's name, with only that subparser.
+
+    The usage line still lists every subcommand, so that a usage error after
+    a known subcommand reads the same either way.  Errors about the
+    subcommand itself (missing or unknown) and the top-level help need the
+    full parser, which `command=None` builds.
+    """
+    parser = argparse.ArgumentParser(
+        prog="chromoduli",
+        description="Graph intersection numbers cross-checked through independent routes",
+    )
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:  # GraphParseError and JSONDecodeError included

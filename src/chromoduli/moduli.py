@@ -1,41 +1,57 @@
-"""Exact genus-zero intersection calculus on boundary strata of marked-curve spaces.
+"""Exact genus-zero intersection numbers by a recursion along boundary divisors.
 
-A stratum is a stable tree of genus-zero components with distinct marking
-labels attached; every node carries at least three flags (markings plus edge
-germs).  Cutting a tree edge splits the marking set in two, and the stratum
-is uniquely encoded by the laminar family of these splits, stored here as
-bitmasks normalized to exclude a fixed anchor label.  A class is a formal
-integer combination of strata, optionally decorated with cotangent-class
-exponents at flags, held as a dict from (splits, decorations) to nonzero
-integer coefficients.
+A constraint system on the markings X = {0, ..., n-1} is a list of pairs
+(S, i) with i in S, S a subset of X.  The pair stands for pi_S^* psi_i: the
+cotangent class at i on the space marked by S, pulled back along the map
+that forgets the markings outside S.  Its degree is the integral of the
+product of its classes over the space marked by X, of dimension n - 3.
+`_degree` computes it, with subsets as bitmasks and markings as bit
+positions.
 
-The engine folds pulled-back cotangent classes into a starting class,
-keeping every cotangent class symbolic:
+Base cases:
 
-* multiplying by the pullback of the cotangent class at i from the space
-  marked by a subset S uses  pi^* psi_i = psi_i - sum_{T} D_{{i} u T},  the
-  sum over nonempty sets T of markings outside S (zero when |S| = 3).  The
-  psi_i term raises the exponent at the flag of marking i; each divisor
-  either refines a node (adds a compatible split), self-intersects (an
-  existing split acquires minus-cotangent decorations at the two germs of its
-  edge), or vanishes (crossing split);
-* a term is dropped as soon as some node carries a total exponent above its
-  valence minus three, the dimension of that node's factor.  Refinement
-  splits a node into two of smaller total dimension and self-intersection
-  only raises exponents, so such a term never revives;
-* at the end every term has top degree (edges plus exponents equal n - 3),
-  so every node is exact, and a node with k flags and exponents a_f
-  contributes the genus-zero multinomial (k-3)! / prod a_f!.  A term's value
-  is its coefficient times the product over its nodes.
+* n = 3 and no constraint: the space is a point, so the degree is 1;
+* a constraint count other than n - 3: the product is not of top degree,
+  so its integral is 0;
+* a subset of three markings: its space is a point, where psi is 0;
+* a marking x in no subset: every class is pulled back along the map that
+  forgets x, so the product comes from a space of dimension n - 4, below its
+  degree n - 3, and is 0.
 
-Coefficients stay integers throughout; each multinomial is an exact integer
-quotient.  Every fold starts from the fundamental class: `kapranov_degree`
-is one fold, and `omega` and `omega_coefficients` fold one local integral
-per distinct block.
+Step.  Expand the constraint (S, i) with the smallest subset, and let j, k be
+the two lowest markings of S - {i}.  On the space marked by S,
+psi_i = sum of D_I over the I with i in I, j and k not in I and |I| >= 2
+(Kock, "Notes on psi classes", 2001).  Along the forgetful map D_I pulls back
+to the sum of D_J over the J with J n S = I.  So the constraint is the sum of
+D_J over J in X with i in J, j and k not in J and |J n S| >= 2, each divisor
+once and with sign +1.  D_J is the product of the spaces marked by J u {o}
+and by (X - J) u {o}, o the node (Keel, 1992), so the rest of the product
+restricts to D_J one constraint at a time and its degree there is the
+product of two smaller degrees.  For a constraint (S_w, w) let w's side be
+the part of J or X - J holding w, near = S_w n (w's side) and far the rest
+of S_w.  On a curve of D_J, forget the markings outside S_w and stabilize:
 
-`omega` splits its integral at the point class instead of folding once over
-the whole space.  The point class pulled back from the m extra markings is
-the sum of caterpillar strata, one per map sigma from the vertices to the
+* far empty: the other component keeps no marking of S_w and is contracted
+  to the node, so the map factors through w's side: (S_w, w) on w's side;
+* near = {w} and |far| >= 2: w's component keeps only w and the node and is
+  contracted, so w lands at the node of the other component.  The map
+  factors through the other side with o read as w: (far u {o}, o) on the
+  other side;
+* otherwise |near| >= 2 and far is nonempty.  If |far| >= 2 the curve stays
+  on the divisor D_near of the space marked by S_w, where psi_w is the
+  cotangent class of w's component; if |far| = 1 that marking lands at the
+  node.  Either way: (near u {o}, w) on w's side.
+
+(near = {w} with |far| = 1 would need |S_w| = 2.)  A side whose constraint
+count differs from its dimension is caught by the count base case.  Every
+term is nonnegative.  Each side's system is relabelled to its markings in
+increasing order, then o, with its constraints sorted; `memo` maps each such
+system to its degree, so a subproblem is computed once per call.  The
+recursion sees constraint systems only, never the graph they came from.
+
+`omega` splits its integral at the point class instead of integrating once
+over the whole space.  The point class pulled back from the m extra markings
+is the sum of caterpillar strata, one per map sigma from the vertices to the
 caterpillar's m - 2 nodes; node t is a copy of the space marked by three
 special flags s1, s2, s3 and the vertices sigma^-1(t).  On such a stratum
 the factor of vertex v restricts to its node as the pullback of psi_v from
@@ -49,17 +65,16 @@ the closed (or in-, or out-) neighborhood.  Hence
 
     c_j = sum over set partitions pi of V into j blocks of prod K(B),
 
-where the local integral K(B) is the fold of the constraints
-({s1, s2, s3} u (N(v) n B), v), v in B, into the fundamental class of the
-space marked by {s1, s2, s3} u B, and K(empty) = 1.  A vertex v of B whose
-neighborhood meets B only in v, and which lies in no other member's
-neighborhood, can be dropped: K(B) = K(B - v).  Its factor is then the
-pulled-back point class of the four-marked space {s1, s2, s3, v}; splitting
-there puts every other vertex on the side of s1 and s2, since a vertex on
-v's side carries classes pulled back from a space of one dimension less.
-After stripping such vertices, K is memoized on the block's relabelled
-local neighborhoods, so each distinct local integral is folded once per
-call.
+where the local integral K(B) is the degree of the constraints
+({s1, s2, s3} u (N(v) n B), v), v in B, on the markings {s1, s2, s3} u B,
+and K(empty) = 1.  A vertex v of B whose neighborhood meets B only in v, and
+which lies in no other member's neighborhood, can be dropped: K(B) = K(B - v).
+Its factor is then the pulled-back point class of the four-marked space
+{s1, s2, s3, v}; splitting there puts every other vertex on the side of s1
+and s2, since a vertex on v's side carries classes pulled back from a space
+of one dimension less.  K is looked up by block, and `_partitions` sums the
+products over partitions as a subset DP memoized on (vertices left, nodes
+left).
 
 No K and so no c_j depends on m, and the falling factorial vanishes for
 j > m - 2: omega is a polynomial in m of degree |V|, with leading
@@ -68,186 +83,128 @@ vertex of a singleton block is always dropped.
 `omega_coefficients` returns the whole table c_0..c_|V|; `omega` computes
 it up to j = min(m - 2, |V|) only and sums it at m.  The pulled-back point
 class itself is never built here; the tests' reference
-(`tests/boundary_reference.py`) builds it to fold over the whole space.
+(`tests/boundary_reference.py`) builds it to integrate over the whole space.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
-from .errors import BudgetExceededError, EngineConsistencyError
+from .errors import BudgetExceededError
 from .graphs import Digraph, SimpleGraph, label_sort_key
 
 DEFAULT_TERM_CAP = 10_000_000
 
 
-class _Ctx:
-    """Fixed marking set with its label-to-bit encoding."""
-
-    __slots__ = ("labels", "bit", "n", "full", "anchor")
-
-    def __init__(self, marking_set):
-        self.labels = tuple(sorted(set(marking_set), key=label_sort_key))
-        if len(self.labels) < 3:
-            raise ValueError("marking set needs at least three labels")
-        self.bit = {lab: i for i, lab in enumerate(self.labels)}
-        self.n = len(self.labels)
-        self.full = (1 << self.n) - 1
-        self.anchor = 1 << (self.n - 1)
-
-    def mask(self, labels):
-        m = 0
-        for lab in labels:
-            if lab not in self.bit:
-                raise ValueError(f"{lab!r} is not in the marking set")
-            m |= 1 << self.bit[lab]
-        return m
-
-    def norm(self, m):
-        """The side of the bipartition not containing the anchor label."""
-        return m if not (m & self.anchor) else self.full ^ m
+def _compress(mask, side):
+    """The bits of `mask` at the positions of `side`, packed low in their order."""
+    out = 0
+    bit = 1
+    while side:
+        low = side & -side
+        if mask & low:
+            out |= bit
+        bit <<= 1
+        side ^= low
+    return out
 
 
-def _compatible(a, b):
-    return (a & b) == 0 or (a | b) == a or (a | b) == b
+def _relabel(side, constraints):
+    """One side's constraints, relabelled to the markings of `side` in order."""
+    return tuple(sorted((_compress(s, side), (side & ((1 << w) - 1)).bit_count()) for s, w in constraints))
 
 
-def _accum(terms, key, coeff):
-    val = terms.get(key, 0) + coeff
-    if val:
-        terms[key] = val
-    elif key in terms:
-        del terms[key]
+def _degree(n, constraints, memo, cap):
+    """Degree of a constraint system on the markings 0..n-1; see the module docstring.
 
-
-def _decor_bump(decor, flag, delta):
-    d = dict(decor)
-    d[flag] = d.get(flag, 0) + delta
-    if d[flag] == 0:
-        del d[flag]
-    return tuple(sorted(d.items()))
-
-
-def _mul_term(splits, decor, q):
-    """Product of one decorated stratum with the divisor of split q."""
-    if q in splits:
-        return (
-            (splits, _decor_bump(decor, (1, q, 0), 1), -1),
-            (splits, _decor_bump(decor, (1, q, 1), 1), -1),
-        )
-    for t in splits:
-        if not _compatible(q, t):
-            return ()
-    return ((tuple(sorted(splits + (q,))), decor, 1),)
-
-
-def _node_of(ctx, splits, flag):
-    """The node holding a flag.
-
-    Node ids are the split masks, and ctx.full for the root.  Flags are
-    (0, bit) for markings, (1, mask, 0) for the germ at the node on the mask
-    side of that edge and (1, mask, 1) for the germ at its parent.
+    `constraints` is a sorted tuple of (subset mask, marking) pairs.  `memo`
+    maps each system met so far to its degree; past `cap` systems the call
+    raises BudgetExceededError.
     """
-    if flag[0] == 1 and flag[2] == 0:
-        return flag[1]
-    inner = 1 << flag[1] if flag[0] == 0 else flag[1]
-    # The splits strictly containing `inner` form a chain, whose smallest set
-    # is also its smallest mask.
-    return min((t for t in splits if t & inner == inner and t != inner), default=ctx.full)
+    if len(constraints) != n - 3:
+        return 0
+    key = (n, constraints)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _split(n, constraints, memo, cap)
+        if len(memo) > cap:
+            raise BudgetExceededError(f"{len(memo)} subproblems exceed the term cap {cap}")
+    return value
 
 
-def _valence(ctx, splits, node):
-    """Number of flags at a node: its own markings, child germs and parent germ."""
+def _split(n, constraints, memo, cap):
+    """The base cases other than the count, then the sum over the divisors D_J."""
+    if n == 3:
+        return 1
+    full = (1 << n) - 1
     covered = 0
-    kids = 0
-    for t in reversed(splits):  # splits ascend, so a set comes before its subsets
-        if t != node and t & node == t and not t & covered:
-            covered |= t
-            kids += 1
-    return (node & ~covered).bit_count() + kids + (node != ctx.full)
-
-
-def _node_exponents(ctx, splits, decor):
-    """Cotangent exponents grouped by the node carrying their flag."""
-    loads = {}
-    for flag, exp in decor:
-        loads.setdefault(_node_of(ctx, splits, flag), []).append(exp)
-    return loads
-
-
-def _alive(ctx, splits, decor):
-    """False when some node's exponents exceed the dimension of its factor."""
-    for node, exps in _node_exponents(ctx, splits, decor).items():
-        if sum(exps) > _valence(ctx, splits, node) - 3:
-            return False
-    return True
-
-
-def _integrate_symbolic(ctx, terms):
-    """Degree of a top-degree class: per node, the multinomial (k-3)!/prod a_f!."""
-    top = ctx.n - 3
+    for s, _ in constraints:
+        if s.bit_count() == 3:
+            return 0
+        covered |= s
+    if covered != full:
+        return 0
+    pick = min(range(len(constraints)), key=lambda c: constraints[c][0].bit_count())
+    s, i = constraints[pick]
+    rest = constraints[:pick] + constraints[pick + 1 :]
+    own = 1 << i
+    inner = s ^ own
+    inner &= inner - 1  # drop j
+    inner &= inner - 1  # drop k
+    outside = full ^ s
+    node = 1 << n
     total = 0
-    for (splits, decor), coeff in terms.items():
-        if len(splits) + sum(exp for _, exp in decor) != top:
-            raise EngineConsistencyError(
-                f"stratum with {len(splits)} edges and cotangent degree "
-                f"{sum(exp for _, exp in decor)} is not of top degree {top}"
-            )
-        for node, exps in _node_exponents(ctx, splits, decor).items():
-            load = sum(exps)
-            if load != _valence(ctx, splits, node) - 3:
-                raise EngineConsistencyError("a node's cotangent degree differs from its dimension")
-            multinomial = math.factorial(load)
-            for exp in exps:
-                multinomial //= math.factorial(exp)
-            coeff *= multinomial
-        total += coeff
+    near_i = inner
+    while near_i:  # J n S = {i} u near_i
+        extra = outside
+        while True:  # J - S = extra
+            part = own | near_i | extra
+            other = full ^ part
+            mine, theirs = [], []
+            for sw, w in rest:
+                if part >> w & 1:
+                    home, away = mine, theirs
+                    near = sw & part
+                else:
+                    home, away = theirs, mine
+                    near = sw & other
+                far = sw ^ near
+                if not far:
+                    home.append((sw, w))
+                elif near == 1 << w and far & (far - 1):
+                    away.append((far | node, n))
+                else:
+                    home.append((near | node, w))
+            size = part.bit_count()
+            if len(mine) == size - 2:
+                left = _degree(size + 1, _relabel(part | node, mine), memo, cap)
+                if left:
+                    total += left * _degree(n - size + 1, _relabel(other | node, theirs), memo, cap)
+            if not extra:
+                break
+            extra = (extra - 1) & outside
+        near_i = (near_i - 1) & inner
     return total
 
 
-def _fold_pullbacks(ctx, terms, pullbacks, term_cap):
-    """Degree of a class times the pulled-back cotangent classes, with term stats.
-
-    The class is `terms`, a map from (splits, decorations) to nonzero integer
-    coefficients on the marking set of `ctx`.  `pullbacks` lists (subset, i):
-    one factor pi^* psi_i from the space marked by the subset.  See the module
-    docstring for the product, the pruning and the integration.
-    """
-    stats = {"terms_peak": len(terms), "terms_final": 0}
-    for subset, mark in pullbacks:
-        sub = ctx.mask(subset)
-        out = {}
-        if sub.bit_count() > 3:  # the cotangent class of a three-marked line is zero
-            psi = (0, ctx.bit[mark])
-            own = 1 << ctx.bit[mark]
-            forgotten = ctx.full ^ sub
-            divisors = []
-            extra = forgotten
-            while extra:
-                divisors.append(ctx.norm(own | extra))
-                extra = (extra - 1) & forgotten
-            for (splits, decor), coeff in terms.items():
-                bumped = _decor_bump(decor, psi, 1)
-                if _alive(ctx, splits, bumped):
-                    _accum(out, (splits, bumped), coeff)
-                for q in divisors:
-                    for s2, d2, c2 in _mul_term(splits, decor, q):
-                        if _alive(ctx, s2, d2):
-                            _accum(out, (s2, d2), -coeff * c2)
-        if len(out) > term_cap:
-            raise BudgetExceededError(f"{len(out)} strata exceed the term cap {term_cap}")
-        terms = out
-        stats["terms_peak"] = max(stats["terms_peak"], len(terms))
-    stats["terms_final"] = len(terms)
-    return _integrate_symbolic(ctx, terms), stats
+def _augment(left, adjacent, owner, seen):
+    """Kuhn's step: match `left` to a marking, rematching along an alternating path."""
+    for mark in adjacent[left]:
+        if mark not in seen:
+            seen.add(mark)
+            if mark not in owner or _augment(owner[mark], adjacent, owner, seen):
+                owner[mark] = left
+                return True
+    return False
 
 
 def cerberus_check(constraints):
     """Union condition for a nonvanishing degree: every nonempty set K of
     constraints must satisfy |union of their subsets| >= |K| + 3.
 
-    A False answer guarantees the degree is zero.
+    A False answer guarantees the degree is zero.  By Hall's theorem the
+    condition holds if and only if, for each constraint c, the constraints
+    with c taken four times can be matched to distinct markings of their
+    subsets.  One matching of all constraints is found first; each c then
+    extends a copy of it by three augmenting paths.
     """
     sets = []
     for subset, mark in constraints:
@@ -257,33 +214,42 @@ def cerberus_check(constraints):
         if len(s) < 3:
             raise ValueError("constraint subsets need at least three markings")
         sets.append(s)
-    for r in range(1, len(sets) + 1):
-        for combo in itertools.combinations(sets, r):
-            union = frozenset().union(*combo)
-            if len(union) < r + 3:
-                return False
+    owner = {}
+    if not all(_augment(c, sets, owner, set()) for c in range(len(sets))):
+        return False
+    k = len(sets)
+    for s in sets:
+        adjacent = sets + [s, s, s]
+        trial = dict(owner)
+        if not all(_augment(copy, adjacent, trial, set()) for copy in range(k, k + 3)):
+            return False
     return True
 
 
 def kapranov_degree_with_stats(constraints, marking_set, term_cap=DEFAULT_TERM_CAP):
-    """Degree of a product of pulled-back cotangent classes, with term statistics.
+    """Degree of a product of pulled-back cotangent classes, with work statistics.
 
-    Zero when the union condition fails; otherwise folds the constraints one
-    by one into the fundamental class, keeping the cotangent classes
-    symbolic, and integrates at the end.  The stats carry the union check's
-    answer as `cerberus`, so that no caller runs its 2^k subsets again.
+    Zero when the union condition fails; otherwise the boundary recursion
+    of `_degree`.  `terms_peak` and `terms_final` both count the distinct
+    subproblems of the recursion, and `term_cap` caps them.  The stats carry
+    the union check's answer as `cerberus`, so that no caller runs it again.
     """
-    full = frozenset(marking_set)
-    ctx = _Ctx(full)
+    labels = sorted(set(marking_set), key=label_sort_key)
+    if len(labels) < 3:
+        raise ValueError("marking set needs at least three labels")
+    full = frozenset(labels)
     constraints = [(frozenset(s), i) for s, i in constraints]
-    if len(constraints) != ctx.n - 3:
-        raise ValueError(f"need exactly {ctx.n - 3} constraints, got {len(constraints)}")
+    if len(constraints) != len(labels) - 3:
+        raise ValueError(f"need exactly {len(labels) - 3} constraints, got {len(constraints)}")
     if not all(subset <= full for subset, _ in constraints):
         raise ValueError("constraint subset must lie inside the marking set")
     if not cerberus_check(constraints):  # also checks each mark and subset size
         return 0, {"terms_peak": 1, "terms_final": 0, "cerberus": False}
-    value, stats = _fold_pullbacks(ctx, {((), ()): 1}, constraints, term_cap)
-    return value, {**stats, "cerberus": True}
+    bit = {lab: b for b, lab in enumerate(labels)}
+    system = tuple(sorted((sum(1 << bit[lab] for lab in s), bit[i]) for s, i in constraints))
+    memo = {}
+    value = _degree(len(labels), system, memo, term_cap)
+    return value, {"terms_peak": len(memo), "terms_final": len(memo), "cerberus": True}
 
 
 def kapranov_degree(constraints, marking_set, term_cap=DEFAULT_TERM_CAP):
@@ -324,50 +290,63 @@ def _local_key(block, nbhds):
     return tuple(tuple(j for j, u in enumerate(kept) if nbhds[i] >> u & 1) for i in kept)
 
 
-def _local_integral(key, term_cap):
-    """K of a node with local constraints `key` (as from `_local_key`), with stats.
+def _local_integral(key, memo, term_cap):
+    """K of a node with local constraints `key` (as from `_local_key`).
 
     The node is the space marked by its vertices 0..k-1 plus three special
     flags k, k+1, k+2; vertex i carries the pullback of its cotangent class
     from the space marked by the special flags and its local neighborhood.
+    `memo` and `term_cap` are those of `_degree`.
     """
     k = len(key)
-    special = frozenset(range(k, k + 3))
-    pullbacks = [(special | frozenset(nbhd), i) for i, nbhd in enumerate(key)]
-    return _fold_pullbacks(_Ctx(special | frozenset(range(k))), {((), ()): 1}, pullbacks, term_cap)
+    special = 0b111 << k
+    constraints = tuple(sorted((special | sum(1 << u for u in nbhd), i) for i, nbhd in enumerate(key)))
+    return _degree(k + 3, constraints, memo, term_cap)
 
 
 def _table(graph, nodes, mode, term_cap):
-    """The list c_0..c_L, L = min(nodes, |V|), plus term stats.
+    """The list c_0..c_L, L = min(nodes, |V|), plus work stats.
 
     c_j sums the product of the local integrals K over the set partitions of
-    the vertices into exactly j blocks; no c_j depends on m.  Each distinct
-    K is folded once per call.  `terms_peak` is the most terms any local
-    fold reached and `terms_final` sums the distinct folds' final term
-    counts; `term_cap` bounds each local fold.
+    the vertices into exactly j blocks; no c_j depends on m.  All local
+    integrals of a call share one memo of subproblems.  `terms_peak` is the
+    most subproblems one local integral added to it, at least 1, and
+    `terms_final` the subproblems of the whole call; `term_cap` caps the
+    latter.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
     nbhds = [sum(1 << index[u] for u in _neighborhood(graph, v, mode)) for v in graph.vertices]
     stats = {"terms_peak": 1, "terms_final": 0}
     memo = {}
+    blocks = {}
 
     def node_integral(block):
-        key = _local_key(block, nbhds)
-        if key not in memo:
-            memo[key], fold = _local_integral(key, term_cap)
-            stats["terms_peak"] = max(stats["terms_peak"], fold["terms_peak"])
-            stats["terms_final"] += fold["terms_final"]
-        return memo[key]
+        value = blocks.get(block)
+        if value is None:
+            before = len(memo)
+            value = blocks[block] = _local_integral(_local_key(block, nbhds), memo, term_cap)
+            stats["terms_peak"] = max(stats["terms_peak"], len(memo) - before)
+        return value
 
-    return _partitions((1 << len(nbhds)) - 1, min(nodes, len(nbhds)), node_integral), stats
+    table = _partitions((1 << len(nbhds)) - 1, min(nodes, len(nbhds)), node_integral, {})
+    stats["terms_final"] = len(memo)
+    return table, stats
 
 
-def _partitions(rest, nodes, node_integral):
-    """c_0..c_nodes: the sums over partitions of the vertices of `rest` into
-    exactly j blocks, j <= nodes, of the product of K over the blocks."""
+def _partitions(rest, nodes, node_integral, memo):
+    """c_0..c_L, L = min(nodes, |rest|): the sums over partitions of the vertices
+    of `rest` into exactly j blocks, j <= L, of the product of K over the blocks.
+
+    `memo` maps (rest, L) to its list, so the sum runs once per subset of the
+    vertices and node count.
+    """
     # module-level, so that no function -> cell -> function cycle keeps the memo alive
     if not rest:
         return [1]
+    nodes = min(nodes, rest.bit_count())
+    table = memo.get((rest, nodes))
+    if table is not None:
+        return table
     low = rest & -rest  # the block holding the lowest vertex comes first
     others = rest ^ low
     table = [0] * (nodes + 1)
@@ -376,11 +355,13 @@ def _partitions(rest, nodes, node_integral):
         block = low | sub
         if nodes > 1 or block == rest:  # what is left needs a node of its own
             k = node_integral(block)
-            for j, c in enumerate(_partitions(rest ^ block, nodes - 1, node_integral)):
-                table[j + 1] += k * c
+            if k:
+                for j, c in enumerate(_partitions(rest ^ block, nodes - 1, node_integral, memo)):
+                    table[j + 1] += k * c
         if not sub:
             break
         sub = (sub - 1) & others
+    memo[(rest, nodes)] = table
     return table
 
 
@@ -395,12 +376,12 @@ def omega_coefficients(graph, mode="undirected", term_cap=DEFAULT_TERM_CAP):
 
 
 def omega_with_stats(graph, m, mode="undirected", term_cap=DEFAULT_TERM_CAP):
-    """The graph's intersection number with m extra markings, plus term stats.
+    """The graph's intersection number with m extra markings, plus work stats.
 
     Sums c_j (m-2)(m-3)...(m-1-j) over the coefficient table c_0..c_L of
     `omega_coefficients`, cut at L = min(m - 2, n): a partition into more
-    than m - 2 blocks has no caterpillar placement.  The stats are those of
-    the table's local folds.
+    than m - 2 blocks has no caterpillar placement.  The stats count the
+    subproblems of the table's local integrals (see `_table`).
     """
     if m < 3:
         raise ValueError(f"m must be at least 3, got {m}")

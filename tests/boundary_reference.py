@@ -2,8 +2,8 @@
 
 It rewrites every cotangent class into boundary divisors (`psi_as_boundary`,
 `pullback_psi`, `expand_psi_decorations`) and counts the undecorated top
-strata (`integrate`).  Classes are `ClassExpression` values: the engine's
-term dicts (see `chromoduli.moduli`) with their marking set and integer
+strata (`integrate`).  Classes are `ClassExpression` values: the stratum
+fold's term dicts (see `fold_reference`) with their marking set and integer
 arithmetic.  `point_class_pullback` builds the pulled-back point class that
 the global fold starts from; the engine itself never takes this route and
 never builds that class.
@@ -13,13 +13,9 @@ import itertools
 
 from chromoduli.errors import BudgetExceededError
 from chromoduli.graphs import label_sort_key
-from chromoduli.moduli import (
-    DEFAULT_TERM_CAP,
-    _accum,
-    _Ctx,
-    _decor_bump,
-    _mul_term,
-)
+from chromoduli.moduli import DEFAULT_TERM_CAP
+
+from fold_reference import _accum, _Ctx, _decor_bump, _mul_term
 
 
 class ClassExpression:

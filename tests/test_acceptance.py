@@ -14,8 +14,9 @@ from chromoduli.arrangement import build_arrangement
 from chromoduli.critical import critical_point_reports, default_weights, gradient, log_master
 from chromoduli.digraph_poly import chi_acyclic, chi_engine, digraph_polynomial_report
 from chromoduli.graphs import SimpleGraph, canonical_key, chromatic_polynomial
-from chromoduli.moduli import DEFAULT_TERM_CAP, _Ctx, _fold_pullbacks, cerberus_check, omega
+from chromoduli.moduli import DEFAULT_TERM_CAP, cerberus_check, omega
 
+from fold_reference import _Ctx, _fold_pullbacks
 from graph_catalog import all_graphs_up_to_4, paw_graph, instar_digraph
 
 _OMEGA_CACHE = {}

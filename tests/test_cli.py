@@ -75,8 +75,8 @@ def test_omega_digraph_needs_mode(capsys):
 
 
 def test_omega_term_budget_caps_each_local_fold(tmp_path, capsys):
-    # the edgeless graph's local integrals are all trivial, so a budget far
-    # below the old global fold's peak is enough
+    # the edgeless graph's local integrals are all K(empty), one subproblem,
+    # so a budget far below the old global fold's peak is enough
     edgeless = tmp_path / "e6.txt"
     edgeless.write_text("6 0\n")
     code, out = run(capsys, "omega", "--graph", str(edgeless), "--m", "5", "--budget-terms", "1000")
@@ -280,6 +280,20 @@ def test_each_subcommand_takes_only_the_budgets_it_reads():
     }
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_parser_of_one_subcommand_reads_as_the_full_parser(command):
+    # `main` builds only the subparser its argv names; its usage line and the
+    # subcommand's help must read exactly as the full parser's
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(_subparsers(one)) == [command]
+    assert one.format_usage() == full.format_usage()
+    assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["parse", "--graph", PAW, "--budget-lp", "3"], ["chi", "--graph", INSTAR, "--budget-orientations", "3"]],
@@ -358,8 +372,8 @@ def test_kapranov_boolean_label_exit_two(tmp_path, capsys, payload):
 
 
 def test_kapranov_wrong_count_skips_union_check(tmp_path, capsys, monkeypatch):
-    # the union check visits all 2^k subsets of the constraints; a file with
-    # the wrong count must fail on the count alone
+    # a file with the wrong count must fail on the count alone, before the
+    # union check looks at its constraints
     def refuse(constraints):
         raise AssertionError("the union check ran before the count check")
 
