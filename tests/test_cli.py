@@ -123,6 +123,28 @@ def test_critical_points_weights_file(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
+def test_critical_points_asymmetric_weights_file_converges(tmp_path, capsys, monkeypatch):
+    # weights that differ on mirror pairs: the reflected critical point of a
+    # chamber's partner is then only a start point, and Newton goes on from it
+    real = critical.solve_chamber
+    starts = []
+
+    def spy(*args):
+        starts.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(critical, "solve_chamber", spy)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([0.5 + 0.1 * i for i in range(16)]))
+    code, out = run(capsys, "critical-points", "--graph", PAW, "--m", "4", "--weights", str(weights))
+    reports = json.loads(out)
+    assert code == 0 and len(reports) == 72
+    assert all(r["converged"] and r["gradient_inf_norm"] <= 1e-10 for r in reports)
+    assert sum(s is not None for s in starts) == 36
+    mirrored = [r["iterations"] for r, s in zip(reports, starts) if s is not None]
+    assert max(mirrored) > 1
+
+
 @pytest.mark.parametrize(
     "entry",
     [[1.0], None, "1", True, float("nan"), float("inf"), 10**400],
@@ -564,6 +586,27 @@ def singular(kernel, n, f):
 critical._derivatives = singular
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+# verify with a mirror map that sends every functional to itself: the LP
+# route's reflected witnesses then miss their chambers
+IDENTITY_MIRROR = """
+import sys
+from chromoduli import arrangement, cli
+
+arrangement._mirror = lambda arr: tuple(range(len(arr.functionals)))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_broken_mirror_fails_the_lp_route_without_traceback(flags):
+    result = _python(*flags, "-c", IDENTITY_MIRROR, "verify", "--graph", PAW, "--m", "3")
+    assert result.returncode == cli.EXIT_DISAGREE
+    assert result.stderr == "error: mirrored LP witness lies outside its chamber\n"
+    (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+    assert row["failed"] == {"chambers_lp": "mirrored LP witness lies outside its chamber"}
+    assert row["agree"] is False and set(row["values"].values()) == {12}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

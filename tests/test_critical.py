@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from chromoduli import arrangement, critical, lp
-from chromoduli.arrangement import Chamber, bounded_chambers_bijective, build_arrangement
+from chromoduli.arrangement import Chamber, _mirror, bounded_chambers_bijective, build_arrangement
 from chromoduli.critical import (
     critical_point_reports,
     default_weights,
@@ -311,3 +311,39 @@ def test_default_weights_deterministic_and_in_range():
     u2 = default_weights(arr, seed=11)
     assert np.array_equal(u1, u2)
     assert np.all((u1 >= 0.5) & (u1 <= 2.0))
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_default_weights_are_one_draw_per_mirror_pair(name, g, m):
+    arr = build_arrangement(g, m)
+    mirror = _mirror(arr)
+    u = default_weights(arr, seed=m)
+    assert u == default_weights(arr, seed=m)
+    assert all(0.5 <= w <= 2.0 for w in u)
+    assert all(u[i] == u[j] for i, j in enumerate(mirror))
+    assert len(set(u)) == len({frozenset(pair) for pair in enumerate(mirror)})
+
+
+def test_mirror_started_chambers_are_certified_at_their_own_points(monkeypatch):
+    # under the default weights the reflected critical point of a chamber's
+    # partner is its own, up to rounding, so Newton stops at once there
+    real = critical.solve_chamber
+    runs = []
+
+    def spy(arr, weights, chamber, index=0, kernel=None, start=None):
+        report = real(arr, weights, chamber, index, kernel, start)
+        runs.append((start, report))
+        return report
+
+    monkeypatch.setattr(critical, "solve_chamber", spy)
+    arr = build_arrangement(paw_graph(), 4)
+    u = default_weights(arr, seed=0)
+    reports = critical_point_reports(paw_graph(), 4, seed=0)
+    assert len(reports) == 72 and all(r.converged for r in reports)
+    mirrored = [r for start, r in runs if start is not None]
+    assert len(mirrored) == 36
+    for r in mirrored:
+        assert r.iterations <= 2
+        assert r.gradient_inf_norm == np.max(np.abs(gradient(arr, u, r.point))) <= 1e-10
+        np.linalg.cholesky(-np.asarray(hessian(arr, u, r.point)))  # raises if not positive definite

@@ -13,9 +13,24 @@ from chromoduli.graphs import (
     graph_to_json,
     parse_graph_text,
 )
-from chromoduli.orientations import proper_coloring_count
 
 from graph_catalog import paw_graph
+
+
+def proper_coloring_count(graph, k):
+    """Brute-force count of proper colorings with colors {1..k}.
+
+    Independent of the deletion-contraction route; used as its oracle.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    vs = graph.vertices
+    count = 0
+    for colors in itertools.product(range(k), repeat=len(vs)):
+        sigma = dict(zip(vs, colors))
+        if all(sigma[u] != sigma[w] for u, w in graph.edges):
+            count += 1
+    return count
 
 
 @st.composite

@@ -5,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromoduli.errors import BudgetExceededError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
-from chromoduli.orientations import (
-    acyclic_orientations,
-    is_acyclic_orientation,
-    stanley_pair_count,
-)
+from chromoduli.orientations import acyclic_orientations, stanley_pair_count
 
 from graph_catalog import ORACLE_SETTINGS, graphs_with_at_most, paw_graph, simple_graphs
 
@@ -58,7 +54,7 @@ def test_orientations_are_acyclic_and_cover_edges(n, data):
     g = SimpleGraph.of(range(n), edges)
     for arcs in acyclic_orientations(g):
         assert not _has_directed_cycle(g.vertices, arcs)
-        assert is_acyclic_orientation(g, arcs)
+        assert len(arcs) == len(g.edges)
         assert {frozenset(a) for a in arcs} == {frozenset(e) for e in g.edges}
 
 
