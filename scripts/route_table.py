@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Time every route of `cli.simple_routes` and print one table row per graph.
+
+    python3 scripts/route_table.py K5@4 C6@4 Petersen@3 [--repeat R]
+
+A graph is `K<n>`, `C<n>`, `P<n>` or `E<n>` (complete, cycle, path or
+edgeless on n vertices), `Q3`, `Petersen`, `paw`, or the path of a graph
+file; `@M` gives the number of extra markings.  Each repetition builds a
+fresh table and calls its routes in row order, so the Newton route
+(`critical_points`) runs on the bijective chambers already computed and its
+time leaves them out.  A cell is the median wall time in seconds over the
+repetitions, or `budget` when the route exceeds its default budget.  The
+value column is the routes' common value, or every distinct value when they
+disagree; the exit code is then 1.  The rows follow the layout of the route
+table in ROADMAP.md, which leaves out `chromatic` (a few milliseconds here).
+"""
+
+import argparse
+import itertools
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from chromoduli import cli  # noqa: E402
+from chromoduli.errors import BudgetExceededError  # noqa: E402
+from chromoduli.graphs import SimpleGraph, load_graph_file  # noqa: E402
+
+COLUMNS = ("stanley", "chambers_bijective", "chambers_lp", "critical_points", "engine_omega")
+
+
+def named_graph(name):
+    """The graph a name stands for, or the simple graph in the file it names."""
+    kind, size = name[:1], name[1:]
+    if name == "paw":
+        return SimpleGraph.of(range(4), [(0, 1), (1, 2), (0, 2), (0, 3)])
+    if name == "Q3":
+        return SimpleGraph.of(range(8), [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    if name == "Petersen":
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        return SimpleGraph.of(range(10), outer + spokes + inner)
+    if kind in "KCPE" and size.isdigit() and int(size) > 0:
+        n = int(size)
+        edges = {
+            "K": itertools.combinations(range(n), 2),
+            "C": [(i, (i + 1) % n) for i in range(n)],
+            "P": [(i, i + 1) for i in range(n - 1)],
+            "E": [],
+        }[kind]
+        return SimpleGraph.of(range(n), edges)
+    graph = load_graph_file(name)
+    if not isinstance(graph, SimpleGraph):
+        raise ValueError(f"{name} is not a simple graph")
+    return graph
+
+
+def route_row(graph, m, repeat):
+    """({route: median seconds, or None past its budget}, the set of values)."""
+    times = {key: [] for key in ("chromatic",) + COLUMNS}
+    values = set()
+    for _ in range(repeat):
+        for key, route in cli.simple_routes(graph, m).items():
+            start = time.perf_counter()
+            try:
+                values.add(route())
+            except BudgetExceededError:
+                times[key] = None
+            else:
+                times[key].append(time.perf_counter() - start)
+    return {key: None if t is None else statistics.median(t) for key, t in times.items()}, values
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("cases", nargs="+", metavar="GRAPH@M")
+    parser.add_argument("--repeat", type=int, default=1, help="repetitions per row (median)")
+    args = parser.parse_args(argv)
+    print("| graph, m | value | " + " | ".join(COLUMNS) + " |")
+    print("|---" * (len(COLUMNS) + 2) + "|")
+    agree = True
+    for case in args.cases:
+        name, _, m = case.rpartition("@")
+        times, values = route_row(named_graph(name), int(m), args.repeat)
+        agree = agree and len(values) == 1
+        value = " / ".join(f"{v:,}" for v in sorted(values))
+        cells = ["budget" if times[key] is None else f"{times[key]:.3f}" for key in COLUMNS]
+        print(f"| {name}, {m} | {value} | " + " | ".join(cells) + " |", flush=True)
+    return 0 if agree else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,14 +15,20 @@ z_u - z_w.  Bounded chambers are enumerated two independent ways:
   substitution of the witness it carries.
 
 The reflection z -> (m-2)*1 - z maps the arrangement onto itself: it sends
-the hyperplane z_v = i to z_v = m-2-i and fixes every edge hyperplane.
-`_mirror` returns that permutation of the functionals, found by exact
-lookup; the LP search uses it to search one side of its first edge split
-only, and the Newton route to pair its weights and start points.
+the hyperplane z_v = i to z_v = m-2-i and fixes every edge hyperplane.  So
+does every automorphism of G, acting by permuting coordinates.
+`_symmetries` returns the reflection and one map per generator of Aut(G)
+(`graphs.automorphism_generators`), each certified as a signed permutation
+of the functionals found by exact lookup.  The LP search uses them to
+search one orientation per orbit, on one side of its first edge split, and
+maps the rest; the Newton route, to draw one weight per orbit of
+functionals and to start each chamber at the image of a critical point of
+its orbit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, EngineConsistencyError
-from .graphs import SimpleGraph, topological_order
+from .graphs import SimpleGraph, automorphism_generators, topological_order
 from .lp import Tableau
 from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 
@@ -65,6 +71,20 @@ class Arrangement:
     @property
     def dimension(self):
         return self.graph.n
+
+    @functools.cached_property
+    def sparse(self):
+        """One (j, k, constant) per functional, so that f(z) = z[j] - z[k] + constant.
+
+        The point z carries one extra coordinate z[n] = 0: a level functional
+        z_v - i is (v, n, -i) and an edge functional z_u - z_w is (u, w, 0).
+        """
+        n = self.dimension
+        terms = []
+        for f in self.functionals:
+            a = f.coefficients
+            terms.append((a.index(1), a.index(-1) if -1 in a else n, f.constant))
+        return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -106,23 +126,96 @@ def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
     return Arrangement(graph, m, tuple(fns))
 
 
-def _mirror(arr):
-    """The index of f' for each functional f = a.z + b, where f' = a.z - (m-2)*sum(a) - b.
+class _Symmetry:
+    """An affine symmetry of an arrangement and the signed permutation it induces.
 
-    f((m-2)*1 - z) = -f'(z), so the reflection z -> (m-2)*1 - z sends the
-    chamber with signs s to the one with signs s'_i = -s_{mirror(i)}.  f'
-    is looked up exactly on (coefficients, constant); a functional without
-    its f' in the arrangement raises EngineConsistencyError.
+    The point map sends z to y with y[perm[j]] = offset + scale * z[j]:
+    a permutation of the coordinates, followed by the reflection
+    z -> (m-2)*1 - z when scale = -1 (offset m-2; otherwise offset 0).  Every
+    functional pulls back to a functional up to sign, f_i(y) = sign[i] *
+    f_{index[i]}(z), so the chamber with signs s goes to the chamber with
+    signs s'_i = sign[i] * s_{index[i]}.  A plain class, not a dataclass,
+    so that importing the module builds no code for it.
     """
-    c = arr.m - 2
-    index = {(f.coefficients, f.constant): i for i, f in enumerate(arr.functionals)}
-    mirror = []
-    for f in arr.functionals:
-        j = index.get((f.coefficients, -c * sum(f.coefficients) - f.constant))
-        if j is None:
-            raise EngineConsistencyError(f"the reflection of {f.tag} is not in the arrangement")
-        mirror.append(j)
-    return tuple(mirror)
+
+    __slots__ = ("perm", "scale", "offset", "index", "sign")
+
+    def __init__(self, perm, scale, offset, index, sign):
+        self.perm, self.scale, self.offset, self.index, self.sign = perm, scale, offset, index, sign
+
+    def signs(self, s):
+        """The image of the sign vector s (a 0 entry stays 0)."""
+        return tuple(map(operator.mul, self.sign, map(s.__getitem__, self.index)))
+
+    def point(self, z):
+        y = list(z)
+        for x, p in zip(z, self.perm):
+            y[p] = x if self.scale > 0 else self.offset - x
+        return y
+
+    def after(self, other):
+        """The composition self o other: `other` maps first."""
+        return _Symmetry(
+            tuple(map(self.perm.__getitem__, other.perm)),
+            self.scale * other.scale,
+            self.scale * other.offset + self.offset,
+            tuple(map(other.index.__getitem__, self.index)),
+            tuple(map(operator.mul, self.sign, map(other.sign.__getitem__, self.index))),
+        )
+
+
+def _symmetries(arr):
+    """The reflection z -> (m-2)*1 - z, then one symmetry per generator of Aut(G).
+
+    An automorphism acts by permuting coordinates.  Each map is certified
+    exactly: every functional f(y) = y[j] - y[k] + b (`Arrangement.sparse`)
+    pulls back to +-(z[j'] - z[k'] + b'), and (j', k', b') is looked up in
+    the arrangement; a functional whose image is not there raises
+    EngineConsistencyError.  The reflection sends z_v = i to z_v = m-2-i
+    and fixes every edge hyperplane, with sign -1 on every functional.
+    Closed under composition, the maps form the group by which the LP
+    search and the Newton route divide their work.
+    """
+    n, c = arr.dimension, arr.m - 2
+    sparse = arr.sparse
+    index = {term: i for i, term in enumerate(sparse)}
+    maps = [(tuple(range(n)), -1)] + [(p, 1) for p in automorphism_generators(arr.graph)]
+    symmetries = []
+    for perm, scale in maps:
+        offset = c if scale < 0 else 0
+        inv = [n] * (n + 1)  # z[n] = 0 = y[n] stays put
+        for x, p in enumerate(perm):
+            inv[p] = x
+        # y[p] = offset + scale * z[inv[p]], so f(y) = scale * (z[j'] - z[k'] + b')
+        keys = [(inv[j], inv[k], scale * (b + offset) if k == n else scale * b) for j, k, b in sparse]
+        image = [index.get(key) for key in keys]
+        sign = [scale] * len(keys)
+        for q, i in enumerate(image):
+            if i is None:  # -(z[k'] - z[j'] - b'), or no functional at all
+                j, k, b = keys[q]
+                image[q], sign[q] = index.get((k, j, -b)), -scale
+                if image[q] is None:
+                    tag = arr.functionals[q].tag
+                    raise EngineConsistencyError(f"the image of {tag} under a symmetry is not in the arrangement")
+        symmetries.append(_Symmetry(tuple(perm), scale, offset, tuple(image), tuple(sign)))
+    return tuple(symmetries)
+
+
+def _orbit(symmetries, signs, item, move):
+    """The orbit of a sign vector under the group the symmetries generate.
+
+    Returns {image: move(g_k, ... move(g_1, item))} along the first path of
+    generators g_1..g_k that reaches each image; `item` belongs to `signs`.
+    """
+    orbit = {signs: item}
+    queue = [(signs, item)]
+    for s, x in queue:
+        for g in symmetries:
+            t = g.signs(s)
+            if t not in orbit:
+                orbit[t] = y = move(g, x)
+                queue.append((t, y))
+    return orbit
 
 
 def _margin_row(f, side, shift):
@@ -186,17 +279,26 @@ def _solve_region(solved, rows, shift):
     return tab, (x[:-1], tab.D)
 
 
-def _signs_at(functionals, witness):
+def _signs_at(arr, witness):
     """The sign of every functional at the witness, by exact substitution over its common denominator."""
     d = math.lcm(*(x.denominator for x in witness))
-    z = [x.numerator * (d // x.denominator) for x in witness]
+    z = [x.numerator * (d // x.denominator) for x in witness] + [0]
     signs = []
-    for f in functionals:
-        val = f.value(z, d)
+    for j, k, c in arr.sparse:
+        val = z[j] - z[k] + c * d
         if val == 0:
             raise EngineConsistencyError("witness lies on a hyperplane")
         signs.append(1 if val > 0 else -1)
     return tuple(signs)
+
+
+def _image(arr, symmetry, chamber):
+    """The chamber that `symmetry` maps `chamber` to, its witness certified by substitution."""
+    witness = tuple(symmetry.point(chamber.witness))
+    signs = symmetry.signs(chamber.signs)
+    if _signs_at(arr, witness) != signs:
+        raise EngineConsistencyError("mapped LP witness lies outside its chamber")
+    return Chamber(signs, witness, True)
 
 
 def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
@@ -236,7 +338,7 @@ def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDID
             if not all(sigma[u] >= sigma[w] for u, w in arcs):
                 continue
             witness = _pair_witness(graph, m, sigma, arcs)
-            signs = _signs_at(arr.functionals, witness)
+            signs = _signs_at(arr, witness)
             if signs in seen:
                 raise EngineConsistencyError("distinct pairs produced the same chamber")
             seen.add(signs)
@@ -259,13 +361,19 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     certified by substituting its witness into every functional: the signs
     must equal the chamber's, cube signs included, so it is also bounded.
 
-    When the graph has an edge, the first split is an edge functional, its
-    own mirror (`_mirror`), so it separates every chamber from its mirror
-    image: only its + side is searched, and each chamber found there adds
-    its mirror, with signs s'_i = -s_{mirror(i)} and witness (m-2) - x,
-    certified by substitution like the others.  A final check refuses any
-    sign vector found twice.  On K5 at m=4 the search solves 1,159 warm
-    LPs (2,321 searching both sides; 2,960 splitting on levels first).
+    When the graph has an edge, the search divides by the group of
+    `_symmetries`: the reflection and the automorphisms of G.  The first
+    split is an edge functional, which the reflection maps to minus itself,
+    so it separates every chamber from its mirror image: only its + side is
+    searched.  A full edge-sign pattern (an orientation) reached there has
+    its level subtree searched only if it is not the image of an
+    orientation searched before; when it is searched, every image of it on
+    the + side is marked, and is later skipped without an LP.  A skipped
+    orientation's chambers are the images of its representative's, and the
+    mirror images of all these complete the set; every mapped chamber is
+    certified by substitution like the others, and a final check refuses
+    any sign vector found twice.  On K5 at m=4 the search solves 192 warm
+    LPs (1,159 with the reflection alone, 2,321 without symmetry).
     """
     fns = arr.functionals
     if len(fns) > functional_budget:
@@ -274,48 +382,67 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
         )
     shift = arr.m - 2
     fixed, free_idx, root = _cube(arr)
-    center = ([shift] * arr.dimension, 2)
-    mirrored = bool(free_idx) and fns[free_idx[0]].tag[0] == "edge"
-    if mirrored:
-        mirror = _mirror(arr)
-        if mirror[free_idx[0]] != free_idx[0]:
+    split = [arr.sparse[i] for i in free_idx]
+    edges = [i for i in free_idx if fns[i].tag[0] == "edge"]
+    if edges:
+        symmetries = _symmetries(arr)
+        if symmetries[0].index[edges[0]] != edges[0]:
             raise EngineConsistencyError("the first split of the LP search is not its own mirror")
 
     chambers = []
-    # (free signs so far, witness (numerators, denominator) or None while
-    # unsolved, nearest solved tableau, rows added since)
-    stack = [((), center, root, ())]
+    found = {}  # searched orientation -> its chambers
+    mapped = {}  # orientation on the + side -> (searched orientation, symmetry onto it)
+    # (free signs so far, witness (numerators padded by z[n] = 0, denominator)
+    # or None while unsolved, nearest solved tableau, rows added since)
+    stack = [((), ([shift] * arr.dimension + [0], 2), root, ())]
     while stack:
         sides, point, solved, pending = stack.pop()
+        at_orientation = len(sides) == len(edges) > 0
+        if at_orientation and sides in mapped:
+            continue
         if point is None:
             res = _solve_region(solved, pending, shift)
             if res is None:
                 continue
-            (solved, point), pending = res, ()
+            solved, (z, d) = res
+            point, pending = (z + [0], d), ()
+        if at_orientation:
+            found[sides] = []
+        if at_orientation and len(symmetries) > 1:  # the reflection alone maps + to -
+            pattern = [0] * len(fns)
+            for i, side in zip(edges, sides):
+                pattern[i] = side
+            # each image with the generators leading to it; composed only when kept
+            orbit = _orbit(symmetries, tuple(pattern), (), lambda g, path: path + (g,))
+            for image, path in orbit.items():
+                image = tuple(image[i] for i in edges)
+                if image[0] > 0 and path:
+                    mapped[image] = (sides, functools.reduce(lambda h, g: g.after(h), path))
         if len(sides) == len(free_idx):
             signs = dict(fixed)
             signs.update(zip(free_idx, sides))
             sign_vec = tuple(signs[i] for i in range(len(fns)))
-            witness = tuple(Fraction(v, point[1]) for v in point[0])
-            if _signs_at(fns, witness) != sign_vec:
+            witness = tuple(Fraction(v, point[1]) for v in point[0][:-1])
+            if _signs_at(arr, witness) != sign_vec:
                 raise EngineConsistencyError("LP witness lies outside its chamber")
-            chambers.append(Chamber(sign_vec, witness, True))
+            chamber = Chamber(sign_vec, witness, True)
+            chambers.append(chamber)
+            if edges:
+                found[sides[: len(edges)]].append(chamber)
             continue
-        f = fns[free_idx[len(sides)]]
-        val = f.value(*point)
+        j, k, c = split[len(sides)]
+        z, d = point
+        val = z[j] - z[k] + c * d
         # the + side is pushed last, so searched first
-        for side in (1,) if mirrored and not sides else (-1, 1):
-            row = _margin_row(f, side, shift)
+        for side in (1,) if edges and not sides else (-1, 1):
+            row = _margin_row(fns[free_idx[len(sides)]], side, shift)
             kept = point if side * val > 0 else None
             stack.append((sides + (side,), kept, solved, pending + (row,)))
 
-    if mirrored:
-        for chamber in chambers[:]:
-            sign_vec = tuple(-chamber.signs[j] for j in mirror)
-            witness = tuple(shift - x for x in chamber.witness)
-            if _signs_at(fns, witness) != sign_vec:
-                raise EngineConsistencyError("mirrored LP witness lies outside its chamber")
-            chambers.append(Chamber(sign_vec, witness, True))
+    if edges:
+        for rep, symmetry in mapped.values():
+            chambers += [_image(arr, symmetry, chamber) for chamber in found[rep]]
+        chambers += [_image(arr, symmetries[0], chamber) for chamber in chambers]
     if len({c.signs for c in chambers}) != len(chambers):
         raise EngineConsistencyError("LP search found a chamber twice")
     chambers.sort(key=lambda c: c.signs)

@@ -7,13 +7,15 @@ converges to the unique interior maximizer.  One critical point per bounded
 chamber is found and certified: tiny gradient, negative definite Hessian
 (via Cholesky of its negation), and the iterate never leaves the chamber.
 
-The reflection z -> (m-2)*1 - z maps the arrangement onto itself
-(`arrangement._mirror`).  The default weights are equal on each mirror
-pair of functionals, so the master function is invariant under it and
-the critical point of a chamber's mirror is the reflected critical point.
-Newton starts a chamber there once its mirror partner has converged, if
-that point is strictly inside it, and at the chamber's witness otherwise;
-every chamber is certified at its own final point all the same.
+The reflection z -> (m-2)*1 - z and the automorphisms of G map the
+arrangement onto itself (`arrangement._symmetries`).  The default weights
+are equal on each orbit of functionals under the group they generate, so
+the master function is invariant under it and the critical point of a
+chamber's image is the image of its critical point.  Newton solves the
+first chamber of each orbit from its witness and starts every other
+chamber of the orbit at the image of that critical point, if it is
+strictly inside it, and at the chamber's witness otherwise; every chamber
+is certified at its own final point all the same.
 
 Everything runs on the standard library.  Every functional is z_j - i
 (level) or z_u - z_w (edge), so one list of (j, k, constant, weight) per
@@ -34,8 +36,16 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .arrangement import Arrangement, Chamber, _mirror, bounded_chambers_bijective, build_arrangement
+from .arrangement import (
+    Arrangement,
+    Chamber,
+    _orbit,
+    _symmetries,
+    bounded_chambers_bijective,
+    build_arrangement,
+)
 from .errors import ConvergenceError, EngineConsistencyError
+from .graphs import orbit_of
 
 
 GRADIENT_TOL = 1e-10
@@ -72,42 +82,41 @@ class CriticalPointReport:
 def _kernel(arr: Arrangement, weights):
     """One (j, k, constant, weight) per functional, so that f = z[j] - z[k] + constant.
 
-    The point z carries one extra coordinate z[n] = 0: a level functional
-    z_v - i is (v, n, -i) and an edge functional z_u - z_w is (u, w, 0).
+    The (j, k, constant) are `arr.sparse`: the point z carries one extra
+    coordinate z[n] = 0, so a level functional z_v - i is (v, n, -i) and an
+    edge functional z_u - z_w is (u, w, 0).
     """
-    fns = arr.functionals
     u = [float(w) for w in weights]
-    if len(u) != len(fns):
-        raise ValueError(f"expected {len(fns)} weights, got {len(u)}")
+    if len(u) != len(arr.functionals):
+        raise ValueError(f"expected {len(arr.functionals)} weights, got {len(u)}")
     if not all(map(math.isfinite, u)):
         raise ValueError("weights must be finite")
     if any(w <= 0 for w in u):
         raise ValueError("weights must be strictly positive")
-    n = arr.dimension
-    kernel = []
-    for f, w in zip(fns, u):
-        a = f.coefficients
-        kernel.append((a.index(1), a.index(-1) if -1 in a else n, float(f.constant), w))
-    return kernel
+    return [(j, k, float(c), w) for (j, k, c), w in zip(arr.sparse, u)]
 
 
 def default_weights(arr: Arrangement, seed=0):
     """Generic positive weights, uniform on [1/2, 2] with a fixed seed.
 
-    One draw per mirror pair {f, f'} (`arrangement._mirror`), in the order
-    of each pair's first functional, so that the master function is
-    invariant under z -> (m-2)*1 - z; a critical point is unique per
-    chamber for any positive weights.  A negative seed is refused:
-    `random.Random` would take its absolute value and give -s the weights
-    of s.
+    One draw per orbit of functionals under the group of
+    `arrangement._symmetries` (the reflection z -> (m-2)*1 - z and the
+    automorphisms of G), in the order of each orbit's first functional, so
+    that the master function is invariant under the group; a critical
+    point is unique per chamber for any positive weights.  A negative seed
+    is refused: `random.Random` would take its absolute value and give -s
+    the weights of s.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    index_maps = [g.index for g in _symmetries(arr)]
     rng = random.Random(seed)
     weights = [None] * len(arr.functionals)
-    for i, j in enumerate(_mirror(arr)):
-        if weights[i] is None:
-            weights[i] = weights[j] = rng.uniform(0.5, 2.0)
+    for first in range(len(weights)):
+        if weights[first] is None:
+            w = rng.uniform(0.5, 2.0)
+            for i in orbit_of(first, index_maps):
+                weights[i] = w
     return weights
 
 
@@ -304,24 +313,24 @@ def _try_solve(arr, weights, chamber, index, kernel, start):
 def solve_all_chambers(arr: Arrangement, weights, chambers):
     """Solve every chamber in order, collecting failures per chamber.
 
-    A chamber whose mirror partner (signs s'_i = -s_{mirror(i)}) has
-    already converged at z* starts at (m-2) - z*, if that point is strictly
-    inside it, and at its witness otherwise.  Under the default weights
-    that start is the chamber's own critical point up to rounding: on the
-    paw at m=4 each of the 36 mirror-started chambers takes one iteration,
-    36 of Newton's 252.  Under other weights it is only a start point.
+    The first chamber of each orbit under `arrangement._symmetries` is
+    solved from its witness; once it has converged at z*, every other
+    chamber of its orbit starts at the image of z* under the symmetry
+    mapping it there, if that point is strictly inside it, and at its
+    witness otherwise.  Under the default weights that start is the
+    chamber's own critical point up to rounding: on the paw at m=4, 18 of
+    the 72 chambers are solved in full and the 54 others take one iteration
+    each.  Under other weights it is only a start point.
     """
     kernel = _kernel(arr, weights)
-    mirror = _mirror(arr)
-    c = arr.m - 2
-    converged = {}  # signs -> critical point
+    symmetries = _symmetries(arr)
+    starts = {}  # signs -> image of a critical point of the chamber's orbit
     reports = []
     for i, chamber in enumerate(chambers):
-        partner = converged.get(tuple(-chamber.signs[j] for j in mirror))
-        start = None if partner is None else [c - x for x in partner]
+        start = starts.get(chamber.signs)
         report = _try_solve(arr, weights, chamber, i, kernel, start)
-        if report.converged:
-            converged[chamber.signs] = report.point
+        if start is None and report.converged:
+            starts.update(_orbit(symmetries, chamber.signs, report.point, lambda g, z: g.point(z)))
         reports.append(report)
     return reports
 

@@ -4,10 +4,16 @@ The chromatic polynomial is computed by memoized deletion-contraction with
 the edgeless graph (chi = x^n) as base case.  Contraction immediately
 simplifies: loops are dropped and parallel edges merged, so multigraphs are
 never materialized.
+
+`automorphism_generators` returns a generating set of a graph's
+automorphism group, one automorphism per (stabiliser level, new orbit
+point), found by a backtracking search pruned by adjacency and by the
+colour refinement that `canonical_key` also runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import GraphParseError
@@ -277,26 +283,109 @@ def _deletion_contraction(g, cache):
     return cache[key]
 
 
+def _refined_colors(graph: SimpleGraph):
+    """Colour refinement from the degrees: one colour per vertex, in vertex order.
+
+    The colours depend on the graph alone, not on its labels, so every
+    automorphism maps each vertex to one of its own colour.
+    """
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    nbrs = [[] for _ in pos]
+    for u, w in graph.edges:
+        nbrs[pos[u]].append(pos[w])
+        nbrs[pos[w]].append(pos[u])
+    color = [len(x) for x in nbrs]
+    for _ in range(len(nbrs)):
+        sig = [(c, tuple(sorted([color[w] for w in x]))) for c, x in zip(color, nbrs)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranks[s] for s in sig]
+        if new == color:
+            break
+        color = new
+    return color
+
+
 def canonical_key(graph: SimpleGraph):
     """Best-effort canonical form: relabel by color-refined vertex order.
 
     Equal keys imply isomorphic graphs (hence equal chromatic polynomials);
     isomorphic relabelings often, but not necessarily, share a key.
     """
-    vs = graph.vertices
-    nbrs = {v: graph.neighbors(v) for v in vs}
-    color = {v: graph.degree(v) for v in vs}
-    for _ in range(len(vs)):
-        sig = {v: (color[v], tuple(sorted(color[w] for w in nbrs[v]))) for v in vs}
-        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: ranks[sig[v]] for v in vs}
-        if new == color:
-            break
-        color = new
-    order = sorted(vs, key=lambda v: (color[v], label_sort_key(v)))
-    pos = {v: i for i, v in enumerate(order)}
+    color = _refined_colors(graph)
+    order = sorted(range(len(color)), key=lambda i: (color[i], i))  # vertices are in label order
+    pos = {graph.vertices[i]: p for p, i in enumerate(order)}
     edges = tuple(sorted(tuple(sorted((pos[u], pos[w]))) for u, w in graph.edges))
-    return (len(vs), edges)
+    return (len(order), edges)
+
+
+@functools.lru_cache(maxsize=64)
+def automorphism_generators(graph: SimpleGraph):
+    """A generating set of the automorphism group of `graph`, as a tuple.
+
+    Each generator is a tuple p over vertex positions: p[i] is the position,
+    in `graph.vertices`, of the image of the i-th vertex.  The search fixes
+    the base 0, 1, ..., n-1 and works up from the deepest level: at level i
+    the generators found so far fix 0..i-1, and for each vertex c of i's
+    colour outside the orbit of i under them, a backtracking search looks
+    for an automorphism that fixes 0..i-1 and sends i to c.  Each one found
+    is kept and the orbit regrown, so one generator is kept per (level, new
+    orbit point): the generators form a strong generating set, and |Aut(G)|
+    is the product over i of the orbit of i under the generators that fix
+    0..i-1.  The search maps vertices in base order, each to an unused
+    vertex of its refined colour (`_refined_colors`) whose adjacency to the
+    vertices mapped so far matches.  The edgeless and complete graphs on n
+    vertices take n - 1 searches, one per level.  The result depends on the
+    graph alone and is cached, so the routes of one `verify` row, which
+    each certify the generators on their own, search once.
+    """
+    vs = graph.vertices
+    n = len(vs)
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = [0] * n  # bitmask of each vertex's neighbours
+    for u, w in graph.edges:
+        adj[pos[u]] |= 1 << pos[w]
+        adj[pos[w]] |= 1 << pos[u]
+    color = _refined_colors(graph)
+    generators = []
+    for i in range(n - 2, -1, -1):
+        candidates = [c for c in range(i + 1, n) if color[c] == color[i]]
+        orbit = orbit_of(i, generators) if candidates else ()
+        for c in candidates:
+            found = None if c in orbit else _extend(adj, color, list(range(i)), c)
+            if found is not None:
+                generators.append(found)
+                orbit = orbit_of(i, generators)
+    return tuple(generators)
+
+
+def orbit_of(point, generators):
+    """The orbit of `point` under the group that the permutations `generators`
+    (tuples, g[x] the image of x) generate."""
+    orbit = {point}
+    queue = [point]
+    for x in queue:
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                queue.append(g[x])
+    return orbit
+
+
+def _extend(adj, color, image, target):
+    """An automorphism extending `image` (the images of positions 0..k-1) by k -> target, or None."""
+    k = len(image)
+    if color[target] != color[k] or target in image:
+        return None
+    if any(((adj[k] >> j) ^ (adj[target] >> image[j])) & 1 for j in range(k)):
+        return None
+    image = image + [target]
+    if len(image) == len(adj):
+        return tuple(image)
+    for c in range(len(adj)):
+        found = _extend(adj, color, image, c)
+        if found is not None:
+            return found
+    return None
 
 
 def parse_graph_text(text):

@@ -71,6 +71,31 @@ def graphs_and_m(draw):
 
 
 @st.composite
+def symmetric_graphs_and_m(draw):
+    """A graph with a forced automorphism at m = 3..5, in the chamber routes' reach.
+
+    A twin of a random vertex (joined to it or not), two disjoint copies of
+    a graph, or a cycle with a chord; at most 6 vertices at m = 3 and 4 at
+    m = 4, 5.
+    """
+    m = draw(st.integers(3, 5))
+    most = 6 if m == 3 else 4
+    kind = draw(st.sampled_from(["twin", "copies", "chord"]))
+    if kind == "twin":
+        g = draw(simple_graphs(max_n=most - 1))
+        v = draw(st.sampled_from(g.vertices))
+        twin = [(g.n, w) for w in g.neighbors(v)] + ([(g.n, v)] if draw(st.booleans()) else [])
+        return SimpleGraph.of(range(g.n + 1), list(g.edges) + twin), m
+    if kind == "copies":
+        g = draw(simple_graphs(max_n=most // 2))
+        copy = [(u + g.n, w + g.n) for u, w in g.edges]
+        return SimpleGraph.of(range(2 * g.n), list(g.edges) + copy), m
+    n = draw(st.integers(4, most))
+    chord = (0, draw(st.integers(2, n - 2)))
+    return SimpleGraph.of(range(n), [(i, (i + 1) % n) for i in range(n)] + [chord]), m
+
+
+@st.composite
 def digraphs(draw, max_n):
     """A random digraph on 0..n-1, n <= max_n; directed cycles allowed."""
     n = draw(st.integers(1, max_n))

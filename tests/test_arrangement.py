@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from chromoduli import arrangement, lp
 from chromoduli.arrangement import (
     Chamber,
-    _mirror,
     _pair_witness,
     _signs_at,
+    _symmetries,
     bounded_chambers_bijective,
     bounded_chambers_lp,
     build_arrangement,
 )
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
-from chromoduli.graphs import SimpleGraph, chromatic_polynomial
+from chromoduli.graphs import SimpleGraph, automorphism_generators, chromatic_polynomial
 
 from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph, simple_graphs
 
@@ -40,7 +40,7 @@ def pair_to_chamber(arr, sigma, arcs):
     if not all(sigma[u] >= sigma[w] for u, w in arcs):
         raise ValueError("orientation is not compatible with the coloring")
     witness = _pair_witness(arr.graph, arr.m, sigma, arcs)
-    return Chamber(_signs_at(arr.functionals, witness), witness, True)
+    return Chamber(_signs_at(arr, witness), witness, True)
 
 
 def test_build_counts():
@@ -174,15 +174,16 @@ def test_chamber_to_pair_requires_bounded():
 @pytest.mark.parametrize(
     "name,m,lp_calls",
     [
-        pytest.param("paw", 3, 10, id="paw-m3"),
-        pytest.param("K4", 3, 30, id="K4-m3"),
-        pytest.param("K4", 4, 150, id="K4-m4"),
-        pytest.param("paw", 4, 74, id="paw-m4"),
+        pytest.param("paw", 3, 8, id="paw-m3"),
+        pytest.param("K4", 3, 25, id="K4-m3"),
+        pytest.param("K4", 4, 35, id="K4-m4"),
+        pytest.param("paw", 4, 40, id="paw-m4"),
     ],
 )
 def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
     # a warm LP only for a split side the region's witness misses, none per
-    # chamber and none on the mirrored half; the cube's own LP is the one
+    # chamber, none on the mirrored half and none below an orientation that
+    # is the image of one searched before; the cube's own LP is the one
     # solved from scratch
     g = dict(all_graphs_up_to_4())[name]
     real = arrangement._solve_region
@@ -213,6 +214,9 @@ def test_warm_optimum_equals_a_cold_solve_on_the_same_rows(monkeypatch, name, m)
         checked.append(cold.objective)
 
     monkeypatch.setattr(lp.Tableau, "dual", compared_dual)
+    # the reflection alone (no automorphism generators) leaves 74 and 150
+    # warm LPs to compare; the whole group would leave 40 and 35
+    monkeypatch.setattr(arrangement, "automorphism_generators", lambda graph: [])
     g = dict(all_graphs_up_to_4())[name]
     bounded_chambers_lp(build_arrangement(g, m))
     assert len(checked) > 50
@@ -222,7 +226,9 @@ def test_warm_optimum_equals_a_cold_solve_on_the_same_rows(monkeypatch, name, m)
 def test_lp_search_witness_is_pinned():
     # the search's pivot path decides which point of a chamber it returns;
     # the first edge z_0 - z_1 is + on the searched half, and a chamber of
-    # the other half carries its mirror's witness reflected, 2 - x
+    # the other half carries its mirror's witness reflected, 2 - x; the
+    # orientation ++- is searched, and the reversal of P4 maps its chambers
+    # onto those of +--, which is not
     arr = build_arrangement(dict(all_graphs_up_to_4())["P4"], 4)
     witnesses = {c.sign_string: c.witness for c in bounded_chambers_lp(arr)}
     assert witnesses["++-++-++-++-++-"] == (
@@ -238,20 +244,25 @@ def test_lp_search_witness_is_pinned():
         Fraction(3, 2),
     )
     assert witnesses["+--+--+--+--++-"] == tuple(2 - x for x in witnesses["++-++-++-++---+"])
+    assert witnesses["++-++-++-++-+--"] == tuple(reversed(witnesses["++-++-++-++-++-"]))
 
 
 @pytest.mark.parametrize("name,g", all_graphs_up_to_4())
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_mirror_is_an_involution_that_negates_the_reflected_functional(name, g, m):
-    # f((m-2)*1 - z) = -f'(z) exactly, at random rational points
+    # the reflection is the first symmetry: f((m-2)*1 - z) = -f'(z) exactly,
+    # at random rational points
     arr = build_arrangement(g, m)
-    fns, mirror = arr.functionals, _mirror(arr)
+    fns, reflection = arr.functionals, _symmetries(arr)[0]
+    mirror = reflection.index
+    assert reflection.perm == tuple(range(g.n)) and reflection.sign == (-1,) * len(fns)
     assert sorted(mirror) == list(range(len(fns)))
     assert all(mirror[j] == i for i, j in enumerate(mirror))
     rng = random.Random(m * 100 + g.n)
     for _ in range(5):
         z = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(g.n)]
         reflected = [m - 2 - x for x in z]
+        assert reflection.point(z) == reflected
         for f, j in zip(fns, mirror):
             assert f.value(reflected) == -fns[j].value(z)
     for f, j in zip(fns, mirror):
@@ -261,9 +272,44 @@ def test_mirror_is_an_involution_that_negates_the_reflected_functional(name, g, 
             assert fns[j].tag == ("level", f.tag[1], m - 2 - f.tag[2])
 
 
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 5])
+def test_every_symmetry_maps_each_functional_onto_one_up_to_sign(name, g, m):
+    # f_i(y) = sign_i * f_{index_i}(z) exactly, y the image of z; the
+    # automorphisms after the reflection fix the levels' constants
+    arr = build_arrangement(g, m)
+    fns = arr.functionals
+    symmetries = _symmetries(arr)
+    assert len(symmetries) == 1 + len(automorphism_generators(g))
+    rng = random.Random(m * 100 + len(g.edges))
+    for symmetry in symmetries:
+        assert sorted(symmetry.index) == list(range(len(fns)))
+        for _ in range(3):
+            z = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(g.n)]
+            y = symmetry.point(z)
+            for f, i, e in zip(fns, symmetry.index, symmetry.sign):
+                assert f.value(y) == e * fns[i].value(z)
+    for symmetry in symmetries[1:]:
+        assert symmetry.scale == 1 and symmetry.offset == 0
+        assert all(fns[i].tag[2] == f.tag[2] for f, i in zip(fns, symmetry.index) if f.tag[0] == "level")
+
+
+def test_composed_symmetries_act_as_one():
+    # (g o h)(z) = g(h(z)), and the signs compose the same way
+    arr = build_arrangement(dict(all_graphs_up_to_4())["K4"], 4)
+    symmetries = _symmetries(arr)
+    chamber = bounded_chambers_lp(arr)[0]
+    for g in symmetries:
+        for h in symmetries:
+            gh = g.after(h)
+            assert gh.point(chamber.witness) == g.point(h.point(chamber.witness))
+            assert gh.signs(chamber.signs) == g.signs(h.signs(chamber.signs))
+            assert _signs_at(arr, tuple(gh.point(chamber.witness))) == gh.signs(chamber.signs)
+
+
 @pytest.mark.parametrize(
     "wrong,message",
-    [("identity", "mirrored LP witness"), ("edges-swapped", "not its own mirror")],
+    [("identity", "mapped LP witness"), ("edges-swapped", "not its own mirror")],
     ids=["identity", "edges-swapped"],
 )
 def test_lp_search_refuses_a_wrong_mirror(monkeypatch, wrong, message):
@@ -271,17 +317,31 @@ def test_lp_search_refuses_a_wrong_mirror(monkeypatch, wrong, message):
     # witness misses its chamber; swapping the first two edges moves the
     # first split off its own mirror
     def wrong_mirror(arr):
-        if wrong == "identity":
-            return tuple(range(len(arr.functionals)))
-        mirror = list(real(arr))
-        first, second = [i for i, f in enumerate(arr.functionals) if f.tag[0] == "edge"][:2]
-        mirror[first], mirror[second] = second, first
-        return tuple(mirror)
+        reflection, *rest = real(arr)
+        mirror = list(range(len(arr.functionals))) if wrong == "identity" else list(reflection.index)
+        if wrong == "edges-swapped":
+            first, second = [i for i, f in enumerate(arr.functionals) if f.tag[0] == "edge"][:2]
+            mirror[first], mirror[second] = second, first
+        broken = arrangement._Symmetry(reflection.perm, -1, reflection.offset, tuple(mirror), reflection.sign)
+        return (broken, *rest)
 
-    real = arrangement._mirror
-    monkeypatch.setattr(arrangement, "_mirror", wrong_mirror)
+    real = arrangement._symmetries
+    monkeypatch.setattr(arrangement, "_symmetries", wrong_mirror)
     with pytest.raises(EngineConsistencyError, match=message):
         bounded_chambers_lp(build_arrangement(paw_graph(), 4))
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [(1, 0, 2, 3), (0, 1, 2, 2)],
+    ids=["not-an-automorphism", "not-a-permutation"],
+)
+def test_lp_search_refuses_a_generator_that_is_no_automorphism(monkeypatch, generator):
+    # swapping vertices 0 and 1 of the paw sends the edge 0-3 to the
+    # non-edge 1-3; a map that is not onto leaves vertex 3 without a preimage
+    monkeypatch.setattr(arrangement, "automorphism_generators", lambda graph: [generator])
+    with pytest.raises(EngineConsistencyError, match="under a symmetry is not in the arrangement"):
+        bounded_chambers_lp(build_arrangement(dict(all_graphs_up_to_4())["paw"], 4))
 
 
 def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
@@ -328,7 +388,7 @@ def test_margin_lp_tells_an_empty_region_from_a_chamber():
     assert arrangement._solve_region(root, rows([1, -1, 1]), 2) is None
     _, (z, d) = arrangement._solve_region(root, rows([1, 1, -1]), 2)
     witness = tuple(Fraction(v, d) for v in z)
-    assert arrangement._signs_at(fns, witness) == (1, 1, -1, 1, -1, -1, 1)
+    assert arrangement._signs_at(arr, witness) == (1, 1, -1, 1, -1, -1, 1)
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)

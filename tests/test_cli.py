@@ -124,8 +124,10 @@ def test_critical_points_weights_file(tmp_path, capsys):
 
 
 def test_critical_points_asymmetric_weights_file_converges(tmp_path, capsys, monkeypatch):
-    # weights that differ on mirror pairs: the reflected critical point of a
-    # chamber's partner is then only a start point, and Newton goes on from it
+    # weights that differ within orbits of functionals: the image of a
+    # converged critical point of a chamber's orbit is then only a start
+    # point, and Newton goes on from it; 18 of the 72 chambers start at
+    # their witnesses
     real = critical.solve_chamber
     starts = []
 
@@ -140,9 +142,9 @@ def test_critical_points_asymmetric_weights_file_converges(tmp_path, capsys, mon
     reports = json.loads(out)
     assert code == 0 and len(reports) == 72
     assert all(r["converged"] and r["gradient_inf_norm"] <= 1e-10 for r in reports)
-    assert sum(s is not None for s in starts) == 36
-    mirrored = [r["iterations"] for r, s in zip(reports, starts) if s is not None]
-    assert max(mirrored) > 1
+    assert sum(s is not None for s in starts) == 54
+    mapped = [r["iterations"] for r, s in zip(reports, starts) if s is not None]
+    assert max(mapped) > 1
 
 
 @pytest.mark.parametrize(
@@ -594,7 +596,16 @@ IDENTITY_MIRROR = """
 import sys
 from chromoduli import arrangement, cli
 
-arrangement._mirror = lambda arr: tuple(range(len(arr.functionals)))
+symmetries = arrangement._symmetries
+
+
+def identity_mirror(arr):
+    r, *rest = symmetries(arr)
+    identity = tuple(range(len(arr.functionals)))
+    return (arrangement._Symmetry(r.perm, r.scale, r.offset, identity, r.sign), *rest)
+
+
+arrangement._symmetries = identity_mirror
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -603,10 +614,37 @@ sys.exit(cli.main(sys.argv[1:]))
 def test_broken_mirror_fails_the_lp_route_without_traceback(flags):
     result = _python(*flags, "-c", IDENTITY_MIRROR, "verify", "--graph", PAW, "--m", "3")
     assert result.returncode == cli.EXIT_DISAGREE
-    assert result.stderr == "error: mirrored LP witness lies outside its chamber\n"
+    assert result.stderr == "error: mapped LP witness lies outside its chamber\n"
     (row,) = [json.loads(line) for line in result.stdout.splitlines()]
-    assert row["failed"] == {"chambers_lp": "mirrored LP witness lies outside its chamber"}
+    assert row["failed"] == {"chambers_lp": "mapped LP witness lies outside its chamber"}
     assert row["agree"] is False and set(row["values"].values()) == {12}
+
+
+# verify with a generator that swaps vertices 0 and 1 of the paw, which is no
+# automorphism: the edge 0-3 goes to the non-edge 1-3
+WRONG_GENERATOR = """
+import sys
+from chromoduli import arrangement, cli
+
+arrangement.automorphism_generators = lambda graph: [(1, 0, 2, 3)]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_wrong_generator_fails_the_lp_and_newton_routes_without_traceback(flags):
+    result = _python(*flags, "-c", WRONG_GENERATOR, "verify", "--graph", PAW, "--m", "3")
+    reason = "the image of ('edge', 0, 3) under a symmetry is not in the arrangement"
+    assert result.returncode == cli.EXIT_DISAGREE
+    assert result.stderr == f"error: {reason}\n" * 2
+    (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+    assert row["failed"] == {"chambers_lp": reason, "critical_points": reason}
+    assert row["agree"] is False and set(row["values"]) == {
+        "chromatic",
+        "stanley",
+        "chambers_bijective",
+        "engine_omega",
+    }
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from chromoduli import arrangement, critical, lp
-from chromoduli.arrangement import Chamber, _mirror, bounded_chambers_bijective, build_arrangement
+from chromoduli.arrangement import (
+    Chamber,
+    _symmetries,
+    bounded_chambers_bijective,
+    bounded_chambers_lp,
+    build_arrangement,
+)
 from chromoduli.critical import (
     critical_point_reports,
     default_weights,
@@ -15,10 +22,10 @@ from chromoduli.critical import (
     solve_all_chambers,
     solve_chamber,
 )
-from chromoduli.errors import ConvergenceError
+from chromoduli.errors import ConvergenceError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
-from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph
+from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph, symmetric_graphs_and_m
 
 K1 = SimpleGraph.of([0])
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
@@ -313,21 +320,73 @@ def test_default_weights_deterministic_and_in_range():
     assert np.all((u1 >= 0.5) & (u1 <= 2.0))
 
 
+def _automorphisms(g):
+    """Every automorphism of g, by a scan of all n! vertex maps."""
+    edges = {frozenset(e) for e in g.edges}
+    for image in itertools.permutations(g.vertices):
+        perm = dict(zip(g.vertices, image))
+        if {frozenset((perm[u], perm[w])) for u, w in g.edges} == edges:
+            yield perm
+
+
+def _brute_force_group(arr):
+    """The group <Aut(G), reflection> as maps of tags and of points (numerators over d)."""
+    c = arr.m - 2
+    pos = {v: i for i, v in enumerate(arr.graph.vertices)}
+    for perm in _automorphisms(arr.graph):
+        for reflect in (False, True):
+            def tag(t, perm=perm, reflect=reflect):
+                if t[0] == "edge":
+                    return ("edge", frozenset((perm[t[1]], perm[t[2]])))
+                return ("level", perm[t[1]], c - t[2] if reflect else t[2])
+
+            def point(z, d=1, perm=perm, reflect=reflect):
+                y = [None] * len(z)
+                for v, x in zip(arr.graph.vertices, z):
+                    y[pos[perm[v]]] = c * d - x if reflect else x
+                return y
+
+            yield tag, point
+
+
+def _key(t):
+    return ("edge", frozenset(t[1:])) if t[0] == "edge" else t
+
+
 @pytest.mark.parametrize("name,g", all_graphs_up_to_4())
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_default_weights_are_one_draw_per_mirror_pair(name, g, m):
+    # a mirror pair shares one draw, and so does each orbit of functionals
+    # under the automorphisms and the reflection together
     arr = build_arrangement(g, m)
-    mirror = _mirror(arr)
+    mirror = _symmetries(arr)[0].index
     u = default_weights(arr, seed=m)
     assert u == default_weights(arr, seed=m)
     assert all(0.5 <= w <= 2.0 for w in u)
     assert all(u[i] == u[j] for i, j in enumerate(mirror))
-    assert len(set(u)) == len({frozenset(pair) for pair in enumerate(mirror)})
+    weight = {_key(f.tag): w for f, w in zip(arr.functionals, u)}
+    orbits = set()
+    for tag, _ in _brute_force_group(arr):
+        assert all(weight[tag(f.tag)] == w for f, w in zip(arr.functionals, u))
+    for f in arr.functionals:
+        orbits.add(frozenset(tag(f.tag) for tag, _ in _brute_force_group(arr)))
+    assert len(set(u)) == len(orbits)
 
 
-def test_mirror_started_chambers_are_certified_at_their_own_points(monkeypatch):
-    # under the default weights the reflected critical point of a chamber's
-    # partner is its own, up to rounding, so Newton stops at once there
+def _brute_force_chamber_orbits(arr, chambers):
+    """The number of orbits of the chambers under <Aut(G), reflection>, by substitution."""
+    fns, maps = arr.functionals, [point for _, point in _brute_force_group(arr)]
+    orbits = set()
+    for chamber in chambers:
+        # integer numerators over d; the point maps send d*z to d*(image of z)
+        d = math.lcm(*(x.denominator for x in chamber.witness))
+        z = [int(x * d) for x in chamber.witness]
+        images = [point(z, d) for point in maps]
+        orbits.add(min(tuple(1 if f.value(y, d) > 0 else -1 for f in fns) for y in images))
+    return len(orbits)
+
+
+def _spy_starts(monkeypatch):
     real = critical.solve_chamber
     runs = []
 
@@ -337,13 +396,64 @@ def test_mirror_started_chambers_are_certified_at_their_own_points(monkeypatch):
         return report
 
     monkeypatch.setattr(critical, "solve_chamber", spy)
+    return runs
+
+
+def test_mirror_started_chambers_are_certified_at_their_own_points(monkeypatch):
+    # under the default weights the image of a converged critical point of
+    # a chamber's orbit is the chamber's own, up to rounding, so Newton stops
+    # at once there; the paw's group (its automorphism and the reflection)
+    # acts freely on its 72 chambers at m=4, in 18 orbits
+    runs = _spy_starts(monkeypatch)
     arr = build_arrangement(paw_graph(), 4)
     u = default_weights(arr, seed=0)
     reports = critical_point_reports(paw_graph(), 4, seed=0)
     assert len(reports) == 72 and all(r.converged for r in reports)
-    mirrored = [r for start, r in runs if start is not None]
-    assert len(mirrored) == 36
-    for r in mirrored:
+    mapped = [r for start, r in runs if start is not None]
+    assert len(mapped) == 54
+    for r in mapped:
         assert r.iterations <= 2
         assert r.gradient_inf_norm == np.max(np.abs(gradient(arr, u, r.point))) <= 1e-10
         np.linalg.cholesky(-np.asarray(hessian(arr, u, r.point)))  # raises if not positive definite
+
+
+@pytest.mark.parametrize(
+    "name,m,orbits",
+    [("paw", 4, 18), ("K4", 3, 1), ("C4", 4, 9)],
+    ids=["paw-m4", "K4-m3", "C4-m4"],
+)
+def test_newton_solves_one_chamber_per_orbit_in_full(monkeypatch, name, m, orbits):
+    runs = _spy_starts(monkeypatch)
+    g = dict(all_graphs_up_to_4())[name]
+    reports = critical_point_reports(g, m, seed=0)
+    arr = build_arrangement(g, m)
+    assert all(r.converged for r in reports)
+    assert _brute_force_chamber_orbits(arr, bounded_chambers_bijective(arr)) == orbits
+    assert sum(start is None for start, _ in runs) == orbits
+
+
+def test_newton_refuses_a_generator_that_is_no_automorphism(monkeypatch):
+    # swapping vertices 0 and 1 of the paw sends the edge 0-3 to the non-edge 1-3
+    monkeypatch.setattr(arrangement, "automorphism_generators", lambda graph: [(1, 0, 2, 3)])
+    arr = build_arrangement(dict(all_graphs_up_to_4())["paw"], 3)
+    with pytest.raises(EngineConsistencyError, match="not in the arrangement"):
+        default_weights(arr)
+    with pytest.raises(EngineConsistencyError, match="not in the arrangement"):
+        solve_all_chambers(arr, [1.0] * len(arr.functionals), bounded_chambers_bijective(arr))
+
+
+@settings(ORACLE_SETTINGS, max_examples=30)
+@given(symmetric_graphs_and_m())
+def test_routes_divide_by_the_symmetry_of_random_symmetric_graphs(graph_and_m):
+    # graphs with a forced automorphism: the LP route returns the bijective
+    # sign vectors, Newton converges on every chamber, and it solves one
+    # chamber per orbit in full, the orbits counted over all n! vertex maps
+    g, m = graph_and_m
+    arr = build_arrangement(g, m)
+    chambers = bounded_chambers_bijective(arr)
+    assert [c.signs for c in bounded_chambers_lp(arr)] == [c.signs for c in chambers]
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _spy_starts(patch)
+        reports = solve_all_chambers(arr, default_weights(arr), chambers)
+    assert len(reports) == len(chambers) and all(r.converged for r in reports)
+    assert sum(start is None for start, _ in runs) == _brute_force_chamber_orbits(arr, chambers)

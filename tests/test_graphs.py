@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +10,14 @@ from chromoduli.graphs import (
     Digraph,
     IntPolynomial,
     SimpleGraph,
+    automorphism_generators,
     canonical_key,
     chromatic_polynomial,
     graph_to_json,
     parse_graph_text,
 )
 
-from graph_catalog import paw_graph
+from graph_catalog import all_graphs_up_to_4, paw_graph
 
 
 def proper_coloring_count(graph, k):
@@ -155,6 +158,81 @@ def test_canonical_key_separates_k3_from_path():
 def test_canonical_key_deterministic():
     g = paw_graph()
     assert canonical_key(g) == canonical_key(paw_graph())
+
+
+def _closure(generators, n):
+    """The group the position maps generate, as a set of tuples."""
+    group = {tuple(range(n))}
+    queue = list(group)
+    for h in queue:
+        for g in generators:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                queue.append(gh)
+    return group
+
+
+def _automorphism_count(g):
+    """|Aut(g)| by a scan of all n! vertex maps."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    edges = {frozenset((pos[u], pos[w])) for u, w in g.edges}
+    return sum(
+        {frozenset((p[a], p[b])) for a, b in map(tuple, edges)} == edges
+        for p in itertools.permutations(range(g.n))
+    )
+
+
+def _check_generators(g):
+    generators = automorphism_generators(g)
+    edges = set(g.edges)
+    for p in generators:
+        image = {v: g.vertices[p[i]] for i, v in enumerate(g.vertices)}
+        assert sorted(p) == list(range(g.n))
+        assert {tuple(sorted((image[u], image[w]))) for u, w in g.edges} == edges
+    assert len(_closure(generators, g.n)) == _automorphism_count(g)
+    return generators
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+def test_automorphism_generators_generate_the_whole_group(name, g):
+    _check_generators(g)
+
+
+@settings(max_examples=60)
+@given(simple_graphs())
+def test_automorphism_generators_generate_the_whole_group_of_random_graphs(g):
+    _check_generators(g)
+
+
+def test_automorphism_generators_on_labelled_vertices():
+    # positions follow the vertex order, not the labels; the paw's one
+    # automorphism swaps its two triangle vertices of degree 2
+    assert automorphism_generators(paw_graph()) == ((0, 2, 1, 3),)
+    assert automorphism_generators(SimpleGraph.of(["a", "b"], [("a", "b")])) == ((1, 0),)
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["E8", "K8"])
+def test_automorphism_generators_of_the_symmetric_group_take_one_search_per_level(complete):
+    # one generator per level, and the orbit of each base point under the
+    # generators fixing the earlier ones has every later point: 8! in all
+    g = SimpleGraph.of(range(8), itertools.combinations(range(8), 2) if complete else ())
+    start = time.perf_counter()
+    generators = automorphism_generators.__wrapped__(g)  # the search, not the cache
+    assert time.perf_counter() - start < 0.5
+    assert len(generators) == 7
+    order = 1
+    for i in range(8):
+        fixing = [p for p in generators if all(p[j] == j for j in range(i))]
+        orbit = {i}
+        queue = [i]
+        for x in queue:
+            for p in fixing:
+                if p[x] not in orbit:
+                    orbit.add(p[x])
+                    queue.append(p[x])
+        order *= len(orbit)
+    assert order == math.factorial(8)
 
 
 def test_evaluate_examples():

@@ -59,3 +59,31 @@ def test_verify_fixtures_runs_under_optimize():
     rows = result.stdout.splitlines()[2:]  # below the header and its rule
     assert len(rows) == 4
     assert all(row.split()[-1] == "True" for row in rows)
+
+
+def test_route_table_prints_one_row_per_graph():
+    # under `python -O` too; P3 at m=3 is (-1)^3 chi(-1) = 4 on every route
+    result = subprocess.run(
+        [sys.executable, "-O", str(SCRIPTS / "route_table.py"), "P3@3", "--repeat", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header, rule, row = result.stdout.splitlines()
+    assert header == (
+        "| graph, m | value | stanley | chambers_bijective | chambers_lp | critical_points | engine_omega |"
+    )
+    assert rule == "|---" * 7 + "|"
+    cells = [cell.strip() for cell in row.strip("|").split("|")]
+    assert cells[:2] == ["P3, 3", "4"] and len(cells) == 7
+    assert all(float(seconds) >= 0 for seconds in cells[2:])
+
+
+def test_route_table_names_graphs():
+    table = _load_script("route_table")
+    assert table.named_graph("K4").edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert len(table.named_graph("C6").edges) == 6 and len(table.named_graph("E3").edges) == 0
+    assert len(table.named_graph("Q3").edges) == 12 and len(table.named_graph("Petersen").edges) == 15
+    times, values = table.route_row(table.named_graph("paw"), 3, 1)
+    assert values == {12} and set(times) == {"chromatic", *table.COLUMNS}
