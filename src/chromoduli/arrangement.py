@@ -17,11 +17,11 @@ z_u - z_w.  Bounded chambers are enumerated two independent ways:
 The reflection z -> (m-2)*1 - z maps the arrangement onto itself: it sends
 the hyperplane z_v = i to z_v = m-2-i and fixes every edge hyperplane.  So
 does every automorphism of G, acting by permuting coordinates.
-`_symmetries` returns the reflection and one map per generator of Aut(G)
-(`graphs.automorphism_generators`), each certified as a signed permutation
-of the functionals found by exact lookup.  The LP search uses them to
-search one orientation per orbit, on one side of its first edge split, and
-maps the rest; the Newton route, to draw one weight per orbit of
+`Arrangement.symmetries` holds the reflection and one map per generator of
+Aut(G) (`graphs.automorphism_generators`), each certified once per
+arrangement as a signed permutation of the functionals found by exact
+lookup.  The LP search uses them to search one orientation per orbit and
+map the rest; the Newton route, to draw one weight per orbit of
 functionals and to start each chamber at the image of a critical point of
 its orbit.
 """
@@ -85,6 +85,11 @@ class Arrangement:
             a = f.coefficients
             terms.append((a.index(1), a.index(-1) if -1 in a else n, f.constant))
         return tuple(terms)
+
+    @functools.cached_property
+    def symmetries(self):
+        """The certified generators of the arrangement's symmetry group (`_symmetries`)."""
+        return _symmetries(self)
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,8 @@ def _symmetries(arr):
     EngineConsistencyError.  The reflection sends z_v = i to z_v = m-2-i
     and fixes every edge hyperplane, with sign -1 on every functional.
     Closed under composition, the maps form the group by which the LP
-    search and the Newton route divide their work.
+    search and the Newton route divide their work, certified once per
+    arrangement as `Arrangement.symmetries`.
     """
     n, c = arr.dimension, arr.m - 2
     sparse = arr.sparse
@@ -361,19 +367,20 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     certified by substituting its witness into every functional: the signs
     must equal the chamber's, cube signs included, so it is also bounded.
 
-    When the graph has an edge, the search divides by the group of
-    `_symmetries`: the reflection and the automorphisms of G.  The first
-    split is an edge functional, which the reflection maps to minus itself,
-    so it separates every chamber from its mirror image: only its + side is
-    searched.  A full edge-sign pattern (an orientation) reached there has
-    its level subtree searched only if it is not the image of an
-    orientation searched before; when it is searched, every image of it on
-    the + side is marked, and is later skipped without an LP.  A skipped
-    orientation's chambers are the images of its representative's, and the
-    mirror images of all these complete the set; every mapped chamber is
-    certified by substitution like the others, and a final check refuses
-    any sign vector found twice.  On K5 at m=4 the search solves 192 warm
-    LPs (1,159 with the reflection alone, 2,321 without symmetry).
+    When the graph has an edge, the search divides by the group that
+    `Arrangement.symmetries` generates: the reflection and the
+    automorphisms of G.  The first split is an edge functional, which the
+    reflection maps to minus itself, so it separates every chamber from its
+    mirror image: only its + side is searched.  A full edge-sign pattern
+    (an orientation) reached there has its level subtree searched only if
+    it is not the image of an orientation searched before; when it is
+    searched, every other orientation of its orbit, on either side of the
+    first split, is registered with the symmetry that maps it there, and is
+    skipped without an LP.  A registered orientation's chambers are the
+    images of its representative's under that symmetry; every mapped
+    chamber is certified by substitution like the others, and a final check
+    refuses any sign vector found twice.  On K5 at m=4 the search solves
+    192 warm LPs (1,159 with the reflection alone, 2,321 without symmetry).
     """
     fns = arr.functionals
     if len(fns) > functional_budget:
@@ -384,14 +391,12 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     fixed, free_idx, root = _cube(arr)
     split = [arr.sparse[i] for i in free_idx]
     edges = [i for i in free_idx if fns[i].tag[0] == "edge"]
-    if edges:
-        symmetries = _symmetries(arr)
-        if symmetries[0].index[edges[0]] != edges[0]:
-            raise EngineConsistencyError("the first split of the LP search is not its own mirror")
+    if edges and arr.symmetries[0].index[edges[0]] != edges[0]:
+        raise EngineConsistencyError("the first split of the LP search is not its own mirror")
 
     chambers = []
     found = {}  # searched orientation -> its chambers
-    mapped = {}  # orientation on the + side -> (searched orientation, symmetry onto it)
+    mapped = {}  # orientation -> (searched orientation, symmetry onto it)
     # (free signs so far, witness (numerators padded by z[n] = 0, denominator)
     # or None while unsolved, nearest solved tableau, rows added since)
     stack = [((), ([shift] * arr.dimension + [0], 2), root, ())]
@@ -408,16 +413,14 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
             point, pending = (z + [0], d), ()
         if at_orientation:
             found[sides] = []
-        if at_orientation and len(symmetries) > 1:  # the reflection alone maps + to -
             pattern = [0] * len(fns)
             for i, side in zip(edges, sides):
                 pattern[i] = side
-            # each image with the generators leading to it; composed only when kept
-            orbit = _orbit(symmetries, tuple(pattern), (), lambda g, path: path + (g,))
-            for image, path in orbit.items():
-                image = tuple(image[i] for i in edges)
-                if image[0] > 0 and path:
-                    mapped[image] = (sides, functools.reduce(lambda h, g: g.after(h), path))
+            # each image with the symmetry onto it; the orientation itself has None
+            orbit = _orbit(arr.symmetries, tuple(pattern), None, lambda g, h: g if h is None else g.after(h))
+            for image, symmetry in orbit.items():
+                if symmetry is not None:
+                    mapped[tuple(image[i] for i in edges)] = (sides, symmetry)
         if len(sides) == len(free_idx):
             signs = dict(fixed)
             signs.update(zip(free_idx, sides))
@@ -439,10 +442,8 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
             kept = point if side * val > 0 else None
             stack.append((sides + (side,), kept, solved, pending + (row,)))
 
-    if edges:
-        for rep, symmetry in mapped.values():
-            chambers += [_image(arr, symmetry, chamber) for chamber in found[rep]]
-        chambers += [_image(arr, symmetries[0], chamber) for chamber in chambers]
+    for rep, symmetry in mapped.values():
+        chambers += [_image(arr, symmetry, chamber) for chamber in found[rep]]
     if len({c.signs for c in chambers}) != len(chambers):
         raise EngineConsistencyError("LP search found a chamber twice")
     chambers.sort(key=lambda c: c.signs)

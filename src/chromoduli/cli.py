@@ -202,6 +202,8 @@ def cmd_kapranov(args):
     with open(args.constraints, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
+        if "constraints" not in data:
+            raise GraphParseError('a constraints object needs a "constraints" key')
         raw = data["constraints"]
         markings = data.get("markings")
     else:

@@ -8,7 +8,8 @@ chamber is found and certified: tiny gradient, negative definite Hessian
 (via Cholesky of its negation), and the iterate never leaves the chamber.
 
 The reflection z -> (m-2)*1 - z and the automorphisms of G map the
-arrangement onto itself (`arrangement._symmetries`).  The default weights
+arrangement onto itself (`Arrangement.symmetries`, certified once per
+arrangement and shared with the LP route).  The default weights
 are equal on each orbit of functionals under the group they generate, so
 the master function is invariant under it and the critical point of a
 chamber's image is the image of its critical point.  Newton solves the
@@ -40,7 +41,6 @@ from .arrangement import (
     Arrangement,
     Chamber,
     _orbit,
-    _symmetries,
     bounded_chambers_bijective,
     build_arrangement,
 )
@@ -100,7 +100,7 @@ def default_weights(arr: Arrangement, seed=0):
     """Generic positive weights, uniform on [1/2, 2] with a fixed seed.
 
     One draw per orbit of functionals under the group of
-    `arrangement._symmetries` (the reflection z -> (m-2)*1 - z and the
+    `Arrangement.symmetries` (the reflection z -> (m-2)*1 - z and the
     automorphisms of G), in the order of each orbit's first functional, so
     that the master function is invariant under the group; a critical
     point is unique per chamber for any positive weights.  A negative seed
@@ -109,7 +109,7 @@ def default_weights(arr: Arrangement, seed=0):
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    index_maps = [g.index for g in _symmetries(arr)]
+    index_maps = [g.index for g in arr.symmetries]
     rng = random.Random(seed)
     weights = [None] * len(arr.functionals)
     for first in range(len(weights)):
@@ -313,7 +313,7 @@ def _try_solve(arr, weights, chamber, index, kernel, start):
 def solve_all_chambers(arr: Arrangement, weights, chambers):
     """Solve every chamber in order, collecting failures per chamber.
 
-    The first chamber of each orbit under `arrangement._symmetries` is
+    The first chamber of each orbit under `Arrangement.symmetries` is
     solved from its witness; once it has converged at z*, every other
     chamber of its orbit starts at the image of z* under the symmetry
     mapping it there, if that point is strictly inside it, and at its
@@ -323,14 +323,13 @@ def solve_all_chambers(arr: Arrangement, weights, chambers):
     each.  Under other weights it is only a start point.
     """
     kernel = _kernel(arr, weights)
-    symmetries = _symmetries(arr)
     starts = {}  # signs -> image of a critical point of the chamber's orbit
     reports = []
     for i, chamber in enumerate(chambers):
         start = starts.get(chamber.signs)
         report = _try_solve(arr, weights, chamber, i, kernel, start)
         if start is None and report.converged:
-            starts.update(_orbit(symmetries, chamber.signs, report.point, lambda g, z: g.point(z)))
+            starts.update(_orbit(arr.symmetries, chamber.signs, report.point, lambda g, z: g.point(z)))
         reports.append(report)
     return reports
 

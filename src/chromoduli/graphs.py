@@ -13,7 +13,6 @@ colour refinement that `canonical_key` also runs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import GraphParseError
@@ -318,7 +317,6 @@ def canonical_key(graph: SimpleGraph):
     return (len(order), edges)
 
 
-@functools.lru_cache(maxsize=64)
 def automorphism_generators(graph: SimpleGraph):
     """A generating set of the automorphism group of `graph`, as a tuple.
 
@@ -334,9 +332,8 @@ def automorphism_generators(graph: SimpleGraph):
     0..i-1.  The search maps vertices in base order, each to an unused
     vertex of its refined colour (`_refined_colors`) whose adjacency to the
     vertices mapped so far matches.  The edgeless and complete graphs on n
-    vertices take n - 1 searches, one per level.  The result depends on the
-    graph alone and is cached, so the routes of one `verify` row, which
-    each certify the generators on their own, search once.
+    vertices take n - 1 searches, one per level.  An arrangement calls it
+    once, when its symmetries are first read (`Arrangement.symmetries`).
     """
     vs = graph.vertices
     n = len(vs)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import chromoduli
 from chromoduli import arrangement, cli, critical, digraph_poly, moduli
 from chromoduli.errors import EngineConsistencyError
-from chromoduli.graphs import chromatic_polynomial
+from chromoduli.graphs import SimpleGraph, automorphism_generators, chromatic_polynomial
 
 from graph_catalog import ORACLE_SETTINGS, graphs_and_m, paw_graph
 
@@ -217,6 +217,31 @@ def test_critical_point_reports_build_one_arrangement(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_table_certifies_the_symmetry_group_once(monkeypatch):
+    # the LP route and both Newton steps read one `Arrangement.symmetries`
+    calls = []
+    search = arrangement.automorphism_generators
+
+    def counted(graph):
+        calls.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(arrangement, "automorphism_generators", counted)
+    values = {name: route() for name, route in cli.simple_routes(paw_graph(), 4).items()}
+    assert values == dict.fromkeys(values, 72)
+    assert len(calls) == 1
+
+
+def test_every_simple_route_on_a_graph_without_automorphisms():
+    # the reflection is then the whole generating set; no catalog graph is
+    # this asymmetric
+    g = SimpleGraph.of(range(6), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
+    assert automorphism_generators(g) == ()
+    for m, expected in [(3, 48), (4, 648)]:
+        values = {name: route() for name, route in cli.simple_routes(g, m).items()}
+        assert values == dict.fromkeys(values, expected)
+
+
 @settings(ORACLE_SETTINGS, max_examples=50)  # 20 draw no 5-vertex graph
 @given(graphs_and_m())
 def test_every_simple_route_matches_chromatic_on_random_graphs(graph_and_m):
@@ -363,8 +388,8 @@ def test_kapranov_bare_list_infers_markings(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"constraints": 5}, {"constraints": [[5, 1]]}, [[[1, 2, 3, 4], [1]]]],
-    ids=["constraints-not-a-list", "subset-not-a-list", "marking-is-a-list"],
+    [{"constraints": 5}, {"constraints": [[5, 1]]}, [[[1, 2, 3, 4], [1]]], {"markings": [1, 2, 3]}],
+    ids=["constraints-not-a-list", "subset-not-a-list", "marking-is-a-list", "no-constraints-key"],
 )
 def test_kapranov_malformed_file_exit_two(tmp_path, capsys, payload):
     path = tmp_path / "c.json"
@@ -374,6 +399,8 @@ def test_kapranov_malformed_file_exit_two(tmp_path, capsys, payload):
     assert code == cli.EXIT_PARSE
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    if isinstance(payload, dict) and "constraints" not in payload:
+        assert err == 'error: a constraints object needs a "constraints" key\n'
 
 
 @pytest.mark.parametrize(
