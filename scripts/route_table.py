@@ -9,10 +9,16 @@ file; `@M` gives the number of extra markings.  Each repetition builds a
 fresh table and calls its routes in row order, so the Newton route
 (`critical_points`) runs on the bijective chambers already computed and its
 time leaves them out.  A cell is the median wall time in seconds over the
-repetitions, or `budget` when the route exceeds its default budget.  The
-value column is the routes' common value, or every distinct value when they
-disagree; the exit code is then 1.  The rows follow the layout of the route
+repetitions, `budget` when the route exceeds its default budget, or
+`failed` when it raises EngineConsistencyError or ConvergenceError; a failed
+route prints `error: <route>: <reason>` to stderr once, and the other routes
+and rows still run.  The value column is the routes' common value, or every
+distinct value when they disagree.  The rows follow the layout of the route
 table in ROADMAP.md, which leaves out `chromatic` (a few milliseconds here).
+
+Exit codes: 0 when every row agrees, 1 when a row disagrees or a route
+failed, 2 when an argument names no simple graph or no M, or M is below 3
+(one `error:` line on stderr).
 """
 
 import argparse
@@ -25,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chromoduli import cli  # noqa: E402
-from chromoduli.errors import BudgetExceededError  # noqa: E402
+from chromoduli.errors import BudgetExceededError, ConvergenceError, EngineConsistencyError  # noqa: E402
 from chromoduli.graphs import SimpleGraph, load_graph_file  # noqa: E402
 
 COLUMNS = ("stanley", "chambers_bijective", "chambers_lp", "critical_points", "engine_omega")
@@ -58,20 +64,37 @@ def named_graph(name):
     return graph
 
 
+def parse_case(case):
+    """(name, graph, m) for a `GRAPH@M` argument; ValueError or OSError if it names none."""
+    name, at, m = case.rpartition("@")
+    if not (at and m.isdigit()):
+        raise ValueError(f"{case}: expected GRAPH@M with M a number of extra markings")
+    return name, named_graph(name), int(m)
+
+
 def route_row(graph, m, repeat):
-    """({route: median seconds, or None past its budget}, the set of values)."""
+    """({route: median seconds, "budget" or "failed"}, the set of values).
+
+    A route past its budget or failed is not run again in later repetitions.
+    """
     times = {key: [] for key in ("chromatic",) + COLUMNS}
     values = set()
     for _ in range(repeat):
         for key, route in cli.simple_routes(graph, m).items():
+            if isinstance(times[key], str):
+                continue
             start = time.perf_counter()
             try:
                 values.add(route())
             except BudgetExceededError:
-                times[key] = None
+                times[key] = "budget"
+            except (EngineConsistencyError, ConvergenceError) as exc:
+                times[key] = "failed"
+                reason = (str(exc).splitlines() or [type(exc).__name__])[0]
+                print(f"error: {key}: {reason}", file=sys.stderr)
             else:
                 times[key].append(time.perf_counter() - start)
-    return {key: None if t is None else statistics.median(t) for key, t in times.items()}, values
+    return {key: t if isinstance(t, str) else statistics.median(t) for key, t in times.items()}, values
 
 
 def main(argv=None):
@@ -79,17 +102,23 @@ def main(argv=None):
     parser.add_argument("cases", nargs="+", metavar="GRAPH@M")
     parser.add_argument("--repeat", type=int, default=1, help="repetitions per row (median)")
     args = parser.parse_args(argv)
-    print("| graph, m | value | " + " | ".join(COLUMNS) + " |")
-    print("|---" * (len(COLUMNS) + 2) + "|")
-    agree = True
-    for case in args.cases:
-        name, _, m = case.rpartition("@")
-        times, values = route_row(named_graph(name), int(m), args.repeat)
-        agree = agree and len(values) == 1
-        value = " / ".join(f"{v:,}" for v in sorted(values))
-        cells = ["budget" if times[key] is None else f"{times[key]:.3f}" for key in COLUMNS]
-        print(f"| {name}, {m} | {value} | " + " | ".join(cells) + " |", flush=True)
-    return 0 if agree else 1
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    try:
+        cases = [parse_case(case) for case in args.cases]
+        print("| graph, m | value | " + " | ".join(COLUMNS) + " |")
+        print("|---" * (len(COLUMNS) + 2) + "|")
+        agree = True
+        for name, graph, m in cases:
+            times, values = route_row(graph, m, args.repeat)
+            agree = agree and len(values) == 1 and "failed" not in times.values()
+            value = " / ".join(f"{v:,}" for v in sorted(values))
+            cells = [t if isinstance(t, str) else f"{t:.3f}" for t in map(times.get, COLUMNS)]
+            print(f"| {name}, {m} | {value} | " + " | ".join(cells) + " |", flush=True)
+    except (ValueError, OSError) as exc:  # a bad graph file, or m below 3
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_PARSE
+    return cli.EXIT_OK if agree else cli.EXIT_DISAGREE
 
 
 if __name__ == "__main__":

@@ -22,8 +22,6 @@ from .digraph_poly import (
     chi_acyclic,
     chi_engine,
     digraph_polynomial_report,
-    full_peel,
-    peel_step,
 )
 from .errors import (
     BudgetExceededError,

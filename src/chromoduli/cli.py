@@ -339,8 +339,12 @@ def _pretty_verify(rows):
     print(header)
     print("-" * len(header))
     for row in rows:
-        vals = row.get("values", {})
-        rendered = " ".join(f"{k}={v}" for k, v in sorted(vals.items()))
+        cells = {
+            **row.get("values", {}),
+            **dict.fromkeys(row.get("failed", ()), "failed"),
+            **dict.fromkeys(row["skipped"], "skipped"),
+        }
+        rendered = " ".join(f"{k}={v}" for k, v in sorted(cells.items()))
         print(f"{row['graph']:14s} {row['m']:>2d} {row['kind']:8s} {rendered:40s} {row['agree']}")
 
 

@@ -1,28 +1,23 @@
-"""Directed-graph analogues of the chromatic polynomial, by three routes.
+"""Directed-graph analogues of the chromatic polynomial, by two routes.
 
 For a digraph the in- and out-variants of the intersection number vary
 polynomially in the number of extra markings; the monic degree-|V| integer
 polynomials behind them are computed by
 
-* the closed product formula over in/out-degrees (acyclic digraphs only),
-* sink/source peeling (acyclic digraphs only), and
+* the closed product formula over in/out-degrees (acyclic digraphs only), and
 * the engine's coefficient table (`moduli.omega_coefficients`), one call
   per mode, rewritten from falling factorials in m to powers of x,
 
-and cross-checked against each other wherever more than one route applies.
-Reversing all arcs swaps the two polynomials.
+and cross-checked against each other on acyclic digraphs.  The two share no
+code.  Reversing all arcs swaps the two polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Digraph, IntPolynomial, label_sort_key
+from .graphs import Digraph, IntPolynomial
 from .moduli import DEFAULT_TERM_CAP, omega_coefficients
-
-
-def _degree(graph: Digraph, v, mode):
-    return graph.in_degree(v) if mode == "in" else graph.out_degree(v)
 
 
 def _check_mode(mode):
@@ -35,44 +30,10 @@ def chi_acyclic(graph: Digraph, mode) -> IntPolynomial:
     _check_mode(mode)
     if not graph.is_acyclic():
         raise ValueError("closed product formula requires an acyclic digraph")
+    degree = graph.in_degree if mode == "in" else graph.out_degree
     out = IntPolynomial((1,))
     for v in graph.vertices:
-        out = out * IntPolynomial((-_degree(graph, v, mode), 1))
-    return out
-
-
-def peel_step(graph: Digraph, v, mode):
-    """Split off the factor of a sink (in mode) or source (out mode).
-
-    Returns (factor, remaining digraph); the factor is x - indeg(v) or
-    x - outdeg(v).
-    """
-    _check_mode(mode)
-    if mode == "in" and not graph.is_sink(v):
-        raise ValueError(f"{v!r} is not a sink")
-    if mode == "out" and not graph.is_source(v):
-        raise ValueError(f"{v!r} is not a source")
-    factor = IntPolynomial((-_degree(graph, v, mode), 1))
-    return factor, graph.delete_vertex(v)
-
-
-def full_peel(graph: Digraph, mode) -> IntPolynomial:
-    """Peel sinks (or sources) with `peel_step` until one vertex is left.
-
-    The last vertex has degree 0, so its factor is x.  Only completes on
-    acyclic digraphs; raises otherwise.
-    """
-    _check_mode(mode)
-    is_end = Digraph.is_sink if mode == "in" else Digraph.is_source
-    out = IntPolynomial.monomial(1)
-    current = graph
-    while current.n > 1:
-        ends = (v for v in sorted(current.vertices, key=label_sort_key) if is_end(current, v))
-        pick = next(ends, None)
-        if pick is None:
-            raise ValueError("no sink/source available; digraph has a directed cycle")
-        factor, current = peel_step(current, pick, mode)
-        out = out * factor
+        out = out * IntPolynomial((-degree(v), 1))
     return out
 
 
@@ -150,18 +111,17 @@ def chi_checked(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP):
     """(polynomial, route, consistent) for one mode.
 
     The engine's table always runs; on an acyclic digraph the closed formula
-    and sink/source peeling must agree with it, and the closed formula is
-    returned.
+    must agree with it, and the closed formula is returned.
     """
     engine = chi_engine(graph, mode, term_cap)
     if not graph.is_acyclic():
         return engine, "engine", True
     closed = chi_acyclic(graph, mode)
-    return closed, "acyclic-formula", closed == full_peel(graph, mode) == engine
+    return closed, "acyclic-formula", closed == engine
 
 
 def digraph_polynomial_report(graph: Digraph, term_cap=DEFAULT_TERM_CAP):
-    """Both polynomials from the engine; on acyclic digraphs also cross-check two more routes."""
+    """Both polynomials from the engine; on acyclic digraphs also cross-check the closed formula."""
     chi_in, route_in, ok_in = chi_checked(graph, "in", term_cap)
     chi_out, route_out, ok_out = chi_checked(graph, "out", term_cap)
     return DigraphPolynomialReport(

@@ -153,20 +153,6 @@ class Digraph:
             raise ValueError(f"{v!r} is not a vertex")
         return frozenset([v] + [w for u, w in self.arcs if u == v])
 
-    def is_sink(self, v):
-        return self.out_degree(v) == 0
-
-    def is_source(self, v):
-        return self.in_degree(v) == 0
-
-    def delete_vertex(self, v):
-        if v not in self.vertices:
-            raise ValueError(f"{v!r} is not a vertex")
-        rest = tuple(x for x in self.vertices if x != v)
-        if not rest:
-            raise ValueError("cannot delete the last vertex")
-        return Digraph(rest, tuple(a for a in self.arcs if v not in a))
-
     def reverse(self):
         return Digraph.of(self.vertices, [(w, u) for u, w in self.arcs])
 

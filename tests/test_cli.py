@@ -11,7 +11,13 @@ from hypothesis import given, settings
 import chromoduli
 from chromoduli import arrangement, cli, critical, digraph_poly, moduli
 from chromoduli.errors import EngineConsistencyError
-from chromoduli.graphs import SimpleGraph, automorphism_generators, chromatic_polynomial
+from chromoduli.graphs import (
+    IntPolynomial,
+    SimpleGraph,
+    automorphism_generators,
+    chromatic_polynomial,
+    load_graph_file,
+)
 
 from graph_catalog import ORACLE_SETTINGS, graphs_and_m, paw_graph
 
@@ -555,7 +561,38 @@ def test_verify_rows_carry_no_failed_key_when_every_route_runs(capsys):
 def test_verify_pretty_table(capsys):
     code, out = run(capsys, "verify", "--pretty", "--graph", PAW, "--m", "3")
     assert code == 0
-    assert "graph" in out and "paw.txt" in out and "True" in out
+    assert out.splitlines()[2] == (
+        "paw.txt         3 simple   chambers_bijective=12 chambers_lp=12 chromatic=12"
+        " critical_points=12 engine_omega=12 stanley=12 True"
+    )
+
+
+def test_verify_pretty_table_names_failed_and_skipped_routes(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineConsistencyError("final margin LP lost a feasible region")
+
+    monkeypatch.setattr(arrangement, "bounded_chambers_lp", broken)
+    code, out = run(capsys, "verify", "--pretty", "--graph", PAW, "--m", "3")
+    assert code == cli.EXIT_DISAGREE
+    assert "chambers_lp=failed" in out.splitlines()[2] and out.splitlines()[2].endswith(" False")
+    monkeypatch.undo()
+    argv = ["verify", "--pretty", "--graph", PAW, "--graph", INSTAR, "--m", "3"]
+    code, out = run(capsys, *argv, "--budget-orientations", "4", "--budget-terms", "1")
+    assert code == cli.EXIT_BUDGET
+    paw_row, instar_row = out.splitlines()[2:]
+    assert "chambers_lp=12" in paw_row and "stanley=skipped" in paw_row
+    assert instar_row.split()[3:] == ["engine=skipped", "True"]
+
+
+def test_a_wrong_closed_formula_fails_the_acyclic_check(capsys, monkeypatch):
+    # x^n is the closed formula of the edgeless digraph only; the engine must catch it
+    monkeypatch.setattr(digraph_poly, "chi_acyclic", lambda graph, mode: IntPolynomial.monomial(graph.n))
+    assert digraph_poly.digraph_polynomial_report(load_graph_file(INSTAR)).consistent is False
+    for argv in (["chi", "--graph", INSTAR], ["chi", "--graph", INSTAR, "--mode", "in"]):
+        code, out = run(capsys, *argv)
+        assert code == cli.EXIT_DISAGREE and json.loads(out)["consistent"] is False
+    code, out = run(capsys, "verify", "--graph", INSTAR, "--m", "3")
+    assert code == cli.EXIT_DISAGREE and json.loads(out)["agree"] is False
 
 
 def _python(*args):

@@ -11,8 +11,6 @@ from chromoduli.digraph_poly import (
     chi_engine,
     chi_for,
     digraph_polynomial_report,
-    full_peel,
-    peel_step,
 )
 from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import omega
@@ -39,34 +37,6 @@ def test_chi_acyclic_rejects_cycles():
         chi_acyclic(CYCLE3, "in")
     with pytest.raises(ValueError):
         chi_acyclic(instar_digraph(), "sideways")
-
-
-def test_peel_isolated_vertex():
-    d = Digraph.of(range(2), [])
-    factor, rest = peel_step(d, 0, "in")
-    assert factor.coefficients == (0, 1)  # x
-    assert rest.vertices == (1,)
-
-
-def test_peel_instar_middle_sink():
-    factor, rest = peel_step(instar_digraph(), 1, "in")
-    assert factor.coefficients == (-2, 1)  # x - 2
-    assert set(rest.vertices) == {0, 2} and rest.arcs == ()
-
-
-def test_peel_rejects_non_sink():
-    with pytest.raises(ValueError, match="not a sink"):
-        peel_step(instar_digraph(), 0, "in")
-    with pytest.raises(ValueError, match="not a source"):
-        peel_step(instar_digraph(), 1, "out")
-
-
-def test_full_peel_matches_closed_formula():
-    d = instar_digraph()
-    assert full_peel(d, "in") == chi_acyclic(d, "in")
-    assert full_peel(d, "out") == chi_acyclic(d, "out")
-    with pytest.raises(ValueError):
-        full_peel(CYCLE3, "in")
 
 
 def test_chi_engine_edgeless():
@@ -139,7 +109,7 @@ def test_route_agreement_all_two_vertex_digraphs():
         for mode in ("in", "out"):
             engine = chi_engine(d, mode)
             if d.is_acyclic():
-                assert engine == chi_acyclic(d, mode) == full_peel(d, mode)
+                assert engine == chi_acyclic(d, mode)
 
 
 def test_route_agreement_sampled_three_vertex_digraphs():
@@ -149,7 +119,7 @@ def test_route_agreement_sampled_three_vertex_digraphs():
             engine = chi_engine(d, mode)
             assert engine.is_monic and engine.degree == 3
             if d.is_acyclic():
-                assert engine == chi_acyclic(d, mode) == full_peel(d, mode)
+                assert engine == chi_acyclic(d, mode)
 
 
 def test_edge_reversal_swaps_polynomials():
@@ -164,8 +134,8 @@ def test_edge_reversal_swaps_polynomials():
 def test_acyclic_routes_agree_on_random_digraphs(d):
     report = digraph_polynomial_report(d)
     assert report.consistent
-    assert chi_engine(d, "in") == chi_acyclic(d, "in") == full_peel(d, "in") == report.chi_in
-    assert chi_engine(d, "out") == chi_acyclic(d, "out") == full_peel(d, "out") == report.chi_out
+    assert chi_engine(d, "in") == chi_acyclic(d, "in") == report.chi_in
+    assert chi_engine(d, "out") == chi_acyclic(d, "out") == report.chi_out
 
 
 @ORACLE_SETTINGS

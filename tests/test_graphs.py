@@ -260,7 +260,6 @@ def test_digraph_basics():
     assert d.in_degree(1) == 2 and d.out_degree(1) == 0
     assert d.in_neighborhood(1) == frozenset({0, 1, 2})
     assert d.out_neighborhood(0) == frozenset({0, 1})
-    assert d.is_sink(1) and d.is_source(0) and d.is_source(2)
     assert d.is_acyclic()
     assert d.reverse().arcs == ((1, 0), (1, 2))
     assert Digraph.of(range(2), [(0, 1), (1, 0)]).is_acyclic() is False

@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from chromoduli import arrangement
 from chromoduli.digraph_poly import advisory_flags
+from chromoduli.errors import EngineConsistencyError
 from chromoduli.graphs import IntPolynomial
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -87,3 +91,33 @@ def test_route_table_names_graphs():
     assert len(table.named_graph("Q3").edges) == 12 and len(table.named_graph("Petersen").edges) == 15
     times, values = table.route_row(table.named_graph("paw"), 3, 1)
     assert values == {12} and set(times) == {"chromatic", *table.COLUMNS}
+
+
+def test_route_table_marks_a_failed_route_and_runs_the_rest(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineConsistencyError("dual simplex found no entering column\nsecond line")
+
+    monkeypatch.setattr(arrangement, "bounded_chambers_lp", broken)
+    table = _load_script("route_table")
+    times, values = table.route_row(table.named_graph("P3"), 3, 2)
+    assert times["chambers_lp"] == "failed" and values == {4}
+    assert all(isinstance(times[key], float) for key in times if key != "chambers_lp")
+    assert capsys.readouterr().err == "error: chambers_lp: dual simplex found no entering column\n"
+    assert table.main(["P3@3", "C4@3"]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]
+    assert [row.split(" | ")[4] for row in rows] == ["failed", "failed"]
+    assert captured.err.splitlines() == ["error: chambers_lp: dual simplex found no entering column"] * 2
+
+
+@pytest.mark.parametrize("case", ["K0@3", "paw", "paw@x", "src/chromoduli/data/instar.txt@3"])
+def test_route_table_rejects_a_bad_case_without_traceback(case):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "route_table.py"), case],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=SCRIPTS.parent,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
