@@ -8,11 +8,15 @@ z_u - z_w.  Bounded chambers are enumerated two independent ways:
   interior witness, and
 * by depth-first sign-vector search, restricted a priori to the open cube
   (0, m-2)^V, which contains every bounded chamber, splitting on the edge
-  functionals before the inner levels.  Each candidate region
-  solves a margin LP, warm-started from the tableau of its nearest solved
-  ancestor and re-optimized by the dual simplex, and its optimum is
-  certified by an exact dual; each chamber found is certified by exact
-  substitution of the witness it carries.
+  functionals before the inner levels.  Every functional is z_j - z_k + c
+  with z_n = 0 (`Arrangement.sparse`), so each candidate region is a
+  system of strict difference constraints over the nodes 0..n, decided by
+  the shortest-path closure of `lp.Region`: an empty region is refused
+  with a cycle of weight <= 0 as its certificate, and a chamber's witness
+  is the closure's potentials over n+1.
+
+Every chamber carries its witness as integer numerators over one
+denominator, and is certified by exact substitution of that witness.
 
 The reflection z -> (m-2)*1 - z maps the arrangement onto itself: it sends
 the hyperplane z_v = i to z_v = m-2-i and fixes every edge hyperplane.  So
@@ -37,11 +41,10 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, EngineConsistencyError
 from .graphs import SimpleGraph, automorphism_generators, topological_order
-from .lp import Tableau
+from .lp import Region
 from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
-_MARGIN_CAP = 1
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,6 @@ class AffineFunctional:
     def value(self, z, d=1):
         """d * f(z / d): the value at z, or its d-fold from integer numerators z over d > 0."""
         return sum(map(operator.mul, self.coefficients, z)) + self.constant * d
-
-    @property
-    def weight(self):
-        """L1 norm of the coefficient vector; scales LP margins."""
-        return sum(abs(a) for a in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,17 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class Chamber:
-    """Sign vector over the arrangement's functional order plus an interior witness."""
+    """Sign vector over the arrangement's functional order plus an interior witness nums / d."""
 
     signs: tuple  # +1 / -1 per functional
-    witness: tuple  # exact rationals
+    nums: tuple  # the witness's integer numerators, one per vertex
+    d: int  # their common denominator, > 0
     bounded: bool
+
+    @property
+    def witness(self):
+        """The interior witness, as reduced Fractions."""
+        return tuple(Fraction(x, self.d) for x in self.nums)
 
     @property
     def sign_string(self):
@@ -152,10 +156,11 @@ class _Symmetry:
         """The image of the sign vector s (a 0 entry stays 0)."""
         return tuple(map(operator.mul, self.sign, map(s.__getitem__, self.index)))
 
-    def point(self, z):
+    def point(self, z, d=1):
+        """The image of the point z, or of integer numerators z over d > 0, as numerators over d."""
         y = list(z)
         for x, p in zip(z, self.perm):
-            y[p] = x if self.scale > 0 else self.offset - x
+            y[p] = x if self.scale > 0 else self.offset * d - x
         return y
 
     def after(self, other):
@@ -224,71 +229,15 @@ def _orbit(symmetries, signs, item, move):
     return orbit
 
 
-def _margin_row(f, side, shift):
-    """The margin-LP row of the half-space side * f > 0, in the variables (z, u).
-
-    The region's weighted margin t satisfies side * f(z) >= weight * t; in
-    u = t + shift this reads  -side*a.z + weight*u <= side*b + weight*shift,
-    whose right-hand side is >= 0 once shift >= |b| (every weight is >= 1).
-    """
-    w = f.weight
-    return [-side * a for a in f.coefficients] + [w], side * f.constant + w * shift
+def _arc(term, side):
+    """The half-space side * (z_j - z_k + c) > 0, term = (j, k, c), as the constraint z_b - z_a < w: (a, b, w)."""
+    j, k, c = term
+    return (j, k, c) if side > 0 else (k, j, -c)
 
 
-def _cube(arr):
-    """The root of the LP search: the open cube (0, m-2)^V.
-
-    Returns the fixed cube signs (functional index -> sign), the indices of
-    the free functionals in split order, edges first and then levels, each
-    in arrangement order, and the solved margin tableau of the cube: its
-    rows are the cube's and the cap u <= _MARGIN_CAP + shift, which keeps
-    every margin LP bounded.  shift = m-2 is the largest |constant| of any
-    functional, so the cube's LP starts feasible at the slack basis and is
-    solved by the primal simplex; it is the one LP built from scratch.
-    """
-    m, dim = arr.m, arr.dimension
-    fixed = {}
-    free_idx = []
-    for idx, f in enumerate(arr.functionals):
-        kind = f.tag[0]
-        if kind == "level" and f.tag[2] == 0:
-            fixed[idx] = 1
-        elif kind == "level" and f.tag[2] == m - 2:
-            fixed[idx] = -1
-        else:
-            free_idx.append(idx)
-    free_idx.sort(key=lambda i: arr.functionals[i].tag[0] != "edge")
-    shift = m - 2
-    rows = [_margin_row(arr.functionals[i], s, shift) for i, s in fixed.items()]
-    rows.append(([0] * dim + [1], _MARGIN_CAP + shift))
-    root = Tableau([a for a, _ in rows], [bi for _, bi in rows], [0] * dim + [1])
-    if root.primal() is not None:
-        raise EngineConsistencyError("margin LP of the cube came back unbounded")
-    root.optimum()  # certified like every warm optimum
-    return fixed, free_idx, root
-
-
-def _solve_region(solved, rows, shift):
-    """Warm-start the margin LP of a region: a solved ancestor's tableau plus `rows`.
-
-    The appended rows leave the ancestor's optimal basis dual-feasible, so
-    the dual simplex re-optimizes; the optimum is certified on the region's
-    full row set.  Returns the region's tableau and its witness with
-    positive margin, as integer numerators over the tableau's denominator
-    D, or None when the region has no strict interior (margin <= 0).
-    """
-    tab = solved.with_rows(rows)
-    tab.dual()
-    x, _ = tab.optimum()
-    if x[-1] <= shift * tab.D:
-        return None
-    return tab, (x[:-1], tab.D)
-
-
-def _signs_at(arr, witness):
-    """The sign of every functional at the witness, by exact substitution over its common denominator."""
-    d = math.lcm(*(x.denominator for x in witness))
-    z = [x.numerator * (d // x.denominator) for x in witness] + [0]
+def _signs_at(arr, nums, d):
+    """The sign of every functional at the witness nums / d, by exact substitution in integers."""
+    z = list(nums) + [0]
     signs = []
     for j, k, c in arr.sparse:
         val = z[j] - z[k] + c * d
@@ -300,19 +249,21 @@ def _signs_at(arr, witness):
 
 def _image(arr, symmetry, chamber):
     """The chamber that `symmetry` maps `chamber` to, its witness certified by substitution."""
-    witness = tuple(symmetry.point(chamber.witness))
+    nums = tuple(symmetry.point(chamber.nums, chamber.d))
     signs = symmetry.signs(chamber.signs)
-    if _signs_at(arr, witness) != signs:
+    if _signs_at(arr, nums, chamber.d) != signs:
         raise EngineConsistencyError("mapped LP witness lies outside its chamber")
-    return Chamber(signs, witness, True)
+    return Chamber(signs, nums, chamber.d, True)
 
 
 def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
-    """Interior point for the chamber of a compatible (coloring, orientation) pair.
+    """Interior point for the chamber of a compatible (coloring, orientation) pair: numerators and d.
 
     Vertices of color c live in (c-1, c), at equally spaced offsets k/(t+1);
-    within a color class, an arc u -> w forces x_u > x_w.
+    within a color class, an arc u -> w forces x_u > x_w.  A class has
+    t <= n vertices, so d = lcm(2..n+1) is a common denominator.
     """
+    d = math.lcm(*range(2, graph.n + 2))
     witness = {}
     for color in range(1, m - 1):
         group = [v for v in graph.vertices if sigma[v] == color]
@@ -325,8 +276,8 @@ def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
             raise EngineConsistencyError("orientation restricted to a color class has a cycle")
         t = len(group)
         for position, v in enumerate(order):
-            witness[v] = Fraction(color - 1) + Fraction(t - position, t + 1)
-    return tuple(witness[v] for v in graph.vertices)
+            witness[v] = (color - 1) * d + (t - position) * (d // (t + 1))
+    return tuple(witness[v] for v in graph.vertices), d
 
 
 def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
@@ -343,29 +294,30 @@ def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDID
             sigma = dict(zip(graph.vertices, colors))
             if not all(sigma[u] >= sigma[w] for u, w in arcs):
                 continue
-            witness = _pair_witness(graph, m, sigma, arcs)
-            signs = _signs_at(arr, witness)
+            nums, d = _pair_witness(graph, m, sigma, arcs)
+            signs = _signs_at(arr, nums, d)
             if signs in seen:
                 raise EngineConsistencyError("distinct pairs produced the same chamber")
             seen.add(signs)
-            chambers.append(Chamber(signs, witness, True))
+            chambers.append(Chamber(signs, nums, d, True))
     chambers.sort(key=lambda c: c.signs)
     return chambers
 
 
 def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONAL_BUDGET):
-    """All bounded chambers by incremental sign-vector search with exact LPs.
+    """All bounded chambers by incremental sign-vector search over difference constraints.
 
     Every bounded chamber satisfies 0 < z_v < m-2 coordinatewise, so the
     search fixes those signs up front and only splits on the remaining
     functionals, depth-first: the edge functionals first, then the inner
-    levels.  A split keeps the region's witness on the side it already
-    lies on; the other side is a region whose margin LP is warm-started
-    from the tableau of its nearest solved ancestor, with the rows added
-    since appended, and re-optimized by the dual simplex.  Only the
-    tableaux of the current search path are alive.  Each result is
-    certified by substituting its witness into every functional: the signs
-    must equal the chamber's, cube signs included, so it is also bounded.
+    levels.  Each side of a split adds one strict difference constraint to
+    the region's shortest-path closure (`lp.Region.with_arc`), in O((n+1)^2)
+    when the region stays nonempty; an empty one is refused with a cycle of
+    weight <= 0 as its certificate.  A full sign vector's witness is the
+    closure's potentials from z_n = 0, over n+1, so every functional is at
+    least 1/(n+1) from 0 there.  Each result is certified by substituting
+    its witness into every functional: the signs must equal the chamber's,
+    cube signs included, so it is also bounded.
 
     When the graph has an edge, the search divides by the group that
     `Arrangement.symmetries` generates: the reflection and the
@@ -376,20 +328,30 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     it is not the image of an orientation searched before; when it is
     searched, every other orientation of its orbit, on either side of the
     first split, is registered with the symmetry that maps it there, and is
-    skipped without an LP.  A registered orientation's chambers are the
-    images of its representative's under that symmetry; every mapped
-    chamber is certified by substitution like the others, and a final check
-    refuses any sign vector found twice.  On K5 at m=4 the search solves
-    192 warm LPs (1,159 with the reflection alone, 2,321 without symmetry).
+    skipped before its constraint is added.  A registered orientation's
+    chambers are the images of its representative's under that symmetry;
+    every mapped chamber is certified by substitution like the others, and
+    a final check refuses any sign vector found twice.  On K5 at m=4 the
+    search decides 284 regions beyond the cube and refuses 107 of them.
     """
     fns = arr.functionals
     if len(fns) > functional_budget:
         raise BudgetExceededError(
             f"{len(fns)} functionals exceed LP search budget {functional_budget}"
         )
-    shift = arr.m - 2
-    fixed, free_idx, root = _cube(arr)
-    split = [arr.sparse[i] for i in free_idx]
+    n, m, sparse = arr.dimension, arr.m, arr.sparse
+    fixed = {}  # the cube's signs: functional index -> sign
+    free_idx = []
+    for idx, f in enumerate(fns):
+        if f.tag[0] == "level" and f.tag[2] in (0, m - 2):
+            fixed[idx] = 1 if f.tag[2] == 0 else -1
+        else:
+            free_idx.append(idx)
+    free_idx.sort(key=lambda i: fns[i].tag[0] != "edge")
+    cube = Region.empty(n + 1)
+    for i, side in fixed.items():
+        cube = cube.with_arc(*_arc(sparse[i], side))
+    split = [sparse[i] for i in free_idx]
     edges = [i for i in free_idx if fns[i].tag[0] == "edge"]
     if edges and arr.symmetries[0].index[edges[0]] != edges[0]:
         raise EngineConsistencyError("the first split of the LP search is not its own mirror")
@@ -397,20 +359,17 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     chambers = []
     found = {}  # searched orientation -> its chambers
     mapped = {}  # orientation -> (searched orientation, symmetry onto it)
-    # (free signs so far, witness (numerators padded by z[n] = 0, denominator)
-    # or None while unsolved, nearest solved tableau, rows added since)
-    stack = [((), ([shift] * arr.dimension + [0], 2), root, ())]
+    # (free signs so far, the parent region, the constraint it adds; None at the cube)
+    stack = [((), cube, None)]
     while stack:
-        sides, point, solved, pending = stack.pop()
+        sides, region, arc = stack.pop()
         at_orientation = len(sides) == len(edges) > 0
         if at_orientation and sides in mapped:
             continue
-        if point is None:
-            res = _solve_region(solved, pending, shift)
-            if res is None:
+        if arc is not None:
+            region = region.with_arc(*arc)
+            if region is None:
                 continue
-            solved, (z, d) = res
-            point, pending = (z + [0], d), ()
         if at_orientation:
             found[sides] = []
             pattern = [0] * len(fns)
@@ -425,22 +384,18 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
             signs = dict(fixed)
             signs.update(zip(free_idx, sides))
             sign_vec = tuple(signs[i] for i in range(len(fns)))
-            witness = tuple(Fraction(v, point[1]) for v in point[0][:-1])
-            if _signs_at(arr, witness) != sign_vec:
+            nums = tuple(region.dist[n][:n])
+            if _signs_at(arr, nums, n + 1) != sign_vec:
                 raise EngineConsistencyError("LP witness lies outside its chamber")
-            chamber = Chamber(sign_vec, witness, True)
+            chamber = Chamber(sign_vec, nums, n + 1, True)
             chambers.append(chamber)
             if edges:
                 found[sides[: len(edges)]].append(chamber)
             continue
-        j, k, c = split[len(sides)]
-        z, d = point
-        val = z[j] - z[k] + c * d
+        term = split[len(sides)]
         # the + side is pushed last, so searched first
         for side in (1,) if edges and not sides else (-1, 1):
-            row = _margin_row(fns[free_idx[len(sides)]], side, shift)
-            kept = point if side * val > 0 else None
-            stack.append((sides + (side,), kept, solved, pending + (row,)))
+            stack.append((sides + (side,), region, _arc(term, side)))
 
     for rep, symmetry in mapped.values():
         chambers += [_image(arr, symmetry, chamber) for chamber in found[rep]]

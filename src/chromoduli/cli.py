@@ -11,7 +11,8 @@ error (malformed graph, weights and constraint files included), 3 budget
 exceeded.  JSON goes to stdout (JSON lines for verify), diagnostics to
 stderr.  In verify, a route that raises EngineConsistencyError or
 ConvergenceError is recorded in its row as "failed": {route: reason} with
-"agree": false, and the other routes and rows still run.  A subcommand
+"agree": false, printed as "error: <route>: <reason>" on stderr, and the
+other routes and rows still run.  A subcommand
 takes only the budget flags it reads: omega, chi and kapranov
 --budget-terms; chambers --budget-orientations and --budget-lp;
 critical-points --budget-orientations; verify all three.
@@ -266,11 +267,11 @@ def simple_routes(graph, m, budgets=BUDGETS, seed=0):
     }
 
 
-def _reason(exc):
-    """A route's solver failure as one line, also printed to stderr as a diagnostic."""
+def _reason(route, exc):
+    """A route's solver failure as one line, also printed to stderr as `error: <route>: <reason>`."""
     lines = str(exc).splitlines()
     reason = lines[0] if lines else type(exc).__name__
-    print(f"error: {reason}", file=sys.stderr)
+    print(f"error: {route}: {reason}", file=sys.stderr)
     return reason
 
 
@@ -285,7 +286,7 @@ def _verify_simple_row(graph, name, m, args):
         except BudgetExceededError:
             skipped.append(key)
         except (EngineConsistencyError, ConvergenceError) as exc:
-            failed[key] = _reason(exc)
+            failed[key] = _reason(key, exc)
     row = {
         "graph": name,
         "kind": "simple",
@@ -328,7 +329,7 @@ def _verify_digraph_row(graph, name, m, args, reports):
         skipped.append("engine")
         row["agree"] = True
     except (EngineConsistencyError, ConvergenceError) as exc:
-        row["failed"] = {"engine": _reason(exc)}
+        row["failed"] = {"engine": _reason("engine", exc)}
         row["agree"] = False
     row["skipped"] = skipped
     return row

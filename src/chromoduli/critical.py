@@ -243,8 +243,9 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     n = arr.dimension
     signs = chamber.signs
     u = [w for _, _, _, w in kernel]
-    for point in (chamber.witness,) if start is None else (start, chamber.witness):
-        z = [float(x) for x in point] + [0.0]
+    witness = (chamber.nums, chamber.d)
+    for point, d in (witness,) if start is None else ((start, 1), witness):
+        z = [x / d for x in point] + [0.0]  # x / d rounds as float(Fraction(x, d)) does
         f = _values(kernel, z)
         sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
         if min(sf, default=1.0) > 0:

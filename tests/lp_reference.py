@@ -1,20 +1,57 @@
-"""The Fraction-tableau simplex: the tests' reference for `chromoduli.lp`.
+"""The Fraction-tableau simplex: the tests' reference LP solver.
 
-A two-phase simplex with Bland's rule in `Fraction` arithmetic, normalising
-the pivot row and eliminating the pivot column on every pivot.  With b >= 0,
-the only right-hand sides `chromoduli.lp` takes, there is no artificial
-column and phase 1 is skipped; phase 2 then takes the same entering and
-leaving decisions as that module's integer tableau, so the two return equal
-answers (its optimal dual aside, which this one does not compute).  Only
-a system with some b_i < 0 can be infeasible; this module checks a Farkas
-vector for it and answers "infeasible", a status `chromoduli.lp` never
-returns.
+max c.x  subject to  A x <= b  with x free, by a two-phase simplex with
+Bland's rule in `Fraction` arithmetic, normalising the pivot row and
+eliminating the pivot column on every pivot.  With b >= 0 there is no
+artificial column and phase 1 is skipped.  Every answer carries a
+certificate, re-checked exactly; a failed check raises
+EngineConsistencyError:
+
+* optimal: the point x and a dual vector y >= 0 with y A = c and
+  y.b = c.x, read off the final reduced costs of the slack columns
+  (`_check_optimal`);
+* unbounded: an improving ray d with A d <= 0 and c.d > 0;
+* infeasible (only possible with some b_i < 0): a Farkas vector y >= 0
+  with y A = 0 and y.b < 0.
+
+`margin_lp` decides a system of strict difference constraints with it, by
+the margin LP that `chromoduli.lp`'s shortest-path closure replaced.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from chromoduli.errors import EngineConsistencyError
-from chromoduli.lp import LpSolution
+
+
+@dataclass(frozen=True)
+class LpSolution:
+    status: str  # "optimal" | "unbounded" | "infeasible"
+    x: tuple | None = None
+    objective: Fraction | None = None
+    ray: tuple | None = None
+    dual: tuple | None = None  # with x: y >= 0, y A = c, y.b = objective
+
+
+def _check_optimal(A, b, c, x, y, d):
+    """Certify x/d optimal for max c.x s.t. A x <= b by the dual y/d (d > 0).
+
+    x must be feasible, and y >= 0 with y A = c and y.b = c.x; then every
+    feasible point z has c.z = y A z <= y.b = c.x.
+    """
+    if any(sum(map(mul, row, x)) > d * bi for row, bi in zip(A, b)):
+        raise EngineConsistencyError("optimal point violates a constraint")
+    if any(v < 0 for v in y):
+        raise EngineConsistencyError("optimal dual has a negative entry")
+    yA = [0] * len(c)
+    for v, row in zip(y, A):
+        if v:
+            yA = [s + v * a for s, a in zip(yA, row)]
+    if yA != [d * cj for cj in c]:
+        raise EngineConsistencyError("optimal dual does not reproduce the objective")
+    if sum(map(mul, y, b)) != sum(map(mul, c, x)):
+        raise EngineConsistencyError("optimal dual bound differs from the optimal value")
 
 
 def solve_lp(A, b, c):
@@ -142,7 +179,32 @@ def solve_lp(A, b, c):
     for i in live:
         vals[basis[i]] = T[i][ncols]
     x = tuple(vals[j] - vals[n + j] for j in range(n))
-    if any(sum(A[i][j] * x[j] for j in range(n)) > b[i] for i in range(m)):
-        raise EngineConsistencyError("optimal point violates a constraint")
+    # a slack's reduced cost is minus its row's dual; a row dropped as redundant has none
+    y = tuple(-obj2[2 * n + i] if i in live else Fraction(0) for i in range(m))
+    _check_optimal(A, b, c, x, y, 1)
     objective = sum(c[j] * x[j] for j in range(n))
-    return LpSolution(status="optimal", x=x, objective=objective)
+    return LpSolution(status="optimal", x=x, objective=objective, dual=y)
+
+
+def margin_lp(size, arcs):
+    """The largest margin t <= 1 of the strict constraints z_b - z_a < w, one per arc (a, b, w).
+
+    max t s.t. z_b - z_a + t <= w per arc over the nodes 0..size-1, with
+    z_0 = 0; t is written u - s, s the largest |w|, so that every
+    right-hand side is >= 0 and no phase 1 runs.  The answer is positive
+    exactly when the strict system has a solution.
+    """
+    s = max((abs(w) for _, _, w in arcs), default=0)
+    A = [[0] * size + [1], [1] + [0] * size, [-1] + [0] * size]
+    b = [1 + s, 0, 0]
+    for a, head, w in arcs:
+        row = [0] * (size + 1)
+        row[head] += 1
+        row[a] -= 1
+        row[size] = 1
+        A.append(row)
+        b.append(w + s)
+    sol = solve_lp(A, b, [0] * size + [1])
+    if sol.status != "optimal":
+        raise EngineConsistencyError("the capped margin LP has no optimum")
+    return sol.objective - s

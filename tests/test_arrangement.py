@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromoduli import arrangement, lp
+from chromoduli import arrangement
 from chromoduli.arrangement import (
     Chamber,
+    _arc,
     _pair_witness,
     _signs_at,
     _symmetries,
@@ -18,8 +20,10 @@ from chromoduli.arrangement import (
 )
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, automorphism_generators, chromatic_polynomial
+from chromoduli.lp import Region
 
 from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph, simple_graphs
+from lp_reference import margin_lp, solve_lp
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
 K3 = SimpleGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
@@ -39,8 +43,8 @@ def chamber_to_pair(arr, chamber):
 def pair_to_chamber(arr, sigma, arcs):
     if not all(sigma[u] >= sigma[w] for u, w in arcs):
         raise ValueError("orientation is not compatible with the coloring")
-    witness = _pair_witness(arr.graph, arr.m, sigma, arcs)
-    return Chamber(_signs_at(arr, witness), witness, True)
+    nums, d = _pair_witness(arr.graph, arr.m, sigma, arcs)
+    return Chamber(_signs_at(arr, nums, d), nums, d, True)
 
 
 def test_build_counts():
@@ -63,9 +67,8 @@ def test_functional_structure():
         v, i = f.tag[1], f.tag[2]
         assert f.constant == -i
         assert sorted(f.coefficients) == [0, 1]
-        assert f.weight == 1
     (e,) = edges
-    assert sorted(e.coefficients) == [-1, 1] and e.constant == 0 and e.weight == 2
+    assert sorted(e.coefficients) == [-1, 1] and e.constant == 0
     # deterministic order: all vertex levels first, then edges
     tags = [f.tag[0] for f in arr.functionals]
     assert tags == ["level"] * 6 + ["edge"]
@@ -166,82 +169,107 @@ def test_pair_to_chamber_rejects_incompatible():
 def test_chamber_to_pair_requires_bounded():
     arr = build_arrangement(K2, 3)
     (c, _) = bounded_chambers_lp(arr)
-    unbounded = type(c)(signs=c.signs, witness=c.witness, bounded=False)
+    unbounded = dataclasses.replace(c, bounded=False)
     with pytest.raises(ValueError):
         chamber_to_pair(arr, unbounded)
 
 
+def _count_decisions(monkeypatch, check=None):
+    """Spy on `Region.with_arc`: the regions kept and refused, each passed to `check` if given."""
+    real = Region.with_arc
+    counts = {"kept": 0, "refused": 0}
+
+    def counting(region, a, b, w):
+        child = real(region, a, b, w)
+        counts["refused" if child is None else "kept"] += 1
+        if check:
+            check(region, (a, b, w), child)
+        return child
+
+    monkeypatch.setattr(Region, "with_arc", counting)
+    return counts
+
+
 @pytest.mark.parametrize(
-    "name,m,lp_calls",
+    "name,m,kept,refused",
     [
-        pytest.param("paw", 3, 8, id="paw-m3"),
-        pytest.param("K4", 3, 25, id="K4-m3"),
-        pytest.param("K4", 4, 35, id="K4-m4"),
-        pytest.param("paw", 4, 40, id="paw-m4"),
+        pytest.param("paw", 3, 18, 2, id="paw-m3"),
+        pytest.param("K4", 3, 31, 11, id="K4-m3"),
+        pytest.param("K4", 4, 45, 17, id="K4-m4"),
+        pytest.param("paw", 4, 63, 17, id="paw-m4"),
     ],
 )
-def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, lp_calls):
-    # a warm LP only for a split side the region's witness misses, none per
-    # chamber, none on the mirrored half and none below an orientation that
-    # is the image of one searched before; the cube's own LP is the one
-    # solved from scratch
+def test_lp_search_solves_no_lp_per_chamber(monkeypatch, name, m, kept, refused):
+    # one closure update or refusal per region decided, the cube's 8 arcs
+    # included; none on the mirrored half and none below an orientation that
+    # is the image of one searched before
     g = dict(all_graphs_up_to_4())[name]
-    real = arrangement._solve_region
-    calls = []
-
-    def counting_solve_region(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(arrangement, "_solve_region", counting_solve_region)
+    counts = _count_decisions(monkeypatch)
     chambers = bounded_chambers_lp(build_arrangement(g, m))
     assert len(chambers) == (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
-    assert len(calls) == lp_calls
+    assert counts == {"kept": kept, "refused": refused}
+
+
+def _potential_lp(region, arc, v):
+    """max Z_v - Z_s, s the last node, s.t. Z_b - Z_a <= size*w - 1 for the region's arcs and `arc`."""
+    size = len(region.dist)
+    A, b = [], []
+    for a_, b_, w in [arc, *region.arcs()]:
+        row = [0] * size
+        row[b_], row[a_] = 1, -1
+        A.append(row)
+        b.append(size * w - 1)
+    A += [[0] * (size - 1) + [1], [0] * (size - 1) + [-1]]  # Z_s = 0
+    return solve_lp(A, b + [0, 0], [int(j == v) for j in range(size)])
 
 
 @pytest.mark.parametrize("name,m", [("paw", 4), ("K4", 4)])
 def test_warm_optimum_equals_a_cold_solve_on_the_same_rows(monkeypatch, name, m):
-    # the optimal margin is unique even where the witness is not
-    real = lp.Tableau.dual
+    # a kept region's potential dist[s][v] is the optimum of the integer
+    # system's LP, solved cold by the Fraction simplex (unbounded while the
+    # cube is being built); a refused region's margin LP has optimum <= 0
     checked = []
 
-    def compared_dual(tab):
-        real(tab)
-        x, _ = tab.optimum()
-        cold = lp.solve_lp(tab.A, tab.b, tab.c)
-        assert cold.status == "optimal"
-        assert cold.objective == Fraction(sum(c * v for c, v in zip(tab.c, x)), tab.D)
-        checked.append(cold.objective)
+    def compared(region, arc, child):
+        if child is None:
+            assert margin_lp(len(region.dist), [arc, *region.arcs()]) <= 0
+            checked.append(True)
+            return
+        if counts["kept"] % 2:
+            return  # every other kept region, to save the simplex's time
+        v = len(checked) % (len(region.dist) - 1)
+        cold = _potential_lp(region, arc, v)
+        if child.dist[-1][v] == float("inf"):  # the cube is not closed yet
+            assert cold.status == "unbounded"
+        else:
+            assert cold.status == "optimal" and cold.objective == child.dist[-1][v]
+        checked.append(False)
 
-    monkeypatch.setattr(lp.Tableau, "dual", compared_dual)
-    # the reflection alone (no automorphism generators) leaves 74 and 150
-    # warm LPs to compare; the whole group would leave 40 and 35
-    monkeypatch.setattr(arrangement, "automorphism_generators", lambda graph: [])
+    counts = _count_decisions(monkeypatch, compared)
     g = dict(all_graphs_up_to_4())[name]
     bounded_chambers_lp(build_arrangement(g, m))
-    assert len(checked) > 50
-    assert any(v <= m - 2 for v in checked)  # empty regions are among them
+    assert len(checked) > 25 and sum(checked) > 5
 
 
 def test_lp_search_witness_is_pinned():
-    # the search's pivot path decides which point of a chamber it returns;
-    # the first edge z_0 - z_1 is + on the searched half, and a chamber of
-    # the other half carries its mirror's witness reflected, 2 - x; the
+    # a witness is the closure's potentials from z_n = 0, over n+1 = 5; the
+    # first edge z_0 - z_1 is + on the searched half, and a chamber of the
+    # other half carries its mirror's witness reflected, 2 - x; the
     # orientation ++- is searched, and the reversal of P4 maps its chambers
     # onto those of +--, which is not
     arr = build_arrangement(dict(all_graphs_up_to_4())["P4"], 4)
     witnesses = {c.sign_string: c.witness for c in bounded_chambers_lp(arr)}
     assert witnesses["++-++-++-++-++-"] == (
-        Fraction(11, 6),
-        Fraction(3, 2),
-        Fraction(7, 6),
-        Fraction(3, 2),
+        Fraction(9, 5),
+        Fraction(8, 5),
+        Fraction(7, 5),
+        Fraction(9, 5),
     )
     assert witnesses["++-++-++-++---+"] == (
-        Fraction(7, 6),
-        Fraction(3, 2),
-        Fraction(11, 6),
-        Fraction(3, 2),
+        Fraction(6, 5),
+        Fraction(7, 5),
+        Fraction(8, 5),
+        Fraction(6, 5),
     )
     assert witnesses["+--+--+--+--++-"] == tuple(2 - x for x in witnesses["++-++-++-++---+"])
     assert witnesses["++-++-++-++-+--"] == tuple(reversed(witnesses["++-++-++-++-++-"]))
@@ -303,8 +331,9 @@ def test_composed_symmetries_act_as_one():
         for h in symmetries:
             gh = g.after(h)
             assert gh.point(chamber.witness) == g.point(h.point(chamber.witness))
+            assert gh.point(chamber.nums, chamber.d) == g.point(h.point(chamber.nums, chamber.d), chamber.d)
             assert gh.signs(chamber.signs) == g.signs(h.signs(chamber.signs))
-            assert _signs_at(arr, tuple(gh.point(chamber.witness))) == gh.signs(chamber.signs)
+            assert _signs_at(arr, gh.point(chamber.nums, chamber.d), chamber.d) == gh.signs(chamber.signs)
 
 
 @pytest.mark.parametrize(
@@ -345,50 +374,45 @@ def test_lp_search_refuses_a_generator_that_is_no_automorphism(monkeypatch, gene
 
 
 def test_lp_search_surfaces_an_uncertified_optimum(monkeypatch):
-    # a margin LP whose dual no longer proves its optimum must stop the search
-    real = lp._check_optimal
-
-    def perturbed_dual(A, b, c, x, y, d):
-        real(A, b, c, x, [v + 1 for v in y], d)
-
-    monkeypatch.setattr(lp, "_check_optimal", perturbed_dual)
-    with pytest.raises(EngineConsistencyError):
+    # a refusal whose cycle sums to a positive weight certifies nothing and
+    # must stop the search: here every cycle is swapped for the cube's
+    # 0 < z_0 < 1, which is a cycle of the region's arcs of weight 1
+    monkeypatch.setattr(Region, "cycle", lambda region, a, b, w: [(0, 4, 0), (4, 0, 1)])
+    with pytest.raises(EngineConsistencyError, match="positive weight"):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 
 
 def test_lp_search_surfaces_a_margin_lp_that_is_not_optimal(monkeypatch):
-    # every region's LP is feasible, so a dual simplex that finds no entering
-    # column is a fault and must not drop the region; here each edge row is
-    # replaced by u >= cap + shift + 1, which the cap row contradicts
-    real = arrangement._margin_row
-
-    def infeasible_edge_row(f, side, shift):
-        if f.tag[0] != "edge":
-            return real(f, side, shift)
-        dim = len(f.coefficients)
-        return [0] * dim + [-1], -(arrangement._MARGIN_CAP + shift + 1)
-
-    monkeypatch.setattr(arrangement, "_margin_row", infeasible_edge_row)
-    with pytest.raises(EngineConsistencyError, match="no entering column"):
+    # a refusal whose cycle does not close is no certificate either
+    real = Region.cycle
+    monkeypatch.setattr(Region, "cycle", lambda region, a, b, w: real(region, a, b, w)[1:])
+    with pytest.raises(EngineConsistencyError, match="does not close"):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 
 
 def test_margin_lp_tells_an_empty_region_from_a_chamber():
-    # a region is the cube's solved tableau plus its rows, re-optimized by the
-    # dual simplex; on K2 at m=4 the region z_0 < 1 < z_1 < z_0 is empty and
-    # z_1 < 1 < z_0 is a chamber; the edge is split on first
+    # on K2 at m=4 (nodes z_0, z_1 and z_n = z_2 = 0) the region
+    # z_0 < 1 < z_1 < z_0 is empty, refused by a cycle of weight 0 through
+    # z_n, and z_1 < 1 < z_0 is a chamber; the edge is split on first
     arr = build_arrangement(K2, 4)
-    fns = arr.functionals
-    fixed, free_idx, root = arrangement._cube(arr)
-    assert fixed == {0: 1, 2: -1, 3: 1, 5: -1} and free_idx == [6, 1, 4]
+    sparse = arr.sparse
+    cube = Region.empty(3)
+    for i, side in {0: 1, 2: -1, 3: 1, 5: -1}.items():
+        cube = cube.with_arc(*_arc(sparse[i], side))
 
-    def rows(sides):
-        return [arrangement._margin_row(fns[i], s, 2) for i, s in zip(free_idx, sides)]
+    def region(sides):
+        r = cube
+        for i, side in zip([6, 1], sides):
+            r = r.with_arc(*_arc(sparse[i], side))
+        return r, _arc(sparse[4], sides[2])
 
-    assert arrangement._solve_region(root, rows([1, -1, 1]), 2) is None
-    _, (z, d) = arrangement._solve_region(root, rows([1, 1, -1]), 2)
-    witness = tuple(Fraction(v, d) for v in z)
-    assert arrangement._signs_at(arr, witness) == (1, 1, -1, 1, -1, -1, 1)
+    empty, last = region([1, -1, 1])
+    assert empty.with_arc(*last) is None
+    assert empty.cycle(*last) == [(2, 0, 1), (0, 1, 0), (1, 2, -1)]
+    chamber, last = region([1, 1, -1])
+    nums = chamber.with_arc(*last).dist[2][:2]
+    assert nums == [5, 2]  # (5/3, 2/3): each functional at least 1/3 from 0
+    assert arrangement._signs_at(arr, nums, 3) == (1, 1, -1, 1, -1, -1, 1)
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)
@@ -412,18 +436,85 @@ def test_lp_route_matches_bijective_route_on_random_larger_graphs(n, m, data):
     assert [c.signs for c in cl] == [c.signs for c in cb]
 
 
+@st.composite
+def regions_in_split_order(draw):
+    """A graph with 2 <= n <= 6 at m = 3..5, its cube signs, and free signs taken in split order.
+
+    The free functionals come edges first, then inner levels, each in
+    arrangement order.  Their signs follow a random point of the cube up
+    to a random position, flip there and are random after it, so that both
+    chambers and empty regions come up.
+    """
+    m = draw(st.integers(3, 5))
+    arr = build_arrangement(draw(simple_graphs(max_n=6, min_n=2)), m)
+    fns = arr.functionals
+    cube = {i: 1 if f.tag[2] == 0 else -1 for i, f in enumerate(fns) if f.tag[0] == "level" and f.tag[2] in (0, m - 2)}
+    order = sorted((i for i in range(len(fns)) if i not in cube), key=lambda i: fns[i].tag[0] != "edge")
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    point = [rng.randint(1, 6 * (m - 2) - 1) for _ in range(arr.dimension)]
+    sides = [1 if fns[i].value(point, 6) >= 0 else -1 for i in order]
+    if order and rng.random() < 3 / 4:  # else the point's own chamber, or a region on a hyperplane through it
+        flip = rng.randrange(len(order))
+        sides[flip:] = [-sides[flip]] + [rng.choice([1, -1]) for _ in order[flip + 1 :]]
+    return arr, list(cube.items()) + list(zip(order, sides))
+
+
+def _margin_optimum(arr, signs, scipy_linprog):
+    """The region's largest margin t <= 1 by the Fraction simplex, cross-checked by scipy.
+
+    side * f(z) >= t per functional, in u = t + (m-2) so that every
+    right-hand side is >= 0; the region is nonempty exactly when t > 0.
+    """
+    shift, dim = arr.m - 2, arr.dimension
+    A, b = [[0] * dim + [1]], [1 + shift]
+    for i, side in signs:
+        f = arr.functionals[i]
+        A.append([-side * a for a in f.coefficients] + [1])
+        b.append(side * f.constant + shift)
+    exact = solve_lp(A, b, [0] * dim + [1])
+    assert exact.status == "optimal"
+    floating = scipy_linprog([0] * dim + [-1], A_ub=A, b_ub=b, bounds=[(None, None)] * (dim + 1), method="highs")
+    assert floating.status == 0 and abs(-floating.fun - float(exact.objective)) <= 1e-7
+    return exact.objective - shift
+
+
+@settings(ORACLE_SETTINGS, max_examples=40)
+@given(regions_in_split_order())
+def test_closure_decides_each_region_as_its_margin_lp(case):
+    # the constraints are added in the search's order up to the first
+    # refusal: the closure keeps a region exactly when its margin LP has a
+    # positive optimum, every refusal's cycle sums to <= 0, and a full sign
+    # vector's witness is at least 1/(n+1) from every hyperplane
+    scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+    arr, signs = case
+    n = arr.dimension
+    region = Region.empty(n + 1)
+    for count, (i, side) in enumerate(signs, 1):
+        arc = _arc(arr.sparse[i], side)
+        child = region.with_arc(*arc)
+        if child is None:
+            assert sum(w for _, _, w in region.cycle(*arc)) <= 0
+            assert _margin_optimum(arr, signs[:count], scipy_linprog) <= 0
+            break
+        region = child
+    assert _margin_optimum(arr, signs[: count - (child is None)], scipy_linprog) > 0
+    if child is not None:
+        nums = region.dist[n][:n]
+        assert all(side * arr.functionals[i].value(nums, n + 1) >= 1 for i, side in signs)
+
+
 def test_lp_witness_outside_chamber_is_rejected(monkeypatch):
-    real = arrangement._solve_region
+    # potentials moved by 10 off every region's closure leave the cube
+    real = Region.with_arc
 
-    def off_by_far(solved, rows, shift):
-        res = real(solved, rows, shift)
-        if res is None:
-            return None
-        tab, (z, d) = res
-        return tab, ([v + 10 * d for v in z], d)
+    def off_by_far(region, a, b, w):
+        child = real(region, a, b, w)
+        if child is not None:
+            child.dist[-1] = [x + 10 * len(child.dist) for x in child.dist[-1]]
+        return child
 
-    monkeypatch.setattr(arrangement, "_solve_region", off_by_far)
-    with pytest.raises(EngineConsistencyError):
+    monkeypatch.setattr(Region, "with_arc", off_by_far)
+    with pytest.raises(EngineConsistencyError, match="LP witness lies outside its chamber"):
         bounded_chambers_lp(build_arrangement(paw_graph(), 3))
 
 
@@ -436,6 +527,19 @@ def test_lp_budget():
 def test_bijective_budget():
     with pytest.raises(BudgetExceededError):
         bounded_chambers_bijective(build_arrangement(paw_graph(), 4), candidate_budget=10)
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+def test_witness_numerators_read_as_their_fractions(name, g):
+    # bijective witnesses are over lcm(2..n+1), LP witnesses over n+1; x / d
+    # rounds as float(Fraction(x, d)) does, so Newton starts where it did
+    # from Fraction witnesses
+    arr = build_arrangement(g, 4)
+    routes = ((bounded_chambers_bijective(arr), math.lcm(*range(2, g.n + 2))), (bounded_chambers_lp(arr), g.n + 1))
+    for chambers, d in routes:
+        for c in chambers:
+            assert c.d == d and c.witness == tuple(Fraction(x, d) for x in c.nums)
+            assert [x / c.d for x in c.nums] == [float(x) for x in c.witness]
 
 
 def test_chamber_json():

@@ -524,19 +524,19 @@ def test_verify_disagreement_exit_one(capsys, monkeypatch):
 
 def test_engine_failure_exit_one_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise EngineConsistencyError("final margin LP lost a feasible region")
+        raise EngineConsistencyError("a refused region's cycle does not close")
 
     monkeypatch.setattr(cli.arr_mod, "bounded_chambers_lp", broken)
     code = cli.main(["verify", "--graph", PAW, "--m", "3"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_DISAGREE
-    assert err.splitlines() == ["error: final margin LP lost a feasible region"]
+    assert err.splitlines() == ["error: chambers_lp: a refused region's cycle does not close"]
     assert "Traceback" not in err
 
 
 def test_verify_records_a_failed_route_and_runs_every_row(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise EngineConsistencyError("dual simplex found no entering column\nsecond line")
+        raise EngineConsistencyError("a refused region's cycle sums to a positive weight\nsecond line")
 
     monkeypatch.setattr(arrangement, "bounded_chambers_lp", broken)
     c4 = tmp_path / "c4.txt"
@@ -547,10 +547,10 @@ def test_verify_records_a_failed_route_and_runs_every_row(tmp_path, capsys, monk
     assert code == cli.EXIT_DISAGREE
     assert [row["graph"] for row in rows] == ["paw.txt", "c4.txt"]
     for row in rows:
-        assert row["failed"] == {"chambers_lp": "dual simplex found no entering column"}
+        assert row["failed"] == {"chambers_lp": "a refused region's cycle sums to a positive weight"}
         assert row["agree"] is False
         assert len(row["values"]) == 5 and len(set(row["values"].values())) == 1
-    assert captured.err.splitlines() == ["error: dual simplex found no entering column"] * 2
+    assert captured.err.splitlines() == ["error: chambers_lp: a refused region's cycle sums to a positive weight"] * 2
 
 
 def test_verify_rows_carry_no_failed_key_when_every_route_runs(capsys):
@@ -678,9 +678,31 @@ sys.exit(cli.main(sys.argv[1:]))
 def test_broken_mirror_fails_the_lp_route_without_traceback(flags):
     result = _python(*flags, "-c", IDENTITY_MIRROR, "verify", "--graph", PAW, "--m", "3")
     assert result.returncode == cli.EXIT_DISAGREE
-    assert result.stderr == "error: mapped LP witness lies outside its chamber\n"
+    assert result.stderr == "error: chambers_lp: mapped LP witness lies outside its chamber\n"
     (row,) = [json.loads(line) for line in result.stdout.splitlines()]
     assert row["failed"] == {"chambers_lp": "mapped LP witness lies outside its chamber"}
+    assert row["agree"] is False and set(row["values"].values()) == {12}
+
+
+# verify with refusals whose cycles lose their first arc: the LP route's
+# certificates then fail
+OPEN_CYCLE = """
+import sys
+from chromoduli import cli, lp
+
+cycle = lp.Region.cycle
+lp.Region.cycle = lambda region, a, b, w: cycle(region, a, b, w)[1:]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_an_open_refusal_cycle_fails_the_lp_route_without_traceback(flags):
+    result = _python(*flags, "-c", OPEN_CYCLE, "verify", "--graph", PAW, "--m", "3")
+    assert result.returncode == cli.EXIT_DISAGREE
+    assert result.stderr == "error: chambers_lp: a refused region's cycle does not close\n"
+    (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+    assert row["failed"] == {"chambers_lp": "a refused region's cycle does not close"}
     assert row["agree"] is False and set(row["values"].values()) == {12}
 
 
@@ -700,7 +722,7 @@ def test_wrong_generator_fails_the_lp_and_newton_routes_without_traceback(flags)
     result = _python(*flags, "-c", WRONG_GENERATOR, "verify", "--graph", PAW, "--m", "3")
     reason = "the image of ('edge', 0, 3) under a symmetry is not in the arrangement"
     assert result.returncode == cli.EXIT_DISAGREE
-    assert result.stderr == f"error: {reason}\n" * 2
+    assert result.stderr == f"error: chambers_lp: {reason}\nerror: critical_points: {reason}\n"
     (row,) = [json.loads(line) for line in result.stdout.splitlines()]
     assert row["failed"] == {"chambers_lp": reason, "critical_points": reason}
     assert row["agree"] is False and set(row["values"]) == {

@@ -293,11 +293,12 @@ def test_solving_is_deterministic():
 
 
 def test_critical_route_solves_no_lp(monkeypatch):
+    # nor does it decide a region by the LP route's closure
     def no_lp(*args, **kwargs):
         raise AssertionError("the critical-point route must not solve an LP")
 
-    monkeypatch.setattr(arrangement, "Tableau", no_lp)
-    monkeypatch.setattr(lp, "Tableau", no_lp)
+    monkeypatch.setattr(lp.Region, "empty", no_lp)
+    monkeypatch.setattr(lp.Region, "with_arc", no_lp)
     k4 = SimpleGraph.of(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
     reports = critical_point_reports(k4, 3)
     assert len(reports) == 24 and all(r.converged for r in reports)
@@ -306,8 +307,8 @@ def test_critical_route_solves_no_lp(monkeypatch):
 def test_witness_outside_chamber_is_rejected():
     arr = build_arrangement(K2, 3)
     chamber = bounded_chambers_bijective(arr)[0]
-    x0, x1 = chamber.witness
-    swapped = Chamber(chamber.signs, (x1, x0), True)  # wrong side of z_0 = z_1
+    x0, x1 = chamber.nums
+    swapped = Chamber(chamber.signs, (x1, x0), chamber.d, True)  # wrong side of z_0 = z_1
     with pytest.raises(ValueError):
         solve_chamber(arr, [1.0] * 5, swapped)
 

@@ -1,15 +1,17 @@
+import itertools
 import random
-from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from chromoduli import lp
+import lp_reference
 from chromoduli.errors import EngineConsistencyError
-from chromoduli.lp import solve_lp
+from chromoduli.lp import Region
 
-from lp_reference import solve_lp as reference_solve_lp
+from lp_reference import margin_lp, solve_lp
+
+# The first tests check the Fraction simplex of lp_reference.py, the
+# reference by which the later ones check the closure of `chromoduli.lp`.
 
 
 def test_simple_optimum():
@@ -27,10 +29,12 @@ def test_exact_rational_optimum():
     assert sol.x[1] == Fraction(1, 3)
 
 
-def test_negative_right_hand_side_is_refused():
-    # x = 0 must be feasible: the simplex starts at the slack basis, with no phase 1
-    with pytest.raises(ValueError):
-        solve_lp([[1], [-1]], [0, Fraction(-1, 2)], [1])
+def test_negative_right_hand_side_runs_phase_one():
+    # x <= 0 and x >= 1/2 are infeasible, certified by a Farkas vector;
+    # x <= 1 and x >= 1/2 are not, and min x is 1/2 with its dual
+    assert solve_lp([[1], [-1]], [0, Fraction(-1, 2)], [1]).status == "infeasible"
+    sol = solve_lp([[1], [-1]], [1, Fraction(-1, 2)], [-1])
+    assert sol.status == "optimal" and sol.x == (Fraction(1, 2),) and sol.dual == (0, 1)
 
 
 def test_unbounded_with_ray_certificate():
@@ -96,7 +100,7 @@ def test_optimal_dual_certificate():
 
 
 def test_dual_is_rescaled_from_the_integer_data():
-    # fractional A, b and c are scaled by different lcms before solving
+    # fractional A, b and c; the dual is exact in the data's own scale
     A = [[Fraction(1, 2), 0], [0, Fraction(1, 3)], [-1, 0], [0, -1]]
     b = [Fraction(3, 4), 1, 0, 0]
     c = [Fraction(2, 5), Fraction(1, 7)]
@@ -107,7 +111,7 @@ def test_dual_is_rescaled_from_the_integer_data():
 
 def test_check_optimal_accepts_a_certified_optimum():
     # max x s.t. x <= 1, -x <= 0: x = 1 with y = (1, 0), all over d = 2
-    lp._check_optimal([[1], [-1]], [1, 0], [1], x=[2], y=[2, 0], d=2)
+    lp_reference._check_optimal([[1], [-1]], [1, 0], [1], x=[2], y=[2, 0], d=2)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +126,7 @@ def test_check_optimal_accepts_a_certified_optimum():
 )
 def test_check_optimal_rejects_a_wrong_certificate(x, y):
     with pytest.raises(EngineConsistencyError):
-        lp._check_optimal([[1], [-1]], [1, 0], [1], x=x, y=y, d=2)
+        lp_reference._check_optimal([[1], [-1]], [1, 0], [1], x=x, y=y, d=2)
 
 
 def _random_rational(rng):
@@ -131,65 +135,91 @@ def _random_rational(rng):
     return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 4, 6]))
 
 
-def test_matches_the_fraction_tableau_on_random_rational_lps():
-    rng = random.Random(20261018)
-    statuses = Counter()
-    for _ in range(2000):
-        m = rng.randint(0, 7)
-        n = rng.randint(1, 4)
-        A = [[_random_rational(rng) for _ in range(n)] for _ in range(m)]
-        b = [abs(_random_rational(rng)) for _ in range(m)]
-        c = [_random_rational(rng) for _ in range(n)]
-        ours = solve_lp(A, b, c)
-        assert replace(ours, dual=None) == reference_solve_lp(A, b, c)
-        statuses[ours.status] += 1
-    assert statuses.keys() == {"optimal", "unbounded"}
-    assert min(statuses.values()) >= 300
+def _cold_closure(size, arcs):
+    """All-pairs shortest distances of the integer arcs, by Floyd-Warshall from scratch."""
+    inf = float("inf")
+    dist = [[0 if i == j else inf for j in range(size)] for i in range(size)]
+    for a, b, w in arcs:
+        dist[a][b] = min(dist[a][b], size * w - 1)
+    for k, i, j in itertools.product(range(size), repeat=3):
+        dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return dist
 
 
-def test_dual_simplex_after_an_added_row_matches_the_fraction_tableau():
-    # optimize, append a row the optimum violates, re-optimize by the dual
-    # simplex: the optimal value equals a cold solve on all the rows; a
-    # second sibling solved from the same parent afterwards must see the
-    # parent as it was, not the first sibling's pivots
+def _random_arcs(rng, size, count):
+    return [(a, b, rng.randint(-2, 3)) for a, b in (rng.sample(range(size), 2) for _ in range(count))]
+
+
+def test_closure_matches_the_fraction_tableau_on_random_difference_systems():
+    # add random strict constraints z_b - z_a < w one at a time, up to the
+    # first refusal: the margin LP of the last region kept has a positive
+    # optimum, that of the refused one does not; a kept region's potentials
+    # satisfy each of its constraints with slack >= 1/size
     rng = random.Random(20261019)
-    warm = second = 0
-    for _ in range(2000):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 4)
-        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        b = [rng.randint(0, 5) for _ in range(m)]
-        c = [rng.randint(-3, 3) for _ in range(n)]
-        tab = lp.Tableau(A, b, c)
-        if tab.primal() is not None:
-            continue
-        x, y = tab.optimum()
-        parent = repr((tab.D, tab.obj, tab.T, tab.cols, tab.basis))
-        solved = 0
-        for _ in range(2):
-            row = [rng.randint(-4, 4) for _ in range(n)]
-            rhs = rng.randint(0, 3)
-            if sum(a * v for a, v in zip(row, x)) <= rhs * tab.D:
-                continue
-            child = tab.with_rows([(row, rhs)])
-            child.dual()
-            cx, _ = child.optimum()
-            ref = reference_solve_lp(A + [row], b + [rhs], c)
-            assert ref.status == "optimal"
-            assert Fraction(sum(cj * v for cj, v in zip(c, cx)), child.D) == ref.objective
-            assert tab.optimum() == (x, y)  # the parent tableau is left as it was
-            assert repr((tab.D, tab.obj, tab.T, tab.cols, tab.basis)) == parent
-            assert child.cols is not tab.cols
-            solved += 1
-        warm += solved
-        second += solved == 2
-    assert warm > 200 and second > 50
+    refused = kept = 0
+    for _ in range(120):
+        size = rng.randint(2, 6)
+        # a box |z_v - z_0| < 3 first, so every potential is finite
+        arcs = [arc for v in range(1, size) for arc in ((0, v, 3), (v, 0, 3))]
+        region = Region.empty(size)
+        for arc in arcs:
+            region = region.with_arc(*arc)
+        for arc in _random_arcs(rng, size, rng.randint(1, 3 * size)):
+            child = region.with_arc(*arc)
+            if child is None:
+                assert margin_lp(size, arcs + [arc]) <= 0
+                cycle = region.cycle(*arc)
+                assert cycle[-1] == arc and sum(w for _, _, w in cycle) <= 0
+                refused += 1
+                break
+            region = child
+            arcs.append(arc)
+            z = region.dist[rng.randrange(size)]
+            assert all(z[b] - z[a] <= size * w - 1 for a, b, w in arcs)
+        assert margin_lp(size, arcs) > 0
+        kept += len(arcs)
+    assert refused > 50 and kept > 1000
 
 
-def test_dual_simplex_with_no_entering_column_raises():
-    # max x s.t. x <= 1, then x >= 2 appended: the rows are infeasible
-    tab = lp.Tableau([[1]], [1], [1])
-    assert tab.primal() is None
-    child = tab.with_rows([([-1], -2)])
-    with pytest.raises(EngineConsistencyError, match="no entering column"):
-        child.dual()
+def test_an_added_arc_matches_a_cold_closure_and_leaves_the_parent():
+    # the O(size^2) update equals Floyd-Warshall on all the arcs; two
+    # children of one region share its unchanged rows and leave it as it was
+    rng = random.Random(20261020)
+    children = 0
+    for _ in range(300):
+        size = rng.randint(2, 6)
+        region = Region.empty(size)
+        for arc in _random_arcs(rng, size, rng.randint(1, 2 * size)):
+            region = region.with_arc(*arc) or region
+        parent = repr(region.dist)
+        arcs = list(region.arcs())
+        assert region.dist == _cold_closure(size, arcs)
+        for arc in _random_arcs(rng, size, 2):
+            child = region.with_arc(*arc)
+            if child is not None:
+                assert child.dist == _cold_closure(size, arcs + [arc])
+                assert list(child.arcs()) == [arc] + arcs
+                children += 1
+            assert repr(region.dist) == parent
+    assert children > 300
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda cycle: cycle[1:],  # does not close
+        lambda cycle: [(a, b, w + 5) for a, b, w in cycle],  # arcs the region does not have
+        lambda cycle: cycle + cycle[:1],  # an arc twice: the walk breaks
+        lambda cycle: [(0, 1, 1), (1, 0, 0)],  # the region's own cycle, of weight 1 > 0
+    ],
+    ids=["open", "foreign-arcs", "broken-walk", "positive-weight"],
+)
+def test_a_refusal_whose_cycle_does_not_certify_raises(monkeypatch, broken):
+    # z_1 - z_0 < 1 and z_0 - z_1 < -1 sum to 0 < 0 around the cycle 0 -> 1 -> 0
+    region = Region.empty(2).with_arc(0, 1, 1).with_arc(1, 0, 0)
+    assert region.cycle(1, 0, -1) == [(0, 1, 1), (1, 0, -1)]
+    assert region.with_arc(1, 0, -1) is None
+    real = Region.cycle
+    monkeypatch.setattr(Region, "cycle", lambda self, a, b, w: broken(real(self, a, b, w)))
+    with pytest.raises(EngineConsistencyError, match="refused region's cycle"):
+        region.with_arc(1, 0, -1)

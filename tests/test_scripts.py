@@ -95,19 +95,19 @@ def test_route_table_names_graphs():
 
 def test_route_table_marks_a_failed_route_and_runs_the_rest(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise EngineConsistencyError("dual simplex found no entering column\nsecond line")
+        raise EngineConsistencyError("a refused region's cycle does not close\nsecond line")
 
     monkeypatch.setattr(arrangement, "bounded_chambers_lp", broken)
     table = _load_script("route_table")
     times, values = table.route_row(table.named_graph("P3"), 3, 2)
     assert times["chambers_lp"] == "failed" and values == {4}
     assert all(isinstance(times[key], float) for key in times if key != "chambers_lp")
-    assert capsys.readouterr().err == "error: chambers_lp: dual simplex found no entering column\n"
+    assert capsys.readouterr().err == "error: chambers_lp: a refused region's cycle does not close\n"
     assert table.main(["P3@3", "C4@3"]) == 1
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[2:]
     assert [row.split(" | ")[4] for row in rows] == ["failed", "failed"]
-    assert captured.err.splitlines() == ["error: chambers_lp: dual simplex found no entering column"] * 2
+    assert captured.err.splitlines() == ["error: chambers_lp: a refused region's cycle does not close"] * 2
 
 
 @pytest.mark.parametrize("case", ["K0@3", "paw", "paw@x", "src/chromoduli/data/instar.txt@3"])
