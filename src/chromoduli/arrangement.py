@@ -36,35 +36,44 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceededError, EngineConsistencyError
-from .graphs import SimpleGraph, automorphism_generators, topological_order
+from .graphs import SimpleGraph, Value, _set, automorphism_generators, topological_order
 from .lp import Region
 from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
-    """Exact affine functional a.z + b with an identifying tag."""
+class AffineFunctional(Value):
+    """Exact affine functional a.z + b with an identifying tag.
 
-    coefficients: tuple  # ints, aligned with the arrangement vertex order
-    constant: int
-    tag: tuple  # ("level", v, i) or ("edge", u, w)
+    The coefficients are ints aligned with the arrangement's vertex order;
+    the tag is ("level", v, i) or ("edge", u, w).
+    """
+
+    __slots__ = ("coefficients", "constant", "tag")
+
+    def __init__(self, coefficients, constant, tag):
+        _set(self, "coefficients", coefficients)
+        _set(self, "constant", constant)
+        _set(self, "tag", tag)
 
     def value(self, z, d=1):
         """d * f(z / d): the value at z, or its d-fold from integer numerators z over d > 0."""
         return sum(map(operator.mul, self.coefficients, z)) + self.constant * d
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    graph: SimpleGraph
-    m: int
-    functionals: tuple
+class Arrangement(Value):
+    """The functionals of a graph's arrangement at m; its `__dict__` holds
+    the two cached properties, which take no part in equality."""
+
+    __slots__ = ("graph", "m", "functionals", "__dict__")
+
+    def __init__(self, graph, m, functionals):
+        _set(self, "graph", graph)
+        _set(self, "m", m)
+        _set(self, "functionals", functionals)
 
     @property
     def dimension(self):
@@ -90,18 +99,26 @@ class Arrangement:
         return _symmetries(self)
 
 
-@dataclass(frozen=True)
-class Chamber:
-    """Sign vector over the arrangement's functional order plus an interior witness nums / d."""
+class Chamber(Value):
+    """Sign vector over the arrangement's functional order plus an interior witness nums / d.
 
-    signs: tuple  # +1 / -1 per functional
-    nums: tuple  # the witness's integer numerators, one per vertex
-    d: int  # their common denominator, > 0
-    bounded: bool
+    The signs are +1 / -1 per functional, the numerators one int per
+    vertex, and d > 0 their common denominator.
+    """
+
+    __slots__ = ("signs", "nums", "d", "bounded")
+
+    def __init__(self, signs, nums, d, bounded):
+        _set(self, "signs", signs)
+        _set(self, "nums", nums)
+        _set(self, "d", d)
+        _set(self, "bounded", bounded)
 
     @property
     def witness(self):
         """The interior witness, as reduced Fractions."""
+        from fractions import Fraction  # here, so that importing the package does not import fractions
+
         return tuple(Fraction(x, self.d) for x in self.nums)
 
     @property
@@ -111,9 +128,15 @@ class Chamber:
     def to_json(self):
         return {
             "signs": self.sign_string,
-            "witness": [f"{x.numerator}/{x.denominator}" for x in self.witness],
+            "witness": [_reduced(x, self.d) for x in self.nums],
             "bounded": self.bounded,
         }
+
+
+def _reduced(x, d):
+    """x / d in lowest terms as "num/den", as a Fraction prints its numerator and denominator."""
+    g = math.gcd(x, d)
+    return f"{x // g}/{d // g}"
 
 
 def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
@@ -143,8 +166,7 @@ class _Symmetry:
     z -> (m-2)*1 - z when scale = -1 (offset m-2; otherwise offset 0).  Every
     functional pulls back to a functional up to sign, f_i(y) = sign[i] *
     f_{index[i]}(z), so the chamber with signs s goes to the chamber with
-    signs s'_i = sign[i] * s_{index[i]}.  A plain class, not a dataclass,
-    so that importing the module builds no code for it.
+    signs s'_i = sign[i] * s_{index[i]}.
     """
 
     __slots__ = ("perm", "scale", "offset", "index", "sign")

@@ -15,7 +15,10 @@ ConvergenceError is recorded in its row as "failed": {route: reason} with
 other routes and rows still run.  A subcommand
 takes only the budget flags it reads: omega, chi and kapranov
 --budget-terms; chambers --budget-orientations and --budget-lp;
-critical-points --budget-orientations; verify all three.
+critical-points --budget-orientations; verify all three.  `main` parses
+the arguments after a known subcommand with that subcommand's own parser
+(`build_parser(command)`); only a missing or unknown subcommand and the
+top-level help build the full parser.
 """
 
 from __future__ import annotations
@@ -449,29 +452,35 @@ _SUBCOMMANDS = {
 
 @functools.cache  # built once: each build leaves argparse formatter cycles for the collector
 def build_parser(command=None):
-    """The CLI parser; given one subcommand's name, with only that subparser.
+    """The parser of one subcommand, which reads the arguments after its name;
+    without one, the full CLI parser with every subcommand as a subparser.
 
-    The usage line still lists every subcommand, so that a usage error after
-    a known subcommand reads the same either way.  Errors about the
-    subcommand itself (missing or unknown) and the top-level help need the
-    full parser, which `command=None` builds.
+    The subcommand's own parser has the prog "chromoduli <command>" of the
+    full parser's subparser, so its help and usage errors read the same.
+    Errors about the subcommand itself (missing or unknown) and the
+    top-level help need the full parser.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"chromoduli {command}")
+        _SUBCOMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="chromoduli",
         description="Graph intersection numbers cross-checked through independent routes",
     )
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            add_arguments(subs.add_parser(name, help=help_text))
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:  # GraphParseError and JSONDecodeError included

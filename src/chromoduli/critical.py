@@ -20,8 +20,9 @@ is certified at its own final point all the same.
 
 Everything runs on the standard library.  Every functional is z_j - i
 (level) or z_u - z_w (edge), so one list of (j, k, constant, weight) per
-arrangement and weights is the whole kernel; gradient and -H come from one
-pass over it, and each Newton step solves with a Cholesky factor of -H.
+arrangement and weights, with the weights as floats, is the whole kernel;
+gradient and -H come from one pass over it, and each Newton step solves
+with a Cholesky factor of -H.
 Newton runs the same value, gradient and Hessian kernels as `log_master`,
 `gradient` and `hessian`.  Its constants: it stops once the gradient's
 inf-norm is at most GRADIENT_TOL (1e-10) and raises ConvergenceError after
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from operator import mul
 
 from .arrangement import (
@@ -45,7 +45,7 @@ from .arrangement import (
     build_arrangement,
 )
 from .errors import ConvergenceError, EngineConsistencyError
-from .graphs import orbit_of
+from .graphs import Value, _set, orbit_of
 
 
 GRADIENT_TOL = 1e-10
@@ -55,15 +55,27 @@ STEP_SHRINK = 0.5
 MIN_STEP = 1e-18
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
-    chamber_index: int
-    sign_string: str
-    point: tuple
-    gradient_inf_norm: float
-    hessian_negative_definite: bool
-    iterations: int
-    converged: bool
+class CriticalPointReport(Value):
+    __slots__ = (
+        "chamber_index",
+        "sign_string",
+        "point",
+        "gradient_inf_norm",
+        "hessian_negative_definite",
+        "iterations",
+        "converged",
+    )
+
+    def __init__(
+        self, chamber_index, sign_string, point, gradient_inf_norm, hessian_negative_definite, iterations, converged
+    ):
+        _set(self, "chamber_index", chamber_index)
+        _set(self, "sign_string", sign_string)
+        _set(self, "point", point)
+        _set(self, "gradient_inf_norm", gradient_inf_norm)
+        _set(self, "hessian_negative_definite", hessian_negative_definite)
+        _set(self, "iterations", iterations)
+        _set(self, "converged", converged)
 
     def to_json(self):
         """JSON fields; a failed run's infinite gradient norm becomes null."""
@@ -80,7 +92,8 @@ class CriticalPointReport:
 
 
 def _kernel(arr: Arrangement, weights):
-    """One (j, k, constant, weight) per functional, so that f = z[j] - z[k] + constant.
+    """The terms, one (j, k, constant, weight) per functional so that
+    f = z[j] - z[k] + constant, and the weights as a list of floats.
 
     The (j, k, constant) are `arr.sparse`: the point z carries one extra
     coordinate z[n] = 0, so a level functional z_v - i is (v, n, -i) and an
@@ -93,7 +106,7 @@ def _kernel(arr: Arrangement, weights):
         raise ValueError("weights must be finite")
     if any(w <= 0 for w in u):
         raise ValueError("weights must be strictly positive")
-    return [(j, k, float(c), w) for (j, k, c), w in zip(arr.sparse, u)]
+    return [(j, k, float(c), w) for (j, k, c), w in zip(arr.sparse, u)], u
 
 
 def default_weights(arr: Arrangement, seed=0):
@@ -120,9 +133,9 @@ def default_weights(arr: Arrangement, seed=0):
     return weights
 
 
-def _values(kernel, z):
+def _values(terms, z):
     """The functional values at the padded point z (z[n] = 0)."""
-    return [z[j] - z[k] + c for j, k, c, _ in kernel]
+    return [z[j] - z[k] + c for j, k, c, _ in terms]
 
 
 def _objective(u, absf):
@@ -130,11 +143,11 @@ def _objective(u, absf):
     return sum(map(mul, u, map(math.log, absf)))
 
 
-def _derivatives(kernel, n, f):
+def _derivatives(terms, n, f):
     """Gradient and -H (lists) at the functional values f."""
     g = [0.0] * n
     p = [[0.0] * n for _ in range(n)]
-    for (j, k, _, w), x in zip(kernel, f):
+    for (j, k, _, w), x in zip(terms, f):
         r = w / x
         q = r / x
         g[j] += r
@@ -193,13 +206,13 @@ def _newton_step(factor, g):
     return x, sum(map(mul, y, y))
 
 
-def _values_at(arr, kernel, z):
+def _values_at(arr, terms, z):
     """The functional values at a caller's point z; ValueError for a point of
     the wrong dimension or on a hyperplane."""
     z = [float(x) for x in z]
     if len(z) != arr.dimension:
         raise ValueError(f"expected a point with {arr.dimension} coordinates, got {len(z)}")
-    f = _values(kernel, z + [0.0])
+    f = _values(terms, z + [0.0])
     if 0.0 in f:
         raise ValueError("point lies on a hyperplane")
     return f
@@ -207,22 +220,21 @@ def _values_at(arr, kernel, z):
 
 def log_master(arr: Arrangement, weights, z):
     """sum_H u_H log|f_H(z)|; real on every chamber, same critical points."""
-    kernel = _kernel(arr, weights)
-    f = _values_at(arr, kernel, z)
-    return _objective([w for _, _, _, w in kernel], map(abs, f))
+    terms, u = _kernel(arr, weights)
+    return _objective(u, map(abs, _values_at(arr, terms, z)))
 
 
 def gradient(arr: Arrangement, weights, z):
     """Component v: sum_i u_{v,i}/(z_v - i) + sum_{e=(v,w)} u_e/(z_v - z_w)."""
-    kernel = _kernel(arr, weights)
-    g, _ = _derivatives(kernel, arr.dimension, _values_at(arr, kernel, z))
+    terms, _ = _kernel(arr, weights)
+    g, _ = _derivatives(terms, arr.dimension, _values_at(arr, terms, z))
     return g
 
 
 def hessian(arr: Arrangement, weights, z):
     """-sum_H u_H a_H a_H^T / f_H(z)^2, as a list of rows."""
-    kernel = _kernel(arr, weights)
-    _, p = _derivatives(kernel, arr.dimension, _values_at(arr, kernel, z))
+    terms, _ = _kernel(arr, weights)
+    _, p = _derivatives(terms, arr.dimension, _values_at(arr, terms, z))
     return [[-x for x in row] for row in p]
 
 
@@ -238,22 +250,21 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     Raises ValueError if the witness, rounded to floats, is not strictly
     inside the chamber's signs.
     """
-    if kernel is None:
-        kernel = _kernel(arr, weights)
+    terms, u = _kernel(arr, weights) if kernel is None else kernel
     n = arr.dimension
     signs = chamber.signs
-    u = [w for _, _, _, w in kernel]
     witness = (chamber.nums, chamber.d)
     for point, d in (witness,) if start is None else ((start, 1), witness):
         z = [x / d for x in point] + [0.0]  # x / d rounds as float(Fraction(x, d)) does
-        f = _values(kernel, z)
+        f = _values(terms, z)
         sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
         if min(sf, default=1.0) > 0:
             break
     else:
         raise ValueError(f"witness of chamber {chamber.sign_string} is not strictly inside it")
+    value = None  # the objective at z, once the line search has computed it
     for iterations in range(1, MAX_ITERATIONS + 1):
-        g, p = _derivatives(kernel, n, f)
+        g, p = _derivatives(terms, n, f)
         factor = _cholesky(p)
         gnorm = max(map(abs, g), default=0.0)
         if gnorm <= GRADIENT_TOL:
@@ -261,7 +272,7 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
         if factor is None:
             raise ConvergenceError(f"Hessian not negative definite at iteration {iterations}")
         step, slope = _newton_step(factor, g)
-        base = _objective(u, sf)
+        base = _objective(u, sf) if value is None else value
         # Near the optimum the expected gain (about slope/2) sinks below the
         # rounding noise of the objective; value comparisons are then
         # meaningless, and undamped Newton converges quadratically anyway.
@@ -269,12 +280,15 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
         t = 1.0
         while True:
             trial = [a + t * b for a, b in zip(z, step)]
-            f = _values(kernel, trial)
+            f = _values(terms, trial)
             sf = list(map(mul, signs, f))
-            if min(sf, default=1.0) > 0 and (
-                not value_test or _objective(u, sf) >= base + ARMIJO_SLOPE * t * slope
-            ):
-                break
+            value = None
+            if min(sf, default=1.0) > 0:
+                if not value_test:
+                    break
+                value = _objective(u, sf)
+                if value >= base + ARMIJO_SLOPE * t * slope:
+                    break
             t *= STEP_SHRINK
             if t < MIN_STEP:
                 raise ConvergenceError("line search stalled")

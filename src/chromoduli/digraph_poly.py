@@ -14,9 +14,7 @@ code.  Reversing all arcs swaps the two polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .graphs import Digraph, IntPolynomial
+from .graphs import Digraph, IntPolynomial, Value, _set
 from .moduli import DEFAULT_TERM_CAP, omega_coefficients
 
 
@@ -87,14 +85,16 @@ def advisory_flags(poly: IntPolynomial, name="chi"):
     return warnings
 
 
-@dataclass(frozen=True)
-class DigraphPolynomialReport:
-    chi_in: IntPolynomial
-    chi_out: IntPolynomial
-    route_in: str
-    route_out: str
-    consistent: bool
-    advisories: tuple = field(default_factory=tuple)
+class DigraphPolynomialReport(Value):
+    __slots__ = ("chi_in", "chi_out", "route_in", "route_out", "consistent", "advisories")
+
+    def __init__(self, chi_in, chi_out, route_in, route_out, consistent, advisories=()):
+        _set(self, "chi_in", chi_in)
+        _set(self, "chi_out", chi_out)
+        _set(self, "route_in", route_in)
+        _set(self, "route_out", route_out)
+        _set(self, "consistent", consistent)
+        _set(self, "advisories", advisories)
 
     def to_json(self):
         return {

@@ -9,13 +9,59 @@ never materialized.
 automorphism group, one automorphism per (stabiliser level, new orbit
 point), found by a backtracking search pruned by adjacency and by the
 colour refinement that `canonical_key` also runs.
+
+`Value` is the immutable plain-class base of the package's value classes,
+here and in `arrangement`, `critical` and `digraph_poly`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphParseError
+
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable value: a plain class, not a dataclass, so that importing
+    the package builds no code for it.
+
+    A subclass names its fields in `__slots__` (plus "__dict__" if it keeps
+    cached properties) and sets them in its `__init__` with `_set`.
+    Assigning or deleting a field raises AttributeError; two values are
+    equal when they are of the same class with equal fields, and equal
+    values hash equal.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy would set the slots one by one, which __setattr__
+        # refuses; they rebuild the value through __init__ instead
+        return (self.__class__, self._values())
 
 
 def label_sort_key(label):
@@ -35,12 +81,14 @@ def _norm_edge(u, w):
     return (u, w) if label_sort_key(u) < label_sort_key(w) else (w, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Value):
     """Finite simple graph: labeled vertices, unordered edges, no loops."""
 
-    vertices: tuple
-    edges: tuple  # pairs (u, w) with u < w in label order, sorted
+    __slots__ = ("vertices", "edges")  # edges: pairs (u, w) with u < w in label order, sorted
+
+    def __init__(self, vertices, edges):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     @classmethod
     def of(cls, vertices, edges=()):
@@ -100,12 +148,14 @@ class SimpleGraph:
         return SimpleGraph(new_vertices, tuple(sorted(new_edges, key=_edge_key)))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Value):
     """Finite simple digraph: no loops, no repeated arcs; opposite arcs allowed."""
 
-    vertices: tuple
-    arcs: tuple  # ordered pairs (tail, head), sorted
+    __slots__ = ("vertices", "arcs")  # arcs: ordered pairs (tail, head), sorted
+
+    def __init__(self, vertices, arcs):
+        _set(self, "vertices", vertices)
+        _set(self, "arcs", arcs)
 
     @classmethod
     def of(cls, vertices, arcs=()):
@@ -123,14 +173,6 @@ class Digraph:
                 raise ValueError(f"repeated arc ({u!r}, {w!r})")
             seen.add((u, w))
         return cls(vs, tuple(sorted(seen, key=_edge_key)))
-
-    @classmethod
-    def from_symmetric(cls, graph: SimpleGraph):
-        arcs = []
-        for u, w in graph.edges:
-            arcs.append((u, w))
-            arcs.append((w, u))
-        return cls.of(graph.vertices, arcs)
 
     @property
     def n(self):
@@ -183,23 +225,22 @@ def topological_order(vertices, arcs):
     return order if len(order) == len(list(vertices)) else None
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """Dense univariate polynomial with arbitrary-precision integer coefficients.
 
     coefficients[d] multiplies x^d; the tuple carries no trailing zeros.
     """
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = list(self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = list(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"non-integer coefficient {c!r}")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        _set(self, "coefficients", tuple(coeffs))
 
     @classmethod
     def monomial(cls, degree, coefficient=1):
@@ -208,10 +249,6 @@ class IntPolynomial:
     @property
     def degree(self):
         return len(self.coefficients) - 1  # -1 for the zero polynomial
-
-    @property
-    def is_monic(self):
-        return bool(self.coefficients) and self.coefficients[-1] == 1
 
     def evaluate(self, x):
         acc = 0

@@ -47,6 +47,16 @@ CATALOG = [
 ]
 
 
+def symmetric_digraph(graph):
+    """The digraph with both arcs u -> w and w -> u for every edge of `graph`."""
+    return Digraph.of(graph.vertices, [a for u, w in graph.edges for a in ((u, w), (w, u))])
+
+
+def is_monic(poly):
+    """True for a nonzero IntPolynomial whose leading coefficient is 1."""
+    return bool(poly.coefficients) and poly.coefficients[-1] == 1
+
+
 def all_graphs_up_to_4():
     return [(name, SimpleGraph.of(range(n), edges)) for name, n, edges in CATALOG]
 

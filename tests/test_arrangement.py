@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -169,7 +168,7 @@ def test_pair_to_chamber_rejects_incompatible():
 def test_chamber_to_pair_requires_bounded():
     arr = build_arrangement(K2, 3)
     (c, _) = bounded_chambers_lp(arr)
-    unbounded = dataclasses.replace(c, bounded=False)
+    unbounded = Chamber(c.signs, c.nums, c.d, False)
     with pytest.raises(ValueError):
         chamber_to_pair(arr, unbounded)
 
@@ -540,6 +539,40 @@ def test_witness_numerators_read_as_their_fractions(name, g):
         for c in chambers:
             assert c.d == d and c.witness == tuple(Fraction(x, d) for x in c.nums)
             assert [x / c.d for x in c.nums] == [float(x) for x in c.witness]
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_witness_strings_are_the_reduced_fractions(name, g, m):
+    # to_json reduces nums / d with math.gcd, so that printing a chamber
+    # needs no Fraction; it must print what the Fraction prints
+    arr = build_arrangement(g, m)
+    for c in bounded_chambers_bijective(arr) + bounded_chambers_lp(arr):
+        assert c.to_json()["witness"] == [f"{x.numerator}/{x.denominator}" for x in c.witness]
+
+
+def test_witness_string_of_zero_and_negative_numerators():
+    c = Chamber((1, -1, 1), (0, -3, 4), 6, False)
+    assert c.to_json()["witness"] == ["0/1", "-1/2", "2/3"]
+    assert c.witness == (Fraction(0), Fraction(-1, 2), Fraction(2, 3))
+
+
+def test_arrangement_computes_its_cached_properties_once(monkeypatch):
+    calls = []
+
+    def counted(arr):
+        calls.append(arr)
+        return real(arr)
+
+    real = arrangement._symmetries
+    monkeypatch.setattr(arrangement, "_symmetries", counted)
+    arr = build_arrangement(paw_graph(), 3)
+    assert arr.sparse is arr.sparse and arr.symmetries is arr.symmetries
+    assert len(calls) == 1
+    # the cached values take no part in equality or hashing
+    fresh = build_arrangement(paw_graph(), 3)
+    assert fresh == arr and hash(fresh) == hash(arr) and "sparse" not in vars(fresh)
+    assert build_arrangement(paw_graph(), 4) != arr
 
 
 def test_chamber_json():

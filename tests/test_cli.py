@@ -340,13 +340,54 @@ def _subparsers(parser):
 
 
 @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
-def test_parser_of_one_subcommand_reads_as_the_full_parser(command):
-    # `main` builds only the subparser its argv names; its usage line and the
-    # subcommand's help must read exactly as the full parser's
+def test_parser_of_one_subcommand_reads_as_the_full_parser(command, monkeypatch):
+    # `main` parses the arguments after a known subcommand with that
+    # subcommand's own parser; its help must read exactly as the full
+    # parser's subparser's
+    monkeypatch.setenv("COLUMNS", "80")
     full, one = cli.build_parser(), cli.build_parser(command)
-    assert list(_subparsers(one)) == [command]
-    assert one.format_usage() == full.format_usage()
-    assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
+    assert one.prog == f"chromoduli {command}"
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in one._actions)
+    assert one.format_help() == _subparsers(full)[command].format_help()
+
+
+def test_an_unread_flag_is_reported_under_its_subcommands_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parse", "--graph", PAW, "--budget-lp", "3"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "usage: chromoduli parse [-h] --graph GRAPH [--pretty]\n"
+        "chromoduli parse: error: unrecognized arguments: --budget-lp 3\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--pretty", "verify"]], ids=["missing", "unknown", "flag-first"])
+def test_a_missing_or_unknown_subcommand_is_a_usage_error_of_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: chromoduli [-h]") and "\nchromoduli: error: " in err
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"    {name} " in out for name in cli._SUBCOMMANDS)
+
+
+def test_parsed_arguments_match_the_full_parser():
+    # the subcommand's own parser gives the same namespace, `command` included
+    argvs = [
+        ["omega", "--graph", PAW, "--m", "3", "--budget-terms", "7"],
+        ["verify", "--budget-lp", "5", "--graph", PAW, "--graph", INSTAR],
+        ["kapranov", "--constraints", "c.json"],
+    ]
+    for argv in argvs:
+        assert cli.build_parser(argv[0]).parse_args(argv[1:]) == cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize(
@@ -606,6 +647,18 @@ def _python(*args):
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_importing_the_cli_leaves_heavy_modules_unloaded():
+    # start-up is most of a short CLI call: the value classes are plain
+    # classes, not dataclasses (which import inspect), and `fractions`
+    # (which imports decimal) is imported only by `Chamber.witness`; -S
+    # keeps site-packages' own start-up imports out of the check
+    heavy = ["dataclasses", "decimal", "fractions", "inspect"]
+    code = f"import sys, chromoduli.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = _python("-S", "-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_lp_chambers_run_under_optimize(tmp_path):

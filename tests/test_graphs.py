@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,11 @@ from chromoduli.graphs import (
     parse_graph_text,
 )
 
-from graph_catalog import all_graphs_up_to_4, paw_graph
+from chromoduli.arrangement import build_arrangement, bounded_chambers_bijective
+from chromoduli.critical import critical_point_reports
+from chromoduli.digraph_poly import DigraphPolynomialReport, digraph_polynomial_report
+
+from graph_catalog import all_graphs_up_to_4, instar_digraph, is_monic, paw_graph, symmetric_digraph
 
 
 def proper_coloring_count(graph, k):
@@ -136,7 +143,7 @@ def test_deletion_contraction_identity_every_edge(g):
 @given(simple_graphs())
 def test_chromatic_shape(g):
     chi = chromatic_polynomial(g)
-    assert chi.is_monic and chi.degree == g.n
+    assert is_monic(chi) and chi.degree == g.n
     assert chi.coefficients[0] == 0
     for d, c in enumerate(chi.coefficients):
         if c != 0:
@@ -255,6 +262,68 @@ def test_polynomial_normalization_and_arithmetic():
         IntPolynomial((1.5,))
 
 
+def _one_value_of_each_class():
+    """One instance of each value class, built by the package itself."""
+    arr = build_arrangement(paw_graph(), 3)
+    return [
+        paw_graph(),
+        instar_digraph(),
+        chromatic_polynomial(paw_graph()),
+        arr.functionals[0],
+        arr,
+        bounded_chambers_bijective(arr)[0],
+        critical_point_reports(paw_graph(), 3)[0],
+        digraph_polynomial_report(instar_digraph()),
+    ]
+
+
+@pytest.mark.parametrize("value", _one_value_of_each_class(), ids=lambda v: type(v).__name__)
+def test_value_fields_cannot_be_assigned_or_deleted(value):
+    for name in type(value).__slots__:
+        if name != "__dict__":
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value", _one_value_of_each_class(), ids=lambda v: type(v).__name__)
+def test_equal_values_hash_equal_and_round_trip(value):
+    twin = pickle.loads(pickle.dumps(value))
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert copy.copy(value) == value
+    assert repr(twin) == repr(value) and repr(value).startswith(type(value).__name__ + "(")
+
+
+def test_values_of_different_classes_never_compare_equal():
+    g = SimpleGraph.of(range(3), [(0, 1)])
+    d = Digraph.of(range(3), [(0, 1)])
+    assert (g.vertices, g.edges) == (d.vertices, d.arcs)
+    assert g != d and d != g and not g == d
+    assert g != (g.vertices, g.edges) and (g.vertices, g.edges) != g
+    assert d != (d.vertices, d.arcs)
+    assert len({g, d, SimpleGraph.of([2, 1, 0], [(1, 0)])}) == 2
+    assert repr(g) == "SimpleGraph(vertices=(0, 1, 2), edges=((0, 1),))"
+
+
+def test_value_constructors_take_keywords_and_defaults():
+    p = IntPolynomial(coefficients=[1, 1, 0])
+    assert p == IntPolynomial((1, 1)) and hash(p) == hash(IntPolynomial((1, 1)))
+    assert type(p.coefficients) is tuple
+    report = DigraphPolynomialReport(chi_in=p, chi_out=p, route_in="engine", route_out="engine", consistent=True)
+    assert report.advisories == ()
+
+
+def test_polynomial_strips_trailing_zeros_and_rejects_non_integers():
+    assert IntPolynomial([0, 0]).coefficients == ()
+    assert IntPolynomial((0, 3, 0)).coefficients == (0, 3)
+    for bad in ((1.5,), (1, 2.0), (Fraction(1, 2),), ("1",)):
+        with pytest.raises(TypeError):
+            IntPolynomial(bad)
+
+
 def test_digraph_basics():
     d = Digraph.of([0, 1, 2], [(0, 1), (2, 1)])
     assert d.in_degree(1) == 2 and d.out_degree(1) == 0
@@ -285,7 +354,7 @@ def test_reverse_swaps_neighborhoods_on_every_three_vertex_digraph():
 
 def test_digraph_from_symmetric():
     g = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
-    d = Digraph.from_symmetric(g)
+    d = symmetric_digraph(g)
     assert set(d.arcs) == {(0, 1), (1, 0), (1, 2), (2, 1)}
     for v in g.vertices:
         assert d.in_neighborhood(v) == d.out_neighborhood(v) == g.closed_neighborhood(v)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chromoduli import cli, moduli, orientations
 from chromoduli.digraph_poly import digraph_polynomial_report
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
-from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
+from chromoduli.graphs import IntPolynomial, SimpleGraph, chromatic_polynomial
 from chromoduli.moduli import (
     DEFAULT_TERM_CAP,
     cerberus_check,
@@ -44,6 +44,7 @@ from graph_catalog import (
     instar_digraph,
     paw_graph,
     simple_graphs,
+    symmetric_digraph,
 )
 
 P4 = frozenset("ijkl")
@@ -509,7 +510,7 @@ def test_omega_random_five_vertex_graphs_match_chromatic():
 
 def test_omega_symmetrized_digraph_matches_chromatic():
     g = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
-    d = Digraph.from_symmetric(g)
+    d = symmetric_digraph(g)
     chi = chromatic_polynomial(g)
     for m in (3, 4):
         expected = (-1) ** g.n * chi.evaluate(-(m - 2))
