@@ -90,8 +90,7 @@ def route_row(graph, m, repeat):
                 times[key] = "budget"
             except (EngineConsistencyError, ConvergenceError) as exc:
                 times[key] = "failed"
-                reason = (str(exc).splitlines() or [type(exc).__name__])[0]
-                print(f"error: {key}: {reason}", file=sys.stderr)
+                cli.report_failure(key, exc)
             else:
                 times[key].append(time.perf_counter() - start)
     return {key: t if isinstance(t, str) else statistics.median(t) for key, t in times.items()}, values

@@ -1,7 +1,6 @@
 """Graph-indexed intersection numbers, cross-checked five independent ways."""
 
 from .arrangement import (
-    AffineFunctional,
     Arrangement,
     Chamber,
     bounded_chambers_bijective,

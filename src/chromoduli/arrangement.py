@@ -2,14 +2,16 @@
 
 For a graph G and integer m >= 3 the arrangement consists of the level
 functionals z_v - i (v a vertex, i = 0..m-2) and the edge functionals
-z_u - z_w.  Bounded chambers are enumerated two independent ways:
+z_u - z_w.  Each is a difference z_j - z_k + c with z_n = 0, and
+`Arrangement.terms` holds it in that one form, as (j, k, c);
+`Arrangement.tag` names it.  Bounded chambers are enumerated two
+independent ways:
 
 * bijectively, from pairs (coloring, acyclic orientation) with an explicit
   interior witness, and
 * by depth-first sign-vector search, restricted a priori to the open cube
   (0, m-2)^V, which contains every bounded chamber, splitting on the edge
-  functionals before the inner levels.  Every functional is z_j - z_k + c
-  with z_n = 0 (`Arrangement.sparse`), so each candidate region is a
+  functionals before the inner levels.  Each candidate region is a
   system of strict difference constraints over the nodes 0..n, decided by
   the shortest-path closure of `lp.Region`: an empty region is refused
   with a cycle of weight <= 0 as its certificate, and a chamber's witness
@@ -45,53 +47,29 @@ from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
 
 
-class AffineFunctional(Value):
-    """Exact affine functional a.z + b with an identifying tag.
-
-    The coefficients are ints aligned with the arrangement's vertex order;
-    the tag is ("level", v, i) or ("edge", u, w).
-    """
-
-    __slots__ = ("coefficients", "constant", "tag")
-
-    def __init__(self, coefficients, constant, tag):
-        _set(self, "coefficients", coefficients)
-        _set(self, "constant", constant)
-        _set(self, "tag", tag)
-
-    def value(self, z, d=1):
-        """d * f(z / d): the value at z, or its d-fold from integer numerators z over d > 0."""
-        return sum(map(operator.mul, self.coefficients, z)) + self.constant * d
-
-
 class Arrangement(Value):
-    """The functionals of a graph's arrangement at m; its `__dict__` holds
-    the two cached properties, which take no part in equality."""
+    """The functionals of a graph's arrangement at m, as terms (j, k, c):
+    f(z) = z[j] - z[k] + c over vertex positions and z[n] = 0, so the level
+    z_v - i is (v, n, -i) and the edge z_u - z_w is (u, w, 0).  The levels
+    come vertex by vertex, then the edges.  Its `__dict__` holds the cached
+    `symmetries`, which take no part in equality."""
 
-    __slots__ = ("graph", "m", "functionals", "__dict__")
+    __slots__ = ("graph", "m", "terms", "__dict__")
 
-    def __init__(self, graph, m, functionals):
+    def __init__(self, graph, m, terms):
         _set(self, "graph", graph)
         _set(self, "m", m)
-        _set(self, "functionals", functionals)
+        _set(self, "terms", terms)
 
     @property
     def dimension(self):
         return self.graph.n
 
-    @functools.cached_property
-    def sparse(self):
-        """One (j, k, constant) per functional, so that f(z) = z[j] - z[k] + constant.
-
-        The point z carries one extra coordinate z[n] = 0: a level functional
-        z_v - i is (v, n, -i) and an edge functional z_u - z_w is (u, w, 0).
-        """
-        n = self.dimension
-        terms = []
-        for f in self.functionals:
-            a = f.coefficients
-            terms.append((a.index(1), a.index(-1) if -1 in a else n, f.constant))
-        return tuple(terms)
+    def tag(self, i):
+        """Functional i as ("level", v, i) or ("edge", u, w), in vertex labels."""
+        j, k, c = self.terms[i]
+        vs = self.graph.vertices
+        return ("level", vs[j], -c) if k == self.dimension else ("edge", vs[j], vs[k])
 
     @functools.cached_property
     def symmetries(self):
@@ -106,13 +84,12 @@ class Chamber(Value):
     vertex, and d > 0 their common denominator.
     """
 
-    __slots__ = ("signs", "nums", "d", "bounded")
+    __slots__ = ("signs", "nums", "d")
 
-    def __init__(self, signs, nums, d, bounded):
+    def __init__(self, signs, nums, d):
         _set(self, "signs", signs)
         _set(self, "nums", nums)
         _set(self, "d", d)
-        _set(self, "bounded", bounded)
 
     @property
     def witness(self):
@@ -126,10 +103,11 @@ class Chamber(Value):
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
     def to_json(self):
+        """JSON fields; every chamber found is bounded."""
         return {
             "signs": self.sign_string,
             "witness": [_reduced(x, self.d) for x in self.nums],
-            "bounded": self.bounded,
+            "bounded": True,
         }
 
 
@@ -142,20 +120,13 @@ def _reduced(x, d):
 def build_arrangement(graph: SimpleGraph, m: int) -> Arrangement:
     if m < 3:
         raise ValueError(f"m must be at least 3, got {m}")
-    vs = graph.vertices
-    pos = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
-    fns = []
-    for v in vs:
-        for i in range(m - 1):
-            coeffs = tuple(1 if j == pos[v] else 0 for j in range(n))
-            fns.append(AffineFunctional(coeffs, -i, ("level", v, i)))
-    for u, w in graph.edges:
-        coeffs = tuple(1 if j == pos[u] else -1 if j == pos[w] else 0 for j in range(n))
-        fns.append(AffineFunctional(coeffs, 0, ("edge", u, w)))
-    if len(fns) != (m - 1) * n + len(graph.edges):
+    n = graph.n
+    pos = {v: j for j, v in enumerate(graph.vertices)}
+    terms = [(j, n, -i) for j in range(n) for i in range(m - 1)]
+    terms += [(pos[u], pos[w], 0) for u, w in graph.edges]
+    if len(terms) != (m - 1) * n + len(graph.edges):
         raise EngineConsistencyError("arrangement has the wrong number of hyperplanes")
-    return Arrangement(graph, m, tuple(fns))
+    return Arrangement(graph, m, tuple(terms))
 
 
 class _Symmetry:
@@ -200,7 +171,7 @@ def _symmetries(arr):
     """The reflection z -> (m-2)*1 - z, then one symmetry per generator of Aut(G).
 
     An automorphism acts by permuting coordinates.  Each map is certified
-    exactly: every functional f(y) = y[j] - y[k] + b (`Arrangement.sparse`)
+    exactly: every functional f(y) = y[j] - y[k] + b (`Arrangement.terms`)
     pulls back to +-(z[j'] - z[k'] + b'), and (j', k', b') is looked up in
     the arrangement; a functional whose image is not there raises
     EngineConsistencyError.  The reflection sends z_v = i to z_v = m-2-i
@@ -210,8 +181,8 @@ def _symmetries(arr):
     arrangement as `Arrangement.symmetries`.
     """
     n, c = arr.dimension, arr.m - 2
-    sparse = arr.sparse
-    index = {term: i for i, term in enumerate(sparse)}
+    terms = arr.terms
+    index = {term: i for i, term in enumerate(terms)}
     maps = [(tuple(range(n)), -1)] + [(p, 1) for p in automorphism_generators(arr.graph)]
     symmetries = []
     for perm, scale in maps:
@@ -220,7 +191,7 @@ def _symmetries(arr):
         for x, p in enumerate(perm):
             inv[p] = x
         # y[p] = offset + scale * z[inv[p]], so f(y) = scale * (z[j'] - z[k'] + b')
-        keys = [(inv[j], inv[k], scale * (b + offset) if k == n else scale * b) for j, k, b in sparse]
+        keys = [(inv[j], inv[k], scale * (b + offset) if k == n else scale * b) for j, k, b in terms]
         image = [index.get(key) for key in keys]
         sign = [scale] * len(keys)
         for q, i in enumerate(image):
@@ -228,7 +199,7 @@ def _symmetries(arr):
                 j, k, b = keys[q]
                 image[q], sign[q] = index.get((k, j, -b)), -scale
                 if image[q] is None:
-                    tag = arr.functionals[q].tag
+                    tag = arr.tag(q)
                     raise EngineConsistencyError(f"the image of {tag} under a symmetry is not in the arrangement")
         symmetries.append(_Symmetry(tuple(perm), scale, offset, tuple(image), tuple(sign)))
     return tuple(symmetries)
@@ -261,7 +232,7 @@ def _signs_at(arr, nums, d):
     """The sign of every functional at the witness nums / d, by exact substitution in integers."""
     z = list(nums) + [0]
     signs = []
-    for j, k, c in arr.sparse:
+    for j, k, c in arr.terms:
         val = z[j] - z[k] + c * d
         if val == 0:
             raise EngineConsistencyError("witness lies on a hyperplane")
@@ -275,7 +246,7 @@ def _image(arr, symmetry, chamber):
     signs = symmetry.signs(chamber.signs)
     if _signs_at(arr, nums, chamber.d) != signs:
         raise EngineConsistencyError("mapped LP witness lies outside its chamber")
-    return Chamber(signs, nums, chamber.d, True)
+    return Chamber(signs, nums, chamber.d)
 
 
 def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
@@ -321,7 +292,7 @@ def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDID
             if signs in seen:
                 raise EngineConsistencyError("distinct pairs produced the same chamber")
             seen.add(signs)
-            chambers.append(Chamber(signs, nums, d, True))
+            chambers.append(Chamber(signs, nums, d))
     chambers.sort(key=lambda c: c.signs)
     return chambers
 
@@ -331,8 +302,8 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
 
     Every bounded chamber satisfies 0 < z_v < m-2 coordinatewise, so the
     search fixes those signs up front and only splits on the remaining
-    functionals, depth-first: the edge functionals first, then the inner
-    levels.  Each side of a split adds one strict difference constraint to
+    functionals, depth-first: the edge functionals (k < n) first, then the
+    inner levels.  Each side of a split adds one strict difference constraint to
     the region's shortest-path closure (`lp.Region.with_arc`), in O((n+1)^2)
     when the region stays nonempty; an empty one is refused with a cycle of
     weight <= 0 as its certificate.  A full sign vector's witness is the
@@ -341,12 +312,13 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     its witness into every functional: the signs must equal the chamber's,
     cube signs included, so it is also bounded.
 
-    When the graph has an edge, the search divides by the group that
-    `Arrangement.symmetries` generates: the reflection and the
-    automorphisms of G.  The first split is an edge functional, which the
+    The search divides by the group that `Arrangement.symmetries`
+    generates: the reflection and the automorphisms of G.  When the graph
+    has an edge, the first split is an edge functional, which the
     reflection maps to minus itself, so it separates every chamber from its
     mirror image: only its + side is searched.  A full edge-sign pattern
-    (an orientation) reached there has its level subtree searched only if
+    (an orientation; the empty one at the root of an edgeless graph, whose
+    orbit is itself) has its level subtree searched only if
     it is not the image of an orientation searched before; when it is
     searched, every other orientation of its orbit, on either side of the
     first split, is registered with the symmetry that maps it there, and is
@@ -356,25 +328,25 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     a final check refuses any sign vector found twice.  On K5 at m=4 the
     search decides 284 regions beyond the cube and refuses 107 of them.
     """
-    fns = arr.functionals
-    if len(fns) > functional_budget:
+    terms = arr.terms
+    if len(terms) > functional_budget:
         raise BudgetExceededError(
-            f"{len(fns)} functionals exceed LP search budget {functional_budget}"
+            f"{len(terms)} functionals exceed LP search budget {functional_budget}"
         )
-    n, m, sparse = arr.dimension, arr.m, arr.sparse
+    n, m = arr.dimension, arr.m
     fixed = {}  # the cube's signs: functional index -> sign
     free_idx = []
-    for idx, f in enumerate(fns):
-        if f.tag[0] == "level" and f.tag[2] in (0, m - 2):
-            fixed[idx] = 1 if f.tag[2] == 0 else -1
+    for idx, (_, k, c) in enumerate(terms):
+        if k == n and c in (0, 2 - m):  # the levels z_v - 0 and z_v - (m-2)
+            fixed[idx] = 1 if c == 0 else -1
         else:
             free_idx.append(idx)
-    free_idx.sort(key=lambda i: fns[i].tag[0] != "edge")
+    free_idx.sort(key=lambda i: terms[i][1] == n)  # the edges (k < n) first
     cube = Region.empty(n + 1)
     for i, side in fixed.items():
-        cube = cube.with_arc(*_arc(sparse[i], side))
-    split = [sparse[i] for i in free_idx]
-    edges = [i for i in free_idx if fns[i].tag[0] == "edge"]
+        cube = cube.with_arc(*_arc(terms[i], side))
+    split = [terms[i] for i in free_idx]
+    edges = [i for i in free_idx if terms[i][1] < n]
     if edges and arr.symmetries[0].index[edges[0]] != edges[0]:
         raise EngineConsistencyError("the first split of the LP search is not its own mirror")
 
@@ -385,7 +357,7 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     stack = [((), cube, None)]
     while stack:
         sides, region, arc = stack.pop()
-        at_orientation = len(sides) == len(edges) > 0
+        at_orientation = len(sides) == len(edges)
         if at_orientation and sides in mapped:
             continue
         if arc is not None:
@@ -394,7 +366,7 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
                 continue
         if at_orientation:
             found[sides] = []
-            pattern = [0] * len(fns)
+            pattern = [0] * len(terms)
             for i, side in zip(edges, sides):
                 pattern[i] = side
             # each image with the symmetry onto it; the orientation itself has None
@@ -405,14 +377,13 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
         if len(sides) == len(free_idx):
             signs = dict(fixed)
             signs.update(zip(free_idx, sides))
-            sign_vec = tuple(signs[i] for i in range(len(fns)))
+            sign_vec = tuple(signs[i] for i in range(len(terms)))
             nums = tuple(region.dist[n][:n])
             if _signs_at(arr, nums, n + 1) != sign_vec:
                 raise EngineConsistencyError("LP witness lies outside its chamber")
-            chamber = Chamber(sign_vec, nums, n + 1, True)
+            chamber = Chamber(sign_vec, nums, n + 1)
             chambers.append(chamber)
-            if edges:
-                found[sides[: len(edges)]].append(chamber)
+            found[sides[: len(edges)]].append(chamber)
             continue
         term = split[len(sides)]
         # the + side is pushed last, so searched first

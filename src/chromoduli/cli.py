@@ -125,7 +125,9 @@ def cmd_omega(args):
         if isinstance(graph, SimpleGraph):
             chi = chromatic_polynomial(graph)
         else:
-            chi = dig_mod.chi_for(graph, mode, args.budget_terms)
+            chi, _, consistent = dig_mod.chi_checked(graph, mode, args.budget_terms)
+            if not consistent:
+                raise EngineConsistencyError(f"closed formula and engine table disagree on chi_{mode}")
         out["value"] = (-1) ** (graph.n - 1) * chi.derivative_at_zero()
         out["route"] = "chromatic-derivative"
     else:
@@ -167,7 +169,7 @@ def cmd_critical_points(args):
     graph = _load(args.graph, SimpleGraph, args.command)
     arr = arr_mod.build_arrangement(graph, args.m)
     if args.weights:
-        weights = _load_weights(args.weights, len(arr.functionals))
+        weights = _load_weights(args.weights, len(arr.terms))
     else:
         weights = crit_mod.default_weights(arr, args.seed)
     chambers = arr_mod.bounded_chambers_bijective(arr, args.budget_orientations)
@@ -270,8 +272,9 @@ def simple_routes(graph, m, budgets=BUDGETS, seed=0):
     }
 
 
-def _reason(route, exc):
-    """A route's solver failure as one line, also printed to stderr as `error: <route>: <reason>`."""
+def report_failure(route, exc):
+    """A route's solver failure as one line: the first line of the message, or
+    else the exception's class name.  Also printed to stderr as `error: <route>: <reason>`."""
     lines = str(exc).splitlines()
     reason = lines[0] if lines else type(exc).__name__
     print(f"error: {route}: {reason}", file=sys.stderr)
@@ -289,7 +292,7 @@ def _verify_simple_row(graph, name, m, args):
         except BudgetExceededError:
             skipped.append(key)
         except (EngineConsistencyError, ConvergenceError) as exc:
-            failed[key] = _reason(key, exc)
+            failed[key] = report_failure(key, exc)
     row = {
         "graph": name,
         "kind": "simple",
@@ -332,7 +335,7 @@ def _verify_digraph_row(graph, name, m, args, reports):
         skipped.append("engine")
         row["agree"] = True
     except (EngineConsistencyError, ConvergenceError) as exc:
-        row["failed"] = {"engine": _reason("engine", exc)}
+        row["failed"] = {"engine": report_failure("engine", exc)}
         row["agree"] = False
     row["skipped"] = skipped
     return row

@@ -18,8 +18,8 @@ chamber of the orbit at the image of that critical point, if it is
 strictly inside it, and at the chamber's witness otherwise; every chamber
 is certified at its own final point all the same.
 
-Everything runs on the standard library.  Every functional is z_j - i
-(level) or z_u - z_w (edge), so one list of (j, k, constant, weight) per
+Everything runs on the standard library.  Every functional is z_j - z_k + c
+with z_n = 0 (`Arrangement.terms`), so one list of (j, k, c, weight) per
 arrangement and weights, with the weights as floats, is the whole kernel;
 gradient and -H come from one pass over it, and each Newton step solves
 with a Cholesky factor of -H.
@@ -92,21 +92,17 @@ class CriticalPointReport(Value):
 
 
 def _kernel(arr: Arrangement, weights):
-    """The terms, one (j, k, constant, weight) per functional so that
-    f = z[j] - z[k] + constant, and the weights as a list of floats.
-
-    The (j, k, constant) are `arr.sparse`: the point z carries one extra
-    coordinate z[n] = 0, so a level functional z_v - i is (v, n, -i) and an
-    edge functional z_u - z_w is (u, w, 0).
-    """
+    """The terms, one (j, k, c, weight) per functional so that
+    f = z[j] - z[k] + c (`arr.terms`, with z[n] = 0), and the weights as a
+    list of floats."""
     u = [float(w) for w in weights]
-    if len(u) != len(arr.functionals):
-        raise ValueError(f"expected {len(arr.functionals)} weights, got {len(u)}")
+    if len(u) != len(arr.terms):
+        raise ValueError(f"expected {len(arr.terms)} weights, got {len(u)}")
     if not all(map(math.isfinite, u)):
         raise ValueError("weights must be finite")
     if any(w <= 0 for w in u):
         raise ValueError("weights must be strictly positive")
-    return [(j, k, float(c), w) for (j, k, c), w in zip(arr.sparse, u)], u
+    return [(j, k, float(c), w) for (j, k, c), w in zip(arr.terms, u)], u
 
 
 def default_weights(arr: Arrangement, seed=0):
@@ -124,7 +120,7 @@ def default_weights(arr: Arrangement, seed=0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     index_maps = [g.index for g in arr.symmetries]
     rng = random.Random(seed)
-    weights = [None] * len(arr.functionals)
+    weights = [None] * len(arr.terms)
     for first in range(len(weights)):
         if weights[first] is None:
             w = rng.uniform(0.5, 2.0)

@@ -52,13 +52,6 @@ def chi_engine(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPolynomial
     return out * (-1) ** graph.n
 
 
-def chi_for(graph: Digraph, mode, term_cap=DEFAULT_TERM_CAP) -> IntPolynomial:
-    """Cheapest correct route: closed formula when acyclic, else the engine's table."""
-    if graph.is_acyclic():
-        return chi_acyclic(graph, mode)
-    return chi_engine(graph, mode, term_cap)
-
-
 def advisory_flags(poly: IntPolynomial, name="chi"):
     """Warnings for conjectural properties: nonnegativity on small nonnegative
     integers, sign-alternating coefficients, log-concave coefficient magnitudes.

@@ -47,6 +47,30 @@ CATALOG = [
 ]
 
 
+class DenseFunctional:
+    """One functional a.z + b of a graph's arrangement as a dense coefficient row, and its tag.
+
+    The tests' reference for `Arrangement.terms` and `Arrangement.tag`:
+    `dense_functionals` builds each straight from the graph and m.
+    """
+
+    def __init__(self, coefficients, constant, tag):
+        self.coefficients, self.constant, self.tag = coefficients, constant, tag
+
+    def value(self, z, d=1):
+        """d * f(z / d): the value at z, or its d-fold from numerators z over d > 0."""
+        return sum(a * x for a, x in zip(self.coefficients, z)) + self.constant * d
+
+
+def dense_functionals(graph, m):
+    """The arrangement's functionals in its order: the levels z_v - i
+    (i = 0..m-2) vertex by vertex, then the edges z_u - z_w."""
+    vs = graph.vertices
+    levels = [DenseFunctional([int(x == v) for x in vs], -i, ("level", v, i)) for v in vs for i in range(m - 1)]
+    edges = [DenseFunctional([(x == u) - (x == w) for x in vs], 0, ("edge", u, w)) for u, w in graph.edges]
+    return levels + edges
+
+
 def symmetric_digraph(graph):
     """The digraph with both arcs u -> w and w -> u for every edge of `graph`."""
     return Digraph.of(graph.vertices, [a for u, w in graph.edges for a in ((u, w), (w, u))])

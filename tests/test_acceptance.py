@@ -17,7 +17,7 @@ from chromoduli.graphs import SimpleGraph, canonical_key, chromatic_polynomial
 from chromoduli.moduli import DEFAULT_TERM_CAP, cerberus_check, omega
 
 from fold_reference import _Ctx, _fold_pullbacks
-from graph_catalog import all_graphs_up_to_4, paw_graph, instar_digraph
+from graph_catalog import all_graphs_up_to_4, dense_functionals, paw_graph, instar_digraph
 
 _OMEGA_CACHE = {}
 
@@ -139,8 +139,9 @@ def test_criterion_8_gradient_finite_differences():
     for name, g in all_graphs_up_to_4():
         arr = build_arrangement(g, 3)
         u = default_weights(arr, seed=13)
-        A = np.array([[float(a) for a in f.coefficients] for f in arr.functionals])
-        b = np.array([float(f.constant) for f in arr.functionals])
+        fns = dense_functionals(g, 3)
+        A = np.array([f.coefficients for f in fns], dtype=float)
+        b = np.array([f.constant for f in fns], dtype=float)
         sampled = 0
         while sampled < 6:
             z = rng.uniform(0.05, 0.95, g.n)

@@ -21,7 +21,14 @@ from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, automorphism_generators, chromatic_polynomial
 from chromoduli.lp import Region
 
-from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph, simple_graphs
+from graph_catalog import (
+    ORACLE_SETTINGS,
+    all_graphs_up_to_4,
+    dense_functionals,
+    graphs_and_m,
+    paw_graph,
+    simple_graphs,
+)
 from lp_reference import margin_lp, solve_lp
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
@@ -30,8 +37,6 @@ K3 = SimpleGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
 
 def chamber_to_pair(arr, chamber):
     """Coloring sigma(v) = ceil(x_v) and orientation u -> w iff x_u > x_w."""
-    if not chamber.bounded:
-        raise ValueError("chamber must be bounded")
     graph = arr.graph
     x = dict(zip(graph.vertices, chamber.witness))
     sigma = {v: math.ceil(x[v]) for v in graph.vertices}
@@ -43,13 +48,13 @@ def pair_to_chamber(arr, sigma, arcs):
     if not all(sigma[u] >= sigma[w] for u, w in arcs):
         raise ValueError("orientation is not compatible with the coloring")
     nums, d = _pair_witness(arr.graph, arr.m, sigma, arcs)
-    return Chamber(_signs_at(arr, nums, d), nums, d, True)
+    return Chamber(_signs_at(arr, nums, d), nums, d)
 
 
 def test_build_counts():
-    assert len(build_arrangement(SimpleGraph.of([0]), 3).functionals) == 2
-    assert len(build_arrangement(K2, 3).functionals) == 5
-    assert len(build_arrangement(paw_graph(), 3).functionals) == 12  # 4*2 + 4 edges
+    assert len(build_arrangement(SimpleGraph.of([0]), 3).terms) == 2
+    assert len(build_arrangement(K2, 3).terms) == 5
+    assert len(build_arrangement(paw_graph(), 3).terms) == 12  # 4*2 + 4 edges
 
 
 def test_build_rejects_small_m():
@@ -58,19 +63,33 @@ def test_build_rejects_small_m():
 
 
 def test_functional_structure():
-    arr = build_arrangement(K2, 4)
-    levels = [f for f in arr.functionals if f.tag[0] == "level"]
-    edges = [f for f in arr.functionals if f.tag[0] == "edge"]
-    assert len(levels) == 6 and len(edges) == 1
-    for f in levels:
-        v, i = f.tag[1], f.tag[2]
-        assert f.constant == -i
-        assert sorted(f.coefficients) == [0, 1]
-    (e,) = edges
-    assert sorted(e.coefficients) == [-1, 1] and e.constant == 0
-    # deterministic order: all vertex levels first, then edges
-    tags = [f.tag[0] for f in arr.functionals]
-    assert tags == ["level"] * 6 + ["edge"]
+    # f = z[j] - z[k] + c with z[2] = 0: all vertex levels first, then edges
+    arr = build_arrangement(SimpleGraph.of(["a", "b"], [("a", "b")]), 4)
+    assert arr.terms == ((0, 2, 0), (0, 2, -1), (0, 2, -2), (1, 2, 0), (1, 2, -1), (1, 2, -2), (0, 1, 0))
+    assert [arr.tag(i) for i in range(7)] == [
+        ("level", "a", 0),
+        ("level", "a", 1),
+        ("level", "a", 2),
+        ("level", "b", 0),
+        ("level", "b", 1),
+        ("level", "b", 2),
+        ("edge", "a", "b"),
+    ]
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_terms_and_tags_match_the_dense_functionals(name, g, m):
+    # each term (j, k, c) is the dense row with +1 at j and -1 at k (none at
+    # the pinned k = n) and constant c, in the same order and with the same tag
+    arr = build_arrangement(g, m)
+    fns = dense_functionals(g, m)
+    assert len(arr.terms) == len(fns) == (m - 1) * g.n + len(g.edges)
+    for i, (f, (j, k, c)) in enumerate(zip(fns, arr.terms)):
+        row = [0] * (g.n + 1)
+        row[j] += 1
+        row[k] -= 1
+        assert row[: g.n] == f.coefficients and c == f.constant and arr.tag(i) == f.tag
 
 
 def test_single_vertex_chamber():
@@ -163,14 +182,6 @@ def test_pair_to_chamber_rejects_incompatible():
     arr = build_arrangement(K2, 4)
     with pytest.raises(ValueError):
         pair_to_chamber(arr, {0: 1, 1: 2}, ((0, 1),))  # 0 -> 1 needs sigma[0] >= sigma[1]
-
-
-def test_chamber_to_pair_requires_bounded():
-    arr = build_arrangement(K2, 3)
-    (c, _) = bounded_chambers_lp(arr)
-    unbounded = Chamber(c.signs, c.nums, c.d, False)
-    with pytest.raises(ValueError):
-        chamber_to_pair(arr, unbounded)
 
 
 def _count_decisions(monkeypatch, check=None):
@@ -280,7 +291,7 @@ def test_mirror_is_an_involution_that_negates_the_reflected_functional(name, g, 
     # the reflection is the first symmetry: f((m-2)*1 - z) = -f'(z) exactly,
     # at random rational points
     arr = build_arrangement(g, m)
-    fns, reflection = arr.functionals, _symmetries(arr)[0]
+    fns, reflection = dense_functionals(g, m), _symmetries(arr)[0]
     mirror = reflection.index
     assert reflection.perm == tuple(range(g.n)) and reflection.sign == (-1,) * len(fns)
     assert sorted(mirror) == list(range(len(fns)))
@@ -294,7 +305,7 @@ def test_mirror_is_an_involution_that_negates_the_reflected_functional(name, g, 
             assert f.value(reflected) == -fns[j].value(z)
     for f, j in zip(fns, mirror):
         if f.tag[0] == "edge":
-            assert j == fns.index(f)
+            assert fns[j] is f
         else:
             assert fns[j].tag == ("level", f.tag[1], m - 2 - f.tag[2])
 
@@ -305,7 +316,7 @@ def test_every_symmetry_maps_each_functional_onto_one_up_to_sign(name, g, m):
     # f_i(y) = sign_i * f_{index_i}(z) exactly, y the image of z; the
     # automorphisms after the reflection fix the levels' constants
     arr = build_arrangement(g, m)
-    fns = arr.functionals
+    fns = dense_functionals(g, m)
     symmetries = _symmetries(arr)
     assert len(symmetries) == 1 + len(automorphism_generators(g))
     rng = random.Random(m * 100 + len(g.edges))
@@ -346,9 +357,9 @@ def test_lp_search_refuses_a_wrong_mirror(monkeypatch, wrong, message):
     # first split off its own mirror
     def wrong_mirror(arr):
         reflection, *rest = real(arr)
-        mirror = list(range(len(arr.functionals))) if wrong == "identity" else list(reflection.index)
+        mirror = list(range(len(arr.terms))) if wrong == "identity" else list(reflection.index)
         if wrong == "edges-swapped":
-            first, second = [i for i, f in enumerate(arr.functionals) if f.tag[0] == "edge"][:2]
+            first, second = [i for i in range(len(arr.terms)) if arr.tag(i)[0] == "edge"][:2]
             mirror[first], mirror[second] = second, first
         broken = arrangement._Symmetry(reflection.perm, -1, reflection.offset, tuple(mirror), reflection.sign)
         return (broken, *rest)
@@ -394,16 +405,16 @@ def test_margin_lp_tells_an_empty_region_from_a_chamber():
     # z_0 < 1 < z_1 < z_0 is empty, refused by a cycle of weight 0 through
     # z_n, and z_1 < 1 < z_0 is a chamber; the edge is split on first
     arr = build_arrangement(K2, 4)
-    sparse = arr.sparse
+    terms = arr.terms
     cube = Region.empty(3)
     for i, side in {0: 1, 2: -1, 3: 1, 5: -1}.items():
-        cube = cube.with_arc(*_arc(sparse[i], side))
+        cube = cube.with_arc(*_arc(terms[i], side))
 
     def region(sides):
         r = cube
         for i, side in zip([6, 1], sides):
-            r = r.with_arc(*_arc(sparse[i], side))
-        return r, _arc(sparse[4], sides[2])
+            r = r.with_arc(*_arc(terms[i], side))
+        return r, _arc(terms[4], sides[2])
 
     empty, last = region([1, -1, 1])
     assert empty.with_arc(*last) is None
@@ -412,6 +423,17 @@ def test_margin_lp_tells_an_empty_region_from_a_chamber():
     nums = chamber.with_arc(*last).dist[2][:2]
     assert nums == [5, 2]  # (5/3, 2/3): each functional at least 1/3 from 0
     assert arrangement._signs_at(arr, nums, 3) == (1, 1, -1, 1, -1, -1, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_lp_route_searches_an_edgeless_graph_from_its_one_orientation(n, m):
+    # the root is the empty orientation, whose orbit is itself: every
+    # chamber is searched, none mapped
+    arr = build_arrangement(SimpleGraph.of(range(n)), m)
+    cl = bounded_chambers_lp(arr)
+    assert len(cl) == (m - 2) ** n
+    assert [c.signs for c in cl] == [c.signs for c in bounded_chambers_bijective(arr)]
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)
@@ -445,8 +467,8 @@ def regions_in_split_order(draw):
     chambers and empty regions come up.
     """
     m = draw(st.integers(3, 5))
-    arr = build_arrangement(draw(simple_graphs(max_n=6, min_n=2)), m)
-    fns = arr.functionals
+    g = draw(simple_graphs(max_n=6, min_n=2))
+    arr, fns = build_arrangement(g, m), dense_functionals(g, m)
     cube = {i: 1 if f.tag[2] == 0 else -1 for i, f in enumerate(fns) if f.tag[0] == "level" and f.tag[2] in (0, m - 2)}
     order = sorted((i for i in range(len(fns)) if i not in cube), key=lambda i: fns[i].tag[0] != "edge")
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -465,9 +487,10 @@ def _margin_optimum(arr, signs, scipy_linprog):
     right-hand side is >= 0; the region is nonempty exactly when t > 0.
     """
     shift, dim = arr.m - 2, arr.dimension
+    fns = dense_functionals(arr.graph, arr.m)
     A, b = [[0] * dim + [1]], [1 + shift]
     for i, side in signs:
-        f = arr.functionals[i]
+        f = fns[i]
         A.append([-side * a for a in f.coefficients] + [1])
         b.append(side * f.constant + shift)
     exact = solve_lp(A, b, [0] * dim + [1])
@@ -489,7 +512,7 @@ def test_closure_decides_each_region_as_its_margin_lp(case):
     n = arr.dimension
     region = Region.empty(n + 1)
     for count, (i, side) in enumerate(signs, 1):
-        arc = _arc(arr.sparse[i], side)
+        arc = _arc(arr.terms[i], side)
         child = region.with_arc(*arc)
         if child is None:
             assert sum(w for _, _, w in region.cycle(*arc)) <= 0
@@ -499,7 +522,8 @@ def test_closure_decides_each_region_as_its_margin_lp(case):
     assert _margin_optimum(arr, signs[: count - (child is None)], scipy_linprog) > 0
     if child is not None:
         nums = region.dist[n][:n]
-        assert all(side * arr.functionals[i].value(nums, n + 1) >= 1 for i, side in signs)
+        fns = dense_functionals(arr.graph, arr.m)
+        assert all(side * fns[i].value(nums, n + 1) >= 1 for i, side in signs)
 
 
 def test_lp_witness_outside_chamber_is_rejected(monkeypatch):
@@ -552,7 +576,7 @@ def test_witness_strings_are_the_reduced_fractions(name, g, m):
 
 
 def test_witness_string_of_zero_and_negative_numerators():
-    c = Chamber((1, -1, 1), (0, -3, 4), 6, False)
+    c = Chamber((1, -1, 1), (0, -3, 4), 6)
     assert c.to_json()["witness"] == ["0/1", "-1/2", "2/3"]
     assert c.witness == (Fraction(0), Fraction(-1, 2), Fraction(2, 3))
 
@@ -567,11 +591,11 @@ def test_arrangement_computes_its_cached_properties_once(monkeypatch):
     real = arrangement._symmetries
     monkeypatch.setattr(arrangement, "_symmetries", counted)
     arr = build_arrangement(paw_graph(), 3)
-    assert arr.sparse is arr.sparse and arr.symmetries is arr.symmetries
+    assert arr.symmetries is arr.symmetries
     assert len(calls) == 1
-    # the cached values take no part in equality or hashing
+    # the cached value takes no part in equality or hashing
     fresh = build_arrangement(paw_graph(), 3)
-    assert fresh == arr and hash(fresh) == hash(arr) and "sparse" not in vars(fresh)
+    assert fresh == arr and hash(fresh) == hash(arr) and "symmetries" not in vars(fresh)
     assert build_arrangement(paw_graph(), 4) != arr
 
 

@@ -634,6 +634,10 @@ def test_a_wrong_closed_formula_fails_the_acyclic_check(capsys, monkeypatch):
         assert code == cli.EXIT_DISAGREE and json.loads(out)["consistent"] is False
     code, out = run(capsys, "verify", "--graph", INSTAR, "--m", "3")
     assert code == cli.EXIT_DISAGREE and json.loads(out)["agree"] is False
+    code = cli.main(["omega", "--graph", INSTAR, "--g", "1", "--m", "0", "--mode", "in"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DISAGREE and captured.out == ""
+    assert captured.err == "error: closed formula and engine table disagree on chi_in\n"
 
 
 def _python(*args):
@@ -718,7 +722,7 @@ symmetries = arrangement._symmetries
 
 def identity_mirror(arr):
     r, *rest = symmetries(arr)
-    identity = tuple(range(len(arr.functionals)))
+    identity = tuple(range(len(arr.terms)))
     return (arrangement._Symmetry(r.perm, r.scale, r.offset, identity, r.sign), *rest)
 
 

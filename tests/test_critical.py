@@ -25,15 +25,23 @@ from chromoduli.critical import (
 from chromoduli.errors import ConvergenceError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, chromatic_polynomial
 
-from graph_catalog import ORACLE_SETTINGS, all_graphs_up_to_4, graphs_and_m, paw_graph, symmetric_graphs_and_m
+from graph_catalog import (
+    ORACLE_SETTINGS,
+    all_graphs_up_to_4,
+    dense_functionals,
+    graphs_and_m,
+    paw_graph,
+    symmetric_graphs_and_m,
+)
 
 K1 = SimpleGraph.of([0])
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
 
 
 def _interior_samples(arr, count, seed, low=0.05):
-    A = np.array([[float(a) for a in f.coefficients] for f in arr.functionals])
-    b = np.array([float(f.constant) for f in arr.functionals])
+    fns = dense_functionals(arr.graph, arr.m)
+    A = np.array([f.coefficients for f in fns], dtype=float)
+    b = np.array([f.constant for f in fns], dtype=float)
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -119,8 +127,9 @@ def test_hessian_negative_definite_inside():
 def _oracle(arr, u, z):
     """log_master, gradient and Hessian from the matrix form f = A z + b, with
     the magnitudes of their summands, against which each error is measured."""
-    A = np.array([[float(a) for a in f.coefficients] for f in arr.functionals])
-    b = np.array([float(f.constant) for f in arr.functionals])
+    fns = dense_functionals(arr.graph, arr.m)
+    A = np.array([f.coefficients for f in fns], dtype=float)
+    b = np.array([f.constant for f in fns], dtype=float)
     u = np.asarray(u)
     f = A @ z + b
     terms = u * np.log(np.abs(f))
@@ -308,7 +317,7 @@ def test_witness_outside_chamber_is_rejected():
     arr = build_arrangement(K2, 3)
     chamber = bounded_chambers_bijective(arr)[0]
     x0, x1 = chamber.nums
-    swapped = Chamber(chamber.signs, (x1, x0), chamber.d, True)  # wrong side of z_0 = z_1
+    swapped = Chamber(chamber.signs, (x1, x0), chamber.d)  # wrong side of z_0 = z_1
     with pytest.raises(ValueError):
         solve_chamber(arr, [1.0] * 5, swapped)
 
@@ -365,18 +374,19 @@ def test_default_weights_are_one_draw_per_mirror_pair(name, g, m):
     assert u == default_weights(arr, seed=m)
     assert all(0.5 <= w <= 2.0 for w in u)
     assert all(u[i] == u[j] for i, j in enumerate(mirror))
-    weight = {_key(f.tag): w for f, w in zip(arr.functionals, u)}
+    fns = dense_functionals(g, m)
+    weight = {_key(f.tag): w for f, w in zip(fns, u)}
     orbits = set()
     for tag, _ in _brute_force_group(arr):
-        assert all(weight[tag(f.tag)] == w for f, w in zip(arr.functionals, u))
-    for f in arr.functionals:
+        assert all(weight[tag(f.tag)] == w for f, w in zip(fns, u))
+    for f in fns:
         orbits.add(frozenset(tag(f.tag) for tag, _ in _brute_force_group(arr)))
     assert len(set(u)) == len(orbits)
 
 
 def _brute_force_chamber_orbits(arr, chambers):
     """The number of orbits of the chambers under <Aut(G), reflection>, by substitution."""
-    fns, maps = arr.functionals, [point for _, point in _brute_force_group(arr)]
+    fns, maps = dense_functionals(arr.graph, arr.m), [point for _, point in _brute_force_group(arr)]
     orbits = set()
     for chamber in chambers:
         # integer numerators over d; the point maps send d*z to d*(image of z)
@@ -440,7 +450,7 @@ def test_newton_refuses_a_generator_that_is_no_automorphism(monkeypatch):
     with pytest.raises(EngineConsistencyError, match="not in the arrangement"):
         default_weights(arr)
     with pytest.raises(EngineConsistencyError, match="not in the arrangement"):
-        solve_all_chambers(arr, [1.0] * len(arr.functionals), bounded_chambers_bijective(arr))
+        solve_all_chambers(arr, [1.0] * len(arr.terms), bounded_chambers_bijective(arr))
 
 
 @settings(ORACLE_SETTINGS, max_examples=30)

@@ -9,7 +9,6 @@ from chromoduli.digraph_poly import (
     advisory_flags,
     chi_acyclic,
     chi_engine,
-    chi_for,
     digraph_polynomial_report,
 )
 from chromoduli.graphs import Digraph, IntPolynomial, SimpleGraph, chromatic_polynomial
@@ -162,9 +161,6 @@ def test_report_routes_and_consistency():
     assert repc.chi_in == repc.chi_out  # the directed triangle is reversal-symmetric
 
 
-def test_chi_for_picks_cheapest_route():
-    assert chi_for(instar_digraph(), "in") == chi_acyclic(instar_digraph(), "in")
-    assert chi_for(CYCLE3, "in") == chi_engine(CYCLE3, "in")
 
 
 def test_advisories_warn_but_never_fail():
@@ -176,4 +172,3 @@ def test_advisories_warn_but_never_fail():
     # alternation and log-concavity violations are reported too
     assert advisory_flags(IntPolynomial((0, 1, 2, 1)), "p")
     assert any("log-concave" in w for w in advisory_flags(IntPolynomial((0, 1, 1, 9, 1)), "p"))
-

@@ -269,7 +269,6 @@ def _one_value_of_each_class():
         paw_graph(),
         instar_digraph(),
         chromatic_polynomial(paw_graph()),
-        arr.functionals[0],
         arr,
         bounded_chambers_bijective(arr)[0],
         critical_point_reports(paw_graph(), 3)[0],

@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -121,3 +122,45 @@ def test_route_table_rejects_a_bad_case_without_traceback(case):
     )
     assert result.returncode == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+
+
+def _copy_of_src(tmp_path, old=None, new=None):
+    """A checkout holding a copy of this `src`, with `old` replaced by `new` in cli.py if given."""
+    shutil.copytree(SCRIPTS.parent / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    if old is not None:
+        cli_py = tmp_path / "src" / "chromoduli" / "cli.py"
+        text = cli_py.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        cli_py.write_text(text.replace(old, new), encoding="utf-8")
+    return tmp_path
+
+
+def test_compare_cli_finds_no_difference_with_an_unchanged_copy(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "compare_cli.py"), str(_copy_of_src(tmp_path))],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [f"{len(_load_script('compare_cli').CASES)} cases, 2 modes: 0 differ"]
+
+
+@pytest.mark.parametrize(
+    "old,new,case,what",
+    [
+        ('"degree": value,', '"degree": value + 1,', "kapranov", "stdout"),
+        ("need 2g-2+m > 0", "need 2g - 2 + m > 0", "error-genus", "stderr"),
+    ],
+    ids=["stdout", "stderr"],
+)
+def test_compare_cli_names_the_case_an_altered_line_changes(tmp_path, capsys, monkeypatch, old, new, case, what):
+    compare = _load_script("compare_cli")
+    cases = dict(compare.CASES)
+    monkeypatch.setattr(compare, "CASES", [(name, cases[name]) for name in ("omega-paw@3", "kapranov", "error-genus")])
+    assert compare.main([str(_copy_of_src(tmp_path, old, new))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{case} (plain): {what}",
+        f"{case} (-O): {what}",
+        "3 cases, 2 modes: 2 differ",
+    ]
