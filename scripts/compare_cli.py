@@ -9,7 +9,8 @@ the `src` of one checkout first on its path, once plain and once under
 input files (the shipped fixtures, a few more graphs, a weights file and a
 constraints file), so both checkouts read the same relative paths.  The
 cases cover `verify` (JSON and `--pretty`), `chambers`, `critical-points`,
-`omega`, `chromatic`, `parse`, `chi` and `kapranov`, plus usage errors.
+`omega`, `chromatic`, `parse`, `chi` and `kapranov`, plus usage errors and
+a Newton run that does not converge.
 
 A case differs when its stdout, its stderr or its exit code differs between
 the two checkouts; each such case is printed as one line naming the case,
@@ -37,6 +38,7 @@ FILES = {
     "bad.txt": "3 1\n0 7\n",
     "weights.json": json.dumps([1.0, 2.0, 0.5, 1.5, 1.0, 1.0, 1.0, 0.75, 1.25, 2.0, 1.0, 0.5]),
     "short_weights.json": json.dumps([1.0, 2.0]),
+    "huge_weights.json": json.dumps([1.0] * 11 + [1e300]),
     "constraints.json": json.dumps(
         {
             "markings": [1, 2, 3, 4, "a", "b", "c"],
@@ -83,6 +85,7 @@ CASES = [
     ("error-bad-graph", ["parse", "--graph", "bad.txt"]),
     ("error-missing-file", ["chromatic", "--graph", "missing.txt"]),
     ("error-weights", ["critical-points", "--graph", "paw.txt", "--m", "3", "--weights", "short_weights.json"]),
+    ("error-convergence", ["critical-points", "--graph", "paw.txt", "--m", "3", "--weights", "huge_weights.json"]),
     ("error-constraints", ["kapranov", "--constraints", "no_key.json"]),
     ("error-marking", ["kapranov", "--constraints", "bad_marking.json"]),
     ("error-budget", ["chambers", "--graph", "K4.txt", "--m", "4", "--budget-lp", "5"]),

@@ -9,12 +9,14 @@ each mapped to a zero-argument callable, over one arrangement per (graph, m).
 Exit codes: 0 all agree, 1 disagreement or solver failure, 2 parse/usage
 error (malformed graph, weights and constraint files included), 3 budget
 exceeded.  JSON goes to stdout (JSON lines for verify), diagnostics to
-stderr.  In verify, a route that raises EngineConsistencyError or
-ConvergenceError is recorded in its row as "failed": {route: reason} with
-"agree": false, printed as "error: <route>: <reason>" on stderr, and the
-other routes and rows still run.  A subcommand
-takes only the budget flags it reads: omega, chi and kapranov
---budget-terms; chambers --budget-orientations and --budget-lp;
+stderr: a solver error outside verify, such as a Newton chamber that does
+not converge, prints one "error:" line and no JSON.  verify checks every
+graph and m before its first row; a route that then raises
+EngineConsistencyError or ConvergenceError is recorded in its row as
+"failed": {route: reason} with "agree": false, printed as
+"error: <route>: <reason>" on stderr, and the other routes and rows still
+run.  A subcommand takes only the budget flags it reads: omega, chi and
+kapranov --budget-terms; chambers --budget-orientations and --budget-lp;
 critical-points --budget-orientations; verify all three.  `main` parses
 the arguments after a known subcommand with that subcommand's own parser
 (`build_parser(command)`); only a missing or unknown subcommand and the
@@ -173,9 +175,8 @@ def cmd_critical_points(args):
     else:
         weights = crit_mod.default_weights(arr, args.seed)
     chambers = arr_mod.bounded_chambers_bijective(arr, args.budget_orientations)
-    reports = crit_mod.solve_all_chambers(arr, weights, chambers)
-    _emit([r.to_json() for r in reports], args.pretty)
-    return EXIT_OK if all(r.converged for r in reports) else EXIT_DISAGREE
+    _emit([r.to_json() for r in crit_mod.solve_all_chambers(arr, weights, chambers)], args.pretty)
+    return EXIT_OK
 
 
 def cmd_chi(args):
@@ -258,9 +259,7 @@ def simple_routes(graph, m, budgets=BUDGETS, seed=0):
         return arr_mod.bounded_chambers_bijective(arr, budgets["orientations"])
 
     def critical_points():
-        chambers = bijective()
-        reports = crit_mod.solve_all_chambers(arr, crit_mod.default_weights(arr, seed), chambers)
-        return sum(1 for r in reports if r.converged)
+        return len(crit_mod.solve_all_chambers(arr, crit_mod.default_weights(arr, seed), bijective()))
 
     return {
         "chromatic": lambda: _signed_chromatic(graph, -(m - 2)),
@@ -334,7 +333,7 @@ def _verify_digraph_row(graph, name, m, args, reports):
     except BudgetExceededError:
         skipped.append("engine")
         row["agree"] = True
-    except (EngineConsistencyError, ConvergenceError) as exc:
+    except EngineConsistencyError as exc:
         row["failed"] = {"engine": report_failure("engine", exc)}
         row["agree"] = False
     row["skipped"] = skipped
@@ -358,16 +357,20 @@ def _pretty_verify(rows):
 def cmd_verify(args):
     paths = [Path(p) for p in args.graph] if args.graph else list(DEFAULT_SUITE)
     ms = [int(tok) for tok in str(args.m).split(",")]
+    # every input is checked before the first row, in the order the rows meet them
+    graphs = [_load(paths[0])]
+    for m in ms:
+        if m < 3:
+            raise ValueError(f"m must be at least 3, got {m}")
+    graphs += [_load(path) for path in paths[1:]]
     rows = []
     reports = {}
-    for path in paths:
-        graph = _load(path)
-        name = path.name
+    for path, graph in zip(paths, graphs):
         for m in ms:
             if isinstance(graph, SimpleGraph):
-                rows.append(_verify_simple_row(graph, name, m, args))
+                rows.append(_verify_simple_row(graph, path.name, m, args))
             else:
-                rows.append(_verify_digraph_row(graph, name, m, args, reports))
+                rows.append(_verify_digraph_row(graph, path.name, m, args, reports))
     if args.pretty:
         _pretty_verify(rows)
     else:

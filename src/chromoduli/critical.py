@@ -25,10 +25,12 @@ gradient and -H come from one pass over it, and each Newton step solves
 with a Cholesky factor of -H.
 Newton runs the same value, gradient and Hessian kernels as `log_master`,
 `gradient` and `hessian`.  Its constants: it stops once the gradient's
-inf-norm is at most GRADIENT_TOL (1e-10) and raises ConvergenceError after
-MAX_ITERATIONS (200) steps; the backtracking line search accepts a step
-inside the chamber with Armijo slope ARMIJO_SLOPE (1e-4), shrinking by
-STEP_SHRINK (1/2) and stalling below MIN_STEP (1e-18).
+inf-norm is at most GRADIENT_TOL (1e-10, absolute: it does not scale with
+the weights); the backtracking line search accepts a step inside the
+chamber with Armijo slope ARMIJO_SLOPE (1e-4), shrinking by STEP_SHRINK
+(1/2) and stalling below MIN_STEP (1e-18).  A stall, MAX_ITERATIONS (200)
+steps or an -H that fails to factor raises ConvergenceError naming the
+chamber, so every report returned is converged and certified.
 """
 
 from __future__ import annotations
@@ -56,38 +58,27 @@ MIN_STEP = 1e-18
 
 
 class CriticalPointReport(Value):
-    __slots__ = (
-        "chamber_index",
-        "sign_string",
-        "point",
-        "gradient_inf_norm",
-        "hessian_negative_definite",
-        "iterations",
-        "converged",
-    )
+    """A converged, certified run (any other raises ConvergenceError): its
+    JSON keys `hessian_negative_definite` and `converged` are always true."""
 
-    def __init__(
-        self, chamber_index, sign_string, point, gradient_inf_norm, hessian_negative_definite, iterations, converged
-    ):
+    __slots__ = ("chamber_index", "sign_string", "point", "gradient_inf_norm", "iterations")
+
+    def __init__(self, chamber_index, sign_string, point, gradient_inf_norm, iterations):
         _set(self, "chamber_index", chamber_index)
         _set(self, "sign_string", sign_string)
         _set(self, "point", point)
         _set(self, "gradient_inf_norm", gradient_inf_norm)
-        _set(self, "hessian_negative_definite", hessian_negative_definite)
         _set(self, "iterations", iterations)
-        _set(self, "converged", converged)
 
     def to_json(self):
-        """JSON fields; a failed run's infinite gradient norm becomes null."""
-        gnorm = self.gradient_inf_norm
         return {
             "chamber_index": self.chamber_index,
             "signs": self.sign_string,
             "point": list(self.point),
-            "gradient_inf_norm": gnorm if math.isfinite(gnorm) else None,
-            "hessian_negative_definite": self.hessian_negative_definite,
+            "gradient_inf_norm": self.gradient_inf_norm,
+            "hessian_negative_definite": True,
             "iterations": self.iterations,
-            "converged": self.converged,
+            "converged": True,
         }
 
 
@@ -240,15 +231,16 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
 
     Each step solves -H step = g with the Cholesky factor of -H; the factor
     at the last iterate is the negative-definite certificate.  A factor that
-    fails before the gradient is small raises ConvergenceError.  `kernel`,
-    if given, is `_kernel(arr, weights)`, built once by the caller.
+    fails at any iterate, a stalled line search or MAX_ITERATIONS steps
+    raise ConvergenceError, led by "chamber <signs>:".  `kernel`, if given,
+    is `_kernel(arr, weights)`, built once by the caller.
 
     Raises ValueError if the witness, rounded to floats, is not strictly
     inside the chamber's signs.
     """
     terms, u = _kernel(arr, weights) if kernel is None else kernel
     n = arr.dimension
-    signs = chamber.signs
+    signs, name = chamber.signs, chamber.sign_string
     witness = (chamber.nums, chamber.d)
     for point, d in (witness,) if start is None else ((start, 1), witness):
         z = [x / d for x in point] + [0.0]  # x / d rounds as float(Fraction(x, d)) does
@@ -257,16 +249,16 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
         if min(sf, default=1.0) > 0:
             break
     else:
-        raise ValueError(f"witness of chamber {chamber.sign_string} is not strictly inside it")
+        raise ValueError(f"witness of chamber {name} is not strictly inside it")
     value = None  # the objective at z, once the line search has computed it
     for iterations in range(1, MAX_ITERATIONS + 1):
         g, p = _derivatives(terms, n, f)
         factor = _cholesky(p)
+        if factor is None:
+            raise ConvergenceError(f"chamber {name}: Hessian not negative definite at iteration {iterations}")
         gnorm = max(map(abs, g), default=0.0)
         if gnorm <= GRADIENT_TOL:
             break
-        if factor is None:
-            raise ConvergenceError(f"Hessian not negative definite at iteration {iterations}")
         step, slope = _newton_step(factor, g)
         base = _objective(u, sf) if value is None else value
         # Near the optimum the expected gain (about slope/2) sinks below the
@@ -287,42 +279,25 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
                     break
             t *= STEP_SHRINK
             if t < MIN_STEP:
-                raise ConvergenceError("line search stalled")
+                raise ConvergenceError(f"chamber {name}: line search stalled")
         z = trial  # f is already the values at z for the accepted step
     else:
         raise ConvergenceError(
-            f"gradient norm {gnorm:.3e} above {GRADIENT_TOL} after {MAX_ITERATIONS} iterations"
+            f"chamber {name}: gradient norm {gnorm:.3e} above {GRADIENT_TOL} after {MAX_ITERATIONS} iterations"
         )
     if min(sf, default=1.0) <= 0:  # pragma: no cover - the line search only accepts inside points
         raise EngineConsistencyError("Newton iterate left its chamber")
     return CriticalPointReport(
         chamber_index=index,
-        sign_string=chamber.sign_string,
+        sign_string=name,
         point=tuple(z[:n]),
         gradient_inf_norm=gnorm,
-        hessian_negative_definite=factor is not None,
         iterations=iterations,
-        converged=gnorm <= GRADIENT_TOL and factor is not None,
     )
 
 
-def _try_solve(arr, weights, chamber, index, kernel, start):
-    try:
-        return solve_chamber(arr, weights, chamber, index, kernel, start)
-    except ConvergenceError:
-        return CriticalPointReport(
-            chamber_index=index,
-            sign_string=chamber.sign_string,
-            point=(),
-            gradient_inf_norm=float("inf"),
-            hessian_negative_definite=False,
-            iterations=MAX_ITERATIONS,
-            converged=False,
-        )
-
-
 def solve_all_chambers(arr: Arrangement, weights, chambers):
-    """Solve every chamber in order, collecting failures per chamber.
+    """Solve every chamber in order; the first that fails raises ConvergenceError.
 
     The first chamber of each orbit under `Arrangement.symmetries` is
     solved from its witness; once it has converged at z*, every other
@@ -338,10 +313,9 @@ def solve_all_chambers(arr: Arrangement, weights, chambers):
     reports = []
     for i, chamber in enumerate(chambers):
         start = starts.get(chamber.signs)
-        report = _try_solve(arr, weights, chamber, i, kernel, start)
-        if start is None and report.converged:
-            starts.update(_orbit(arr.symmetries, chamber.signs, report.point, lambda g, z: g.point(z)))
-        reports.append(report)
+        reports.append(solve_chamber(arr, weights, chamber, i, kernel, start))
+        if start is None:
+            starts.update(_orbit(arr.symmetries, chamber.signs, reports[-1].point, lambda g, z: g.point(z)))
     return reports
 
 

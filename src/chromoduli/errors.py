@@ -10,8 +10,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a Newton run exhausts its iteration budget, its line search
-    stalls, or -H fails to factor before the gradient is small."""
+    """Raised when a chamber's Newton run exhausts its iteration budget, its
+    line search stalls, or -H fails to factor at any iterate."""
 
 
 class EngineConsistencyError(RuntimeError):

@@ -347,17 +347,18 @@ def _partitions(rest, nodes, node_integral, memo):
     table = memo.get((rest, nodes))
     if table is not None:
         return table
+    if nodes == 1:  # one block holds every vertex left
+        return memo.setdefault((rest, 1), [0, node_integral(rest)])
     low = rest & -rest  # the block holding the lowest vertex comes first
     others = rest ^ low
     table = [0] * (nodes + 1)
     sub = others
     while True:
         block = low | sub
-        if nodes > 1 or block == rest:  # what is left needs a node of its own
-            k = node_integral(block)
-            if k:
-                for j, c in enumerate(_partitions(rest ^ block, nodes - 1, node_integral, memo)):
-                    table[j + 1] += k * c
+        k = node_integral(block)
+        if k:
+            for j, c in enumerate(_partitions(rest ^ block, nodes - 1, node_integral, memo)):
+                table[j + 1] += k * c
         if not sub:
             break
         sub = (sub - 1) & others

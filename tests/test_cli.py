@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,16 +176,18 @@ def test_negative_seed_exit_two(capsys, command):
     assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
 
-def test_critical_points_failed_run_prints_valid_json(capsys, monkeypatch):
-    def reject(constant):
-        pytest.fail(f"critical-points printed {constant}, which is not JSON")
-
+def test_critical_points_failed_run_prints_one_error_line_and_no_json(capsys, monkeypatch):
     monkeypatch.setattr(critical, "MAX_ITERATIONS", 1)
-    code, out = run(capsys, "critical-points", "--graph", PAW, "--m", "3")
-    reports = json.loads(out, parse_constant=reject)
-    assert code == cli.EXIT_DISAGREE
-    failed = [r for r in reports if not r["converged"]]
-    assert failed and all(r["gradient_inf_norm"] is None for r in failed)
+    code = cli.main(["critical-points", "--graph", PAW, "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DISAGREE and captured.out == ""
+    first = re.escape(_paw_chambers(3)[0].sign_string)
+    reason = r"gradient norm \S+ above 1e-10 after 1 iterations"
+    assert re.fullmatch(rf"error: chamber {first}: {reason}\n", captured.err)
+
+
+def _paw_chambers(m):
+    return arrangement.bounded_chambers_bijective(arrangement.build_arrangement(paw_graph(), m))
 
 
 def _count_arrangements(monkeypatch):
@@ -594,6 +597,27 @@ def test_verify_records_a_failed_route_and_runs_every_row(tmp_path, capsys, monk
     assert captured.err.splitlines() == ["error: chambers_lp: a refused region's cycle sums to a positive weight"] * 2
 
 
+def test_verify_checks_every_input_before_the_first_row(tmp_path, capsys, monkeypatch):
+    def no_row(*args, **kwargs):
+        pytest.fail("a row ran before every input was checked")
+
+    monkeypatch.setattr(cli, "_verify_simple_row", no_row)
+    monkeypatch.setattr(cli, "_verify_digraph_row", no_row)
+    missing = str(tmp_path / "missing.txt")
+    for graphs, ms, first_error in [
+        ([PAW], "4,2", "error: m must be at least 3, got 2"),
+        ([INSTAR, PAW], "3,1,2", "error: m must be at least 3, got 1"),
+        ([PAW, missing], "3", f"error: cannot read {missing}: "),
+        ([missing, PAW], "2", f"error: cannot read {missing}: "),
+    ]:
+        argv = [arg for path in graphs for arg in ("--graph", path)]
+        code = cli.main(["verify", *argv, "--m", ms])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(first_error)
+
+
 def test_verify_rows_carry_no_failed_key_when_every_route_runs(capsys):
     _, out = run(capsys, "verify", "--graph", PAW, "--graph", INSTAR, "--m", "3")
     assert all("failed" not in json.loads(line) for line in out.splitlines())
@@ -791,8 +815,43 @@ def test_wrong_generator_fails_the_lp_and_newton_routes_without_traceback(flags)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_failed_factorization_reads_not_converged(flags):
+def test_failed_factorization_exits_one_naming_the_chamber(flags):
     result = _python(*flags, "-c", SINGULAR_HESSIAN, "critical-points", "--graph", PAW, "--m", "3")
-    assert result.returncode == cli.EXIT_DISAGREE and result.stderr == ""
-    reports = json.loads(result.stdout)
-    assert len(reports) == 12 and not any(r["converged"] for r in reports)
+    assert result.returncode == cli.EXIT_DISAGREE and result.stdout == ""
+    first = _paw_chambers(3)[0].sign_string
+    assert result.stderr == f"error: chamber {first}: Hessian not negative definite at iteration 1\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_weight_past_the_float_range_of_newton_exits_one_naming_the_chamber(tmp_path, flags):
+    # the 1e300 edge term swamps the rest of -H, which then rounds to a singular matrix
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([1.0] * 11 + [1e300]))
+    argv = ["critical-points", "--graph", PAW, "--m", "3", "--weights", str(weights)]
+    result = _python(*flags, "-m", "chromoduli.cli", *argv)
+    assert result.returncode == cli.EXIT_DISAGREE and result.stdout == ""
+    first = re.escape(_paw_chambers(3)[0].sign_string)
+    reason = r"Hessian not negative definite at iteration \d+"
+    assert re.fullmatch(rf"error: chamber {first}: {reason}\n", result.stderr)
+
+
+# verify with a Newton budget of one iteration, which no chamber's witness meets
+NEWTON_BUDGET_OF_ONE = """
+import sys
+from chromoduli import cli, critical
+
+critical.MAX_ITERATIONS = 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_newton_failure_fails_the_critical_points_route_of_verify(flags):
+    result = _python(*flags, "-c", NEWTON_BUDGET_OF_ONE, "verify", "--graph", PAW, "--m", "3")
+    assert result.returncode == cli.EXIT_DISAGREE
+    (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+    reason = row["failed"]["critical_points"]
+    assert list(row["failed"]) == ["critical_points"] and reason.startswith("chamber ")
+    assert row["agree"] is False and "critical_points" not in row["values"]
+    assert set(row["values"].values()) == {12}
+    assert result.stderr == f"error: critical_points: {reason}\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,17 +191,19 @@ def test_failed_certificate_at_the_optimum_is_reported(monkeypatch):
     # so the only factorization is the certificate's
     arr = build_arrangement(K1, 3)
     (chamber,) = bounded_chambers_bijective(arr)
+    assert solve_chamber(arr, [1.0, 1.0], chamber).gradient_inf_norm == 0.0
     monkeypatch.setattr(critical, "_cholesky", lambda a: None)
-    r = solve_chamber(arr, [1.0, 1.0], chamber)
-    assert r.iterations == 1 and r.gradient_inf_norm == 0.0
-    assert not r.hessian_negative_definite and not r.converged
+    message = re.escape(f"chamber {chamber.sign_string}: Hessian not negative definite at iteration 1")
+    with pytest.raises(ConvergenceError, match=f"^{message}$"):
+        solve_chamber(arr, [1.0, 1.0], chamber)
+    with pytest.raises(ConvergenceError, match=f"^{message}$"):
+        solve_all_chambers(arr, [1.0, 1.0], [chamber])
 
 
 def test_solve_single_vertex_balanced():
     arr = build_arrangement(K1, 3)
     (c,) = bounded_chambers_bijective(arr)
     r = solve_chamber(arr, [1.0, 1.0], c)
-    assert r.converged and r.hessian_negative_definite
     assert r.point[0] == pytest.approx(0.5, abs=1e-12)
     assert r.gradient_inf_norm <= 1e-10
 
@@ -218,8 +221,7 @@ def test_solve_k2_all_chambers():
     u = default_weights(arr, seed=7)
     reports = solve_all_chambers(arr, u, chambers)
     assert len(reports) == 2
-    assert all(r.converged and r.gradient_inf_norm <= 1e-10 for r in reports)
-    assert all(r.hessian_negative_definite for r in reports)
+    assert all(r.gradient_inf_norm <= 1e-10 for r in reports)
 
 
 @pytest.mark.parametrize("name,g", all_graphs_up_to_4())
@@ -227,7 +229,7 @@ def test_solve_k2_all_chambers():
 def test_count_matches_chambers_and_chromatic(name, g, m):
     expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
     assert len(bounded_chambers_bijective(build_arrangement(g, m))) == expected
-    assert sum(r.converged for r in critical_point_reports(g, m, seed=0)) == expected
+    assert len(critical_point_reports(g, m, seed=0)) == expected
 
 
 @settings(ORACLE_SETTINGS, max_examples=50)  # 20 draw no 5-vertex graph
@@ -235,12 +237,12 @@ def test_count_matches_chambers_and_chromatic(name, g, m):
 def test_newton_count_matches_chromatic_on_random_graphs(graph_and_m):
     g, m = graph_and_m
     expected = (-1) ** g.n * chromatic_polynomial(g).evaluate(-(m - 2))
-    assert sum(r.converged for r in critical_point_reports(g, m)) == expected
+    assert len(critical_point_reports(g, m)) == expected
 
 
 def test_solutions_distinct_and_off_walls():
     reports = critical_point_reports(paw_graph(), 3, seed=0)
-    assert len(reports) == 12 and all(r.converged for r in reports)
+    assert len(reports) == 12
     pts = np.array([r.point for r in reports])
     # coordinates stay away from the integer levels and from one another
     assert np.min(np.abs(pts - np.round(pts))) >= 1e-8
@@ -268,19 +270,20 @@ def test_newton_does_not_call_the_public_functions(monkeypatch):
     for name in ("log_master", "gradient", "hessian"):
         monkeypatch.setattr(critical, name, public)
     reports = critical_point_reports(paw_graph(), 3, seed=0)
-    assert len(reports) == 12 and all(r.converged for r in reports)
+    assert len(reports) == 12
 
 
 def test_iteration_budget_raises_and_reports(monkeypatch):
+    # the first chamber's failure ends the run: no report is made for any chamber
     arr = build_arrangement(paw_graph(), 3)
     chambers = bounded_chambers_bijective(arr)
     u = default_weights(arr, seed=0)
     monkeypatch.setattr(critical, "MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError):
+    first = f"^chamber {re.escape(chambers[0].sign_string)}: gradient norm .* after 1 iterations$"
+    with pytest.raises(ConvergenceError, match=first):
         solve_chamber(arr, u, chambers[0])
-    reports = solve_all_chambers(arr, u, chambers)
-    assert any(not r.converged for r in reports)
-    assert all(r.iterations == 1 for r in reports if not r.converged)
+    with pytest.raises(ConvergenceError, match=first):
+        solve_all_chambers(arr, u, chambers)
 
 
 def test_weight_validation():
@@ -310,7 +313,7 @@ def test_critical_route_solves_no_lp(monkeypatch):
     monkeypatch.setattr(lp.Region, "with_arc", no_lp)
     k4 = SimpleGraph.of(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
     reports = critical_point_reports(k4, 3)
-    assert len(reports) == 24 and all(r.converged for r in reports)
+    assert len(reports) == 24
 
 
 def test_witness_outside_chamber_is_rejected():
@@ -419,7 +422,7 @@ def test_mirror_started_chambers_are_certified_at_their_own_points(monkeypatch):
     arr = build_arrangement(paw_graph(), 4)
     u = default_weights(arr, seed=0)
     reports = critical_point_reports(paw_graph(), 4, seed=0)
-    assert len(reports) == 72 and all(r.converged for r in reports)
+    assert len(reports) == 72
     mapped = [r for start, r in runs if start is not None]
     assert len(mapped) == 54
     for r in mapped:
@@ -438,8 +441,8 @@ def test_newton_solves_one_chamber_per_orbit_in_full(monkeypatch, name, m, orbit
     g = dict(all_graphs_up_to_4())[name]
     reports = critical_point_reports(g, m, seed=0)
     arr = build_arrangement(g, m)
-    assert all(r.converged for r in reports)
-    assert _brute_force_chamber_orbits(arr, bounded_chambers_bijective(arr)) == orbits
+    chambers = bounded_chambers_bijective(arr)
+    assert len(reports) == len(chambers) and _brute_force_chamber_orbits(arr, chambers) == orbits
     assert sum(start is None for start, _ in runs) == orbits
 
 
@@ -466,5 +469,5 @@ def test_routes_divide_by_the_symmetry_of_random_symmetric_graphs(graph_and_m):
     with pytest.MonkeyPatch.context() as patch:
         runs = _spy_starts(patch)
         reports = solve_all_chambers(arr, default_weights(arr), chambers)
-    assert len(reports) == len(chambers) and all(r.converged for r in reports)
+    assert len(reports) == len(chambers)
     assert sum(start is None for start, _ in runs) == _brute_force_chamber_orbits(arr, chambers)

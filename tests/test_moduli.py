@@ -558,6 +558,12 @@ def test_omega_edgeless_six_term_peak():
     assert stats == {"terms_peak": 1, "terms_final": 1}
 
 
+def test_omega_at_one_node_reads_one_block():
+    # at m=3 the only partition is the one block of all vertices; walking
+    # every block of E30 instead would take 2^29 steps
+    assert omega_with_stats(SimpleGraph.of(range(30)), 3) == (1, {"terms_peak": 1, "terms_final": 1})
+
+
 def test_omega_many_extra_markings():
     p3 = SimpleGraph.of(range(3), [(0, 1), (1, 2)])
     assert omega(p3, 800) == -chromatic_polynomial(p3).evaluate(-798)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chromoduli import arrangement
+from chromoduli import arrangement, critical
 from chromoduli.digraph_poly import advisory_flags
 from chromoduli.errors import EngineConsistencyError
 from chromoduli.graphs import IntPolynomial
@@ -99,16 +99,20 @@ def test_route_table_marks_a_failed_route_and_runs_the_rest(capsys, monkeypatch)
         raise EngineConsistencyError("a refused region's cycle does not close\nsecond line")
 
     monkeypatch.setattr(arrangement, "bounded_chambers_lp", broken)
+    monkeypatch.setattr(critical, "MAX_ITERATIONS", 1)  # no chamber's witness is its critical point
     table = _load_script("route_table")
     times, values = table.route_row(table.named_graph("P3"), 3, 2)
-    assert times["chambers_lp"] == "failed" and values == {4}
-    assert all(isinstance(times[key], float) for key in times if key != "chambers_lp")
-    assert capsys.readouterr().err == "error: chambers_lp: a refused region's cycle does not close\n"
+    failed = {"chambers_lp", "critical_points"}
+    assert {key for key, t in times.items() if t == "failed"} == failed and values == {4}
+    assert all(isinstance(times[key], float) for key in times.keys() - failed)
+    lp_error = "error: chambers_lp: a refused region's cycle does not close"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == lp_error and err[1].startswith("error: critical_points: chamber ")
     assert table.main(["P3@3", "C4@3"]) == 1
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[2:]
-    assert [row.split(" | ")[4] for row in rows] == ["failed", "failed"]
-    assert captured.err.splitlines() == ["error: chambers_lp: a refused region's cycle does not close"] * 2
+    assert [row.split(" | ")[4:6] for row in rows] == [["failed", "failed"]] * 2
+    assert captured.err.splitlines()[::2] == [lp_error] * 2
 
 
 @pytest.mark.parametrize("case", ["K0@3", "paw", "paw@x", "src/chromoduli/data/instar.txt@3"])
