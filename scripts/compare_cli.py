@@ -8,9 +8,10 @@ the `src` of one checkout first on its path, once plain and once under
 `python -O`.  Every call runs in one temporary directory that holds the
 input files (the shipped fixtures, a few more graphs, a weights file and a
 constraints file), so both checkouts read the same relative paths.  The
-cases cover `verify` (JSON and `--pretty`), `chambers`, `critical-points`,
-`omega`, `chromatic`, `parse`, `chi` and `kapranov`, plus usage errors and
-a Newton run that does not converge.
+cases cover `verify` (JSON and `--pretty`), `chambers` (the LP route on K4
+at m=4 maps witnesses along paths of up to three generators),
+`critical-points`, `omega`, `chromatic`, `parse`, `chi` and `kapranov`,
+plus usage errors and a Newton run that does not converge.
 
 A case differs when its stdout, its stderr or its exit code differs between
 the two checkouts; each such case is printed as one line naming the case,
@@ -63,6 +64,7 @@ CASES = [
     ("chambers-paw@3", ["chambers", "--graph", "paw.txt", "--m", "3"]),
     ("chambers-lp-K4@3", ["chambers", "--graph", "K4.txt", "--m", "3", "--method", "lp", "--pretty"]),
     ("chambers-lp-C4@4", ["chambers", "--graph", "C4.txt", "--m", "4", "--method", "lp"]),
+    ("chambers-lp-K4@4", ["chambers", "--graph", "K4.txt", "--m", "4", "--method", "lp"]),
     ("chambers-E3@4", ["chambers", "--graph", "E3.txt", "--m", "4"]),
     ("critical-points-paw@4", ["critical-points", "--graph", "paw.txt", "--m", "4"]),
     ("critical-points-weights", ["critical-points", "--graph", "paw.txt", "--m", "3", "--weights", "weights.json"]),

@@ -18,7 +18,8 @@ table in ROADMAP.md, which leaves out `chromatic` (a few milliseconds here).
 
 Exit codes: 0 when every row agrees, 1 when a row disagrees or a route
 failed, 2 when an argument names no simple graph or no M, or M is below 3
-(one `error:` line on stderr).
+(one `error:` line on stderr; every argument is checked before the table
+is printed).
 """
 
 import argparse
@@ -65,11 +66,14 @@ def named_graph(name):
 
 
 def parse_case(case):
-    """(name, graph, m) for a `GRAPH@M` argument; ValueError or OSError if it names none."""
+    """(name, graph, m) for a `GRAPH@M` argument; ValueError or OSError if it names none or M is below 3."""
     name, at, m = case.rpartition("@")
     if not (at and m.isdigit()):
         raise ValueError(f"{case}: expected GRAPH@M with M a number of extra markings")
-    return name, named_graph(name), int(m)
+    graph, m = named_graph(name), int(m)
+    if m < 3:
+        raise ValueError(f"m must be at least 3, got {m}")
+    return name, graph, m
 
 
 def route_row(graph, m, repeat):
@@ -114,7 +118,7 @@ def main(argv=None):
             value = " / ".join(f"{v:,}" for v in sorted(values))
             cells = [t if isinstance(t, str) else f"{t:.3f}" for t in map(times.get, COLUMNS)]
             print(f"| {name}, {m} | {value} | " + " | ".join(cells) + " |", flush=True)
-    except (ValueError, OSError) as exc:  # a bad graph file, or m below 3
+    except (ValueError, OSError) as exc:  # a bad case
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_PARSE
     return cli.EXIT_OK if agree else cli.EXIT_DISAGREE

@@ -26,10 +26,9 @@ does every automorphism of G, acting by permuting coordinates.
 `Arrangement.symmetries` holds the reflection and one map per generator of
 Aut(G) (`graphs.automorphism_generators`), each certified once per
 arrangement as a signed permutation of the functionals found by exact
-lookup.  The LP search uses them to search one orientation per orbit and
-map the rest; the Newton route, to draw one weight per orbit of
-functionals and to start each chamber at the image of a critical point of
-its orbit.
+lookup.  The LP search uses them to search one orientation per orbit, the
+Newton route to draw one weight per orbit of functionals; both carry a
+chamber to the rest of its orbit one generator at a time (`_orbit`).
 """
 
 from __future__ import annotations
@@ -156,16 +155,6 @@ class _Symmetry:
             y[p] = x if self.scale > 0 else self.offset * d - x
         return y
 
-    def after(self, other):
-        """The composition self o other: `other` maps first."""
-        return _Symmetry(
-            tuple(map(self.perm.__getitem__, other.perm)),
-            self.scale * other.scale,
-            self.scale * other.offset + self.offset,
-            tuple(map(other.index.__getitem__, self.index)),
-            tuple(map(operator.mul, self.sign, map(other.sign.__getitem__, self.index))),
-        )
-
 
 def _symmetries(arr):
     """The reflection z -> (m-2)*1 - z, then one symmetry per generator of Aut(G).
@@ -176,9 +165,9 @@ def _symmetries(arr):
     the arrangement; a functional whose image is not there raises
     EngineConsistencyError.  The reflection sends z_v = i to z_v = m-2-i
     and fixes every edge hyperplane, with sign -1 on every functional.
-    Closed under composition, the maps form the group by which the LP
-    search and the Newton route divide their work, certified once per
-    arrangement as `Arrangement.symmetries`.
+    The maps generate the group by which the LP search and the Newton
+    route divide their work, certified once per arrangement as
+    `Arrangement.symmetries`.
     """
     n, c = arr.dimension, arr.m - 2
     terms = arr.terms
@@ -209,7 +198,9 @@ def _orbit(symmetries, signs, item, move):
     """The orbit of a sign vector under the group the symmetries generate.
 
     Returns {image: move(g_k, ... move(g_1, item))} along the first path of
-    generators g_1..g_k that reaches each image; `item` belongs to `signs`.
+    generators g_1..g_k that reaches each image, breadth-first, so `move`
+    meets a parent before its images; `item` belongs to `signs`.  The LP
+    search maps chambers, and the Newton route start points, along these paths.
     """
     orbit = {signs: item}
     queue = [(signs, item)]
@@ -318,15 +309,15 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     reflection maps to minus itself, so it separates every chamber from its
     mirror image: only its + side is searched.  A full edge-sign pattern
     (an orientation; the empty one at the root of an edgeless graph, whose
-    orbit is itself) has its level subtree searched only if
-    it is not the image of an orientation searched before; when it is
-    searched, every other orientation of its orbit, on either side of the
-    first split, is registered with the symmetry that maps it there, and is
-    skipped before its constraint is added.  A registered orientation's
-    chambers are the images of its representative's under that symmetry;
-    every mapped chamber is certified by substitution like the others, and
-    a final check refuses any sign vector found twice.  On K5 at m=4 the
-    search decides 284 regions beyond the cube and refuses 107 of them.
+    orbit is itself) has its level subtree searched only if it is not in
+    the orbit of an orientation searched before, and is skipped before its
+    constraint is added.  After the search, every other orientation of a
+    searched orbit, on either side of the first split, receives the images
+    of its parent's chambers under the generator that reaches it on
+    `_orbit`'s first path, parents first; every mapped chamber is certified
+    by substitution like the others, and a final check refuses any sign
+    vector found twice.  On K5 at m=4 the search decides 284 regions beyond
+    the cube and refuses 107 of them.
     """
     terms = arr.terms
     if len(terms) > functional_budget:
@@ -352,7 +343,13 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
 
     chambers = []
     found = {}  # searched orientation -> its chambers
-    mapped = {}  # orientation -> (searched orientation, symmetry onto it)
+    mapped = set()  # the orientations of every orbit searched so far
+    maps = []  # (generator, its parent's chambers, their images), parents first
+
+    def move(g, parent):  # a new image's chambers, filled in after the search
+        maps.append((g, parent, []))
+        return maps[-1][2]
+
     # (free signs so far, the parent region, the constraint it adds; None at the cube)
     stack = [((), cube, None)]
     while stack:
@@ -369,11 +366,8 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
             pattern = [0] * len(terms)
             for i, side in zip(edges, sides):
                 pattern[i] = side
-            # each image with the symmetry onto it; the orientation itself has None
-            orbit = _orbit(arr.symmetries, tuple(pattern), None, lambda g, h: g if h is None else g.after(h))
-            for image, symmetry in orbit.items():
-                if symmetry is not None:
-                    mapped[tuple(image[i] for i in edges)] = (sides, symmetry)
+            orbit = _orbit(arr.symmetries, tuple(pattern), found[sides], move)
+            mapped.update(tuple(image[i] for i in edges) for image in orbit)
         if len(sides) == len(free_idx):
             signs = dict(fixed)
             signs.update(zip(free_idx, sides))
@@ -390,8 +384,9 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
         for side in (1,) if edges and not sides else (-1, 1):
             stack.append((sides + (side,), region, _arc(term, side)))
 
-    for rep, symmetry in mapped.values():
-        chambers += [_image(arr, symmetry, chamber) for chamber in found[rep]]
+    for g, parent, images in maps:
+        images += [_image(arr, g, c) for c in parent]
+        chambers += images
     if len({c.signs for c in chambers}) != len(chambers):
         raise EngineConsistencyError("LP search found a chamber twice")
     chambers.sort(key=lambda c: c.signs)

@@ -10,6 +10,7 @@ from chromoduli import arrangement
 from chromoduli.arrangement import (
     Chamber,
     _arc,
+    _orbit,
     _pair_witness,
     _signs_at,
     _symmetries,
@@ -283,6 +284,19 @@ def test_lp_search_witness_is_pinned():
     )
     assert witnesses["+--+--+--+--++-"] == tuple(2 - x for x in witnesses["++-++-++-++---+"])
     assert witnesses["++-++-++-++-+--"] == tuple(reversed(witnesses["++-++-++-++-++-"]))
+    # on K4 at m=4 the orientation with every edge + is the only one
+    # searched; `_orbit` reaches that of +--+--+--+--+++--+ by swapping
+    # vertices 2 and 3, then 1 and 2, and its witness is the searched
+    # chamber's under those two maps in that order, not the other
+    k4 = build_arrangement(dict(all_graphs_up_to_4())["K4"], 4)
+    _, swap23, swap12, _ = k4.symmetries
+    paths = _orbit(k4.symmetries, (0,) * 12 + (1,) * 6, (), lambda g, path: path + (g,))
+    assert len(paths) == 24 and paths[(0,) * 12 + (1, 1, 1, -1, -1, 1)] == (swap23, swap12)
+    witnesses = {c.sign_string: c.witness for c in bounded_chambers_lp(k4)}
+    searched = witnesses["+--+--+--+--++++++"]
+    assert witnesses["+--+--+--+--+++--+"] == tuple(swap12.point(swap23.point(searched)))
+    assert witnesses["+--+--+--+--+++--+"] == (Fraction(4, 5), Fraction(1, 5), Fraction(3, 5), Fraction(2, 5))
+    assert tuple(swap23.point(swap12.point(searched))) != witnesses["+--+--+--+--+++--+"]
 
 
 @pytest.mark.parametrize("name,g", all_graphs_up_to_4())
@@ -330,20 +344,6 @@ def test_every_symmetry_maps_each_functional_onto_one_up_to_sign(name, g, m):
     for symmetry in symmetries[1:]:
         assert symmetry.scale == 1 and symmetry.offset == 0
         assert all(fns[i].tag[2] == f.tag[2] for f, i in zip(fns, symmetry.index) if f.tag[0] == "level")
-
-
-def test_composed_symmetries_act_as_one():
-    # (g o h)(z) = g(h(z)), and the signs compose the same way
-    arr = build_arrangement(dict(all_graphs_up_to_4())["K4"], 4)
-    symmetries = _symmetries(arr)
-    chamber = bounded_chambers_lp(arr)[0]
-    for g in symmetries:
-        for h in symmetries:
-            gh = g.after(h)
-            assert gh.point(chamber.witness) == g.point(h.point(chamber.witness))
-            assert gh.point(chamber.nums, chamber.d) == g.point(h.point(chamber.nums, chamber.d), chamber.d)
-            assert gh.signs(chamber.signs) == g.signs(h.signs(chamber.signs))
-            assert _signs_at(arr, gh.point(chamber.nums, chamber.d), chamber.d) == gh.signs(chamber.signs)
 
 
 @pytest.mark.parametrize(

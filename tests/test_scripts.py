@@ -115,10 +115,15 @@ def test_route_table_marks_a_failed_route_and_runs_the_rest(capsys, monkeypatch)
     assert captured.err.splitlines()[::2] == [lp_error] * 2
 
 
-@pytest.mark.parametrize("case", ["K0@3", "paw", "paw@x", "src/chromoduli/data/instar.txt@3"])
-def test_route_table_rejects_a_bad_case_without_traceback(case):
+@pytest.mark.parametrize(
+    "argv",
+    [["K0@3"], ["paw"], ["paw@x"], ["src/chromoduli/data/instar.txt@3"], ["paw@3", "paw@2"]],
+    ids=["K0@3", "paw", "paw@x", "src/chromoduli/data/instar.txt@3", "paw@3-paw@2"],
+)
+def test_route_table_rejects_a_bad_case_without_traceback(argv):
+    # every case is checked before the header, so a bad one prints no row
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "route_table.py"), case],
+        [sys.executable, str(SCRIPTS / "route_table.py"), *argv],
         capture_output=True,
         text=True,
         timeout=120,
