@@ -9,7 +9,9 @@ the `src` of one checkout first on its path, once plain and once under
 input files (the shipped fixtures, a few more graphs, a weights file and a
 constraints file), so both checkouts read the same relative paths.  The
 cases cover `verify` (JSON and `--pretty`), `chambers` (the LP route on K4
-at m=4 maps witnesses along paths of up to three generators),
+at m=4 maps witnesses along paths of up to three generators; the bijective
+route on K4 at m=4 and the paw at m=5 orders colour classes of several
+vertices),
 `critical-points`, `omega`, `chromatic`, `parse`, `chi` and `kapranov`,
 plus usage errors and a Newton run that does not converge.
 
@@ -65,6 +67,8 @@ CASES = [
     ("chambers-lp-K4@3", ["chambers", "--graph", "K4.txt", "--m", "3", "--method", "lp", "--pretty"]),
     ("chambers-lp-C4@4", ["chambers", "--graph", "C4.txt", "--m", "4", "--method", "lp"]),
     ("chambers-lp-K4@4", ["chambers", "--graph", "K4.txt", "--m", "4", "--method", "lp"]),
+    ("chambers-bijective-K4@4", ["chambers", "--graph", "K4.txt", "--m", "4", "--method", "bijective"]),
+    ("chambers-bijective-paw@5", ["chambers", "--graph", "paw.txt", "--m", "5", "--method", "bijective"]),
     ("chambers-E3@4", ["chambers", "--graph", "E3.txt", "--m", "4"]),
     ("critical-points-paw@4", ["critical-points", "--graph", "paw.txt", "--m", "4"]),
     ("critical-points-weights", ["critical-points", "--graph", "paw.txt", "--m", "3", "--weights", "weights.json"]),

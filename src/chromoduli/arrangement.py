@@ -8,7 +8,10 @@ z_u - z_w.  Each is a difference z_j - z_k + c with z_n = 0, and
 independent ways:
 
 * bijectively, from pairs (coloring, acyclic orientation) with an explicit
-  interior witness, and
+  interior witness, colouring first: only the edges inside a colour class
+  are free, and a depth-first search over them on vertex bitmasks visits
+  each acyclic orientation once, so the work follows the chambers emitted
+  (the route shares no enumeration with `orientations`), and
 * by depth-first sign-vector search, restricted a priori to the open cube
   (0, m-2)^V, which contains every bounded chamber, splitting on the edge
   functionals before the inner levels.  Each candidate region is a
@@ -39,9 +42,9 @@ import math
 import operator
 
 from .errors import BudgetExceededError, EngineConsistencyError
-from .graphs import SimpleGraph, Value, _set, automorphism_generators, topological_order
+from .graphs import SimpleGraph, Value, _set, automorphism_generators
 from .lp import Region
-from .orientations import DEFAULT_CANDIDATE_BUDGET, acyclic_orientations
+from .orientations import DEFAULT_CANDIDATE_BUDGET
 
 DEFAULT_LP_FUNCTIONAL_BUDGET = 64
 
@@ -240,50 +243,102 @@ def _image(arr, symmetry, chamber):
     return Chamber(signs, nums, chamber.d)
 
 
-def _pair_witness(graph: SimpleGraph, m, sigma, arcs):
-    """Interior point for the chamber of a compatible (coloring, orientation) pair: numerators and d.
+def _orientations(n, free):
+    """Every acyclic orientation of the edges `free` (vertex positions 0..n-1), depth-first.
 
-    Vertices of color c live in (c-1, c), at equally spaced offsets k/(t+1);
-    within a color class, an arc u -> w forces x_u > x_w.  A class has
-    t <= n vertices, so d = lcm(2..n+1) is a common denominator.
+    Yields above[v], the bitmask of the positions u with an arc u -> v.
+    Each edge in turn is oriented both ways, skipping an arc u -> w when w
+    already reaches u; reach[x] is the bitmask of the positions x reaches,
+    x included.  One of the two arcs always passes, so no branch dies and
+    the search visits at most len(free) nodes per orientation.  The last
+    edge's children are yielded at once, with no reachability of their own.
     """
-    d = math.lcm(*range(2, graph.n + 2))
-    witness = {}
-    for color in range(1, m - 1):
-        group = [v for v in graph.vertices if sigma[v] == color]
-        if not group:
-            continue
-        gset = set(group)
-        sub_arcs = [(u, w) for (u, w) in arcs if u in gset and w in gset]
-        order = topological_order(group, sub_arcs)
-        if order is None:
+    last = len(free) - 1
+    if last < 0:
+        yield [0] * n
+        return
+    stack = [(0, [1 << v for v in range(n)], [0] * n)]
+    while stack:
+        i, reach, above = stack.pop()
+        a, b = free[i]
+        for u, w in ((a, b), (b, a)):
+            if not reach[w] >> u & 1:
+                child = above[:]
+                child[w] |= 1 << u
+                if i == last:
+                    yield child
+                else:
+                    gain = reach[w]
+                    stack.append((i + 1, [r | gain if r >> u & 1 else r for r in reach], child))
+
+
+def _place_class(nums, group, above, base, step):
+    """Write the witness numerators of one colour class of positions `group`, ascending.
+
+    The class's order is Kahn's rule on bitmasks: the lowest position whose
+    in-class predecessors (`above`) are all placed goes next.  The vertex at
+    place p (from 0) of t gets base + (t - p) * step, so every arc u -> w
+    of the class has x_u > x_w.
+    """
+    rest = 0
+    for v in group:
+        rest |= 1 << v
+    for rank in range(len(group), 0, -1):
+        for v in group:
+            if rest >> v & 1 and not above[v] & rest:
+                break
+        else:
             raise EngineConsistencyError("orientation restricted to a color class has a cycle")
-        t = len(group)
-        for position, v in enumerate(order):
-            witness[v] = (color - 1) * d + (t - position) * (d // (t + 1))
-    return tuple(witness[v] for v in graph.vertices), d
+        rest ^= 1 << v
+        nums[v] = base + rank * step
 
 
 def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
-    """One chamber of `arr` per compatible (coloring, acyclic orientation) pair of its graph."""
-    graph, m = arr.graph, arr.m
-    k = m - 2
-    cost = (k ** graph.n) * (2 ** len(graph.edges))
-    if cost > candidate_budget:
-        raise BudgetExceededError(f"{cost} pair candidates exceed budget {candidate_budget}")
+    """One chamber of `arr` per compatible (coloring, acyclic orientation) pair of its graph.
+
+    Colouring first (Stanley, Discrete Math. 5, 1973): a compatible
+    orientation sends every edge between two colour classes from the
+    higher colour to the lower, so only the edges inside a class are free,
+    and their acyclic orientations (`_orientations`) complete the pairs.
+    The witness puts a class of colour c and t vertices in (c-1, c), at the
+    offsets (t - p)/(t+1) over its order p = 0..t-1 (`_place_class`); vertex
+    positions follow the graph's label order, and d = lcm(2..n+1) is a
+    common denominator.  Every witness is certified by substitution
+    (`_signs_at`), and two pairs that give one chamber raise
+    EngineConsistencyError.
+
+    The budget caps the colourings visited plus the chambers emitted,
+    counted as the enumeration runs; past it, BudgetExceededError.
+    """
+    n, k = arr.dimension, arr.m - 2
+    if k**n > candidate_budget:
+        raise BudgetExceededError(f"{k}^{n} colorings exceed budget {candidate_budget}")
+    pos = {v: j for j, v in enumerate(arr.graph.vertices)}
+    edges = [(pos[u], pos[w]) for u, w in arr.graph.edges]
+    d = math.lcm(*range(2, n + 2))
+    steps = [d // (t + 1) for t in range(n + 1)]
+    nums = [0] * n  # every class rewrites its vertices for each chamber
+    used = 0
     chambers = []
     seen = set()
-    for arcs in acyclic_orientations(graph, candidate_budget):
-        for colors in itertools.product(range(1, k + 1), repeat=graph.n):
-            sigma = dict(zip(graph.vertices, colors))
-            if not all(sigma[u] >= sigma[w] for u, w in arcs):
-                continue
-            nums, d = _pair_witness(graph, m, sigma, arcs)
-            signs = _signs_at(arr, nums, d)
+    for colors in itertools.product(range(k), repeat=n):  # colour c, from 0, fills (c, c+1)
+        used += 1
+        groups = [[] for _ in range(k)]
+        for v, c in enumerate(colors):
+            groups[c].append(v)
+        free = [(a, b) for a, b in edges if colors[a] == colors[b]]
+        for above in _orientations(n, free):
+            for c, group in enumerate(groups):
+                _place_class(nums, group, above, c * d, steps[len(group)])
+            used += 1
+            if used > candidate_budget:
+                raise BudgetExceededError(f"colorings plus chambers exceed budget {candidate_budget}")
+            witness = tuple(nums)
+            signs = _signs_at(arr, witness, d)
             if signs in seen:
                 raise EngineConsistencyError("distinct pairs produced the same chamber")
             seen.add(signs)
-            chambers.append(Chamber(signs, nums, d))
+            chambers.append(Chamber(signs, witness, d))
     chambers.sort(key=lambda c: c.signs)
     return chambers
 

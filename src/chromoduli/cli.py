@@ -248,8 +248,8 @@ def simple_routes(graph, m, budgets=BUDGETS, seed=0):
     Every callable returns (-1)^n chi(-(m-2)) when the routes agree, or
     raises BudgetExceededError past its budget (`budgets` maps each BUDGETS
     name to its cap).  Newton (`seed` picks its weights) runs on the
-    bijective chambers, computed once per table; their budget error is
-    raised before any work and not kept, so Newton re-raises it.  The
+    bijective chambers, computed once per table; their budget error is not
+    kept, so Newton's call enumerates them again and re-raises it.  The
     callables look up the library functions when called.
     """
     arr = arr_mod.build_arrangement(graph, m)

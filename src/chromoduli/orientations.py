@@ -1,8 +1,10 @@
-"""Brute-force enumeration oracles: acyclic orientations and compatible pairs.
+"""Stanley's route: compatible (coloring, acyclic orientation) pairs by brute force.
 
 Everything here iterates over all 2^|E| orientations (and all k^|V| colorings
-where needed).  Performance is explicitly not the point; these are the
-reference counts the faster routes are checked against.
+where needed), and the candidate budget caps that product.  Performance is
+explicitly not the point: this is the route the others are checked against,
+and its code is its own.  The bijective chambers (`arrangement`) enumerate
+their pairs colouring first, with their own orientation search.
 """
 
 from __future__ import annotations

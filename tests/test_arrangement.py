@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ from chromoduli.arrangement import (
     Chamber,
     _arc,
     _orbit,
-    _pair_witness,
-    _signs_at,
+    _orientations,
+    _place_class,
     _symmetries,
     bounded_chambers_bijective,
     bounded_chambers_lp,
@@ -21,6 +22,7 @@ from chromoduli.arrangement import (
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
 from chromoduli.graphs import SimpleGraph, automorphism_generators, chromatic_polynomial
 from chromoduli.lp import Region
+from chromoduli.orientations import acyclic_orientations, stanley_pair_count
 
 from graph_catalog import (
     ORACLE_SETTINGS,
@@ -30,6 +32,7 @@ from graph_catalog import (
     paw_graph,
     simple_graphs,
 )
+from bijective_reference import pair_to_chamber, reference_chambers
 from lp_reference import margin_lp, solve_lp
 
 K2 = SimpleGraph.of([0, 1], [(0, 1)])
@@ -43,13 +46,6 @@ def chamber_to_pair(arr, chamber):
     sigma = {v: math.ceil(x[v]) for v in graph.vertices}
     arcs = tuple((u, w) if x[u] > x[w] else (w, u) for u, w in graph.edges)
     return sigma, arcs
-
-
-def pair_to_chamber(arr, sigma, arcs):
-    if not all(sigma[u] >= sigma[w] for u, w in arcs):
-        raise ValueError("orientation is not compatible with the coloring")
-    nums, d = _pair_witness(arr.graph, arr.m, sigma, arcs)
-    return Chamber(_signs_at(arr, nums, d), nums, d)
 
 
 def test_build_counts():
@@ -183,6 +179,49 @@ def test_pair_to_chamber_rejects_incompatible():
     arr = build_arrangement(K2, 4)
     with pytest.raises(ValueError):
         pair_to_chamber(arr, {0: 1, 1: 2}, ((0, 1),))  # 0 -> 1 needs sigma[0] >= sigma[1]
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_bijective_route_equals_the_pair_reference(name, g, m):
+    # colouring first on vertex bitmasks, against every (orientation,
+    # colouring) pair of the reference: the same chambers, witnesses and order
+    arr = build_arrangement(g, m)
+    assert bounded_chambers_bijective(arr) == reference_chambers(arr)
+
+
+@pytest.mark.parametrize("labels", ["int", "reversed-int", "string"])
+def test_bijective_route_equals_the_pair_reference_on_random_graphs(labels):
+    # vertex positions follow the label order, which reversed ints and
+    # strings scramble against the order the graph is built in
+    relabel = {"int": lambda v: v, "reversed-int": lambda v: -v, "string": lambda v: f"v{7 * v % 11}"}[labels]
+    rng = random.Random(f"bijective/{labels}")
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        edges = [(relabel(a), relabel(b)) for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        arr = build_arrangement(SimpleGraph.of(map(relabel, range(n)), edges), rng.randint(3, 5 if n <= 4 else 4))
+        assert bounded_chambers_bijective(arr) == reference_chambers(arr), (arr.graph, arr.m)
+
+
+@pytest.mark.parametrize("name,g", all_graphs_up_to_4())
+def test_orientation_search_visits_each_acyclic_orientation_once(name, g):
+    # the catalog's labels are the positions 0..n-1
+    found = [tuple(above) for above in _orientations(g.n, list(g.edges))]
+    expected = {tuple(sum(1 << u for u, w in arcs if w == v) for v in g.vertices) for arcs in acyclic_orientations(g)}
+    assert len(found) == len(set(found)) and set(found) == expected
+
+
+def test_class_order_is_kahns_lowest_ready_position_first():
+    # one arc 2 -> 0: 1 and 2 are ready, 1 goes first, then 2, then 0
+    nums = [0] * 3
+    _place_class(nums, [0, 1, 2], [1 << 2, 0, 0], 10, 1)
+    assert nums == [11, 13, 12]
+
+
+def test_a_class_with_no_ready_vertex_raises():
+    # 0 -> 1 -> 2 -> 0: every vertex waits on another, so no order exists
+    with pytest.raises(EngineConsistencyError, match="color class has a cycle"):
+        _place_class([0] * 3, [0, 1, 2], [1 << 2, 1 << 0, 1 << 1], 0, 1)
 
 
 def _count_decisions(monkeypatch, check=None):
@@ -550,6 +589,34 @@ def test_lp_budget():
 def test_bijective_budget():
     with pytest.raises(BudgetExceededError):
         bounded_chambers_bijective(build_arrangement(paw_graph(), 4), candidate_budget=10)
+
+
+@pytest.mark.parametrize(
+    "g,m,total",
+    [(paw_graph(), 4, 2**4 + 72), (SimpleGraph.of(range(4), itertools.combinations(range(4), 2)), 4, 2**4 + 120)],
+    ids=["paw@4", "K4@4"],
+)
+def test_bijective_budget_counts_colorings_plus_chambers(g, m, total):
+    arr = build_arrangement(g, m)
+    assert len(bounded_chambers_bijective(arr, candidate_budget=total)) == total - (m - 2) ** g.n
+    with pytest.raises(BudgetExceededError):
+        bounded_chambers_bijective(arr, candidate_budget=total - 1)
+
+
+def test_bijective_budget_refuses_too_many_colorings_before_any_chamber(monkeypatch):
+    # 3^5 colorings alone pass a cap of 200, so no witness is built
+    monkeypatch.setattr(arrangement, "_signs_at", lambda *args: pytest.fail("a chamber was built"))
+    with pytest.raises(BudgetExceededError, match=r"3\^5 colorings exceed budget 200"):
+        bounded_chambers_bijective(build_arrangement(SimpleGraph.of(range(5)), 5), candidate_budget=200)
+
+
+def test_k6_at_m5_is_within_the_bijective_budget_but_not_stanleys():
+    # 3^6 colorings plus 20,160 chambers, against Stanley's 3^6 * 2^15 candidates
+    k6 = SimpleGraph.of(range(6), itertools.combinations(range(6), 2))
+    chambers = bounded_chambers_bijective(build_arrangement(k6, 5))
+    assert len(chambers) == 20160 == chromatic_polynomial(k6).evaluate(-3)
+    with pytest.raises(BudgetExceededError):
+        stanley_pair_count(k6, 3)
 
 
 @pytest.mark.parametrize("name,g", all_graphs_up_to_4())

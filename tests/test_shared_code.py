@@ -1,9 +1,10 @@
 import itertools
+import json
 import sys
 
 import pytest
 
-from chromoduli import cli
+from chromoduli import cli, orientations
 
 from graph_catalog import paw_graph
 
@@ -17,7 +18,6 @@ INPUTS = {"graphs.SimpleGraph.n", "graphs.label_sort_key", "arrangement.Arrangem
 SHARED = {
     ("chromatic", "chambers_lp"): {"graphs._refined_colors"},
     ("chromatic", "critical_points"): {"graphs._refined_colors"},
-    ("stanley", "chambers_bijective"): {"orientations.acyclic_orientations", "graphs.topological_order"},
     ("chambers_bijective", "chambers_lp"): {"arrangement._signs_at", "arrangement.Chamber.__init__"},
     # the certified symmetry group, built and walked, and nothing else
     ("chambers_lp", "critical_points"): {
@@ -77,3 +77,21 @@ def test_routes_share_only_the_listed_code():
     # the profile sees the group the LP search and Newton both walk
     assert {"arrangement._orbit", "arrangement._Symmetry.point"} <= calls["chambers_lp"] & calls["critical_points"]
     assert "arrangement.bounded_chambers_bijective" not in calls["critical_points"]
+
+
+def test_a_lost_orientation_moves_stanley_alone(tmp_path, monkeypatch, capsys):
+    # `acyclic_orientations` is Stanley's alone: drop its last orientation
+    # and verify fails on Stanley's count while every other route, the
+    # bijective chambers and Newton on them included, still reads chromatic
+    real = orientations.acyclic_orientations
+    monkeypatch.setattr(orientations, "acyclic_orientations", lambda *args: real(*args)[:-1])
+    k4 = tmp_path / "K4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+    code = cli.main(["verify", "--graph", str(cli.DATA_DIR / "paw.txt"), "--graph", str(k4), "--m", "3,4"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == cli.EXIT_DISAGREE and len(rows) == 4
+    for row in rows:
+        values = row["values"]
+        assert row["agree"] is False and row["skipped"] == [] and "failed" not in row
+        assert values["stanley"] < values["chromatic"]
+        assert {key for key, value in values.items() if value != values["chromatic"]} == {"stanley"}
