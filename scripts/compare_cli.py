@@ -8,10 +8,10 @@ the `src` of one checkout first on its path, once plain and once under
 `python -O`.  Every call runs in one temporary directory that holds the
 input files (the shipped fixtures, a few more graphs, a weights file and a
 constraints file), so both checkouts read the same relative paths.  The
-cases cover `verify` (JSON and `--pretty`), `chambers` (the LP route on K4
-at m=4 maps witnesses along paths of up to three generators; the bijective
-route on K4 at m=4 and the paw at m=5 orders colour classes of several
-vertices),
+cases cover `verify` (JSON and `--pretty`, with routes over budget on a
+simple graph and a digraph), `chambers` (the LP route on K4 at m=4 maps
+witnesses along paths of up to three generators; the bijective route on K4
+at m=4 and the paw at m=5 orders colour classes of several vertices),
 `critical-points`, `omega`, `chromatic`, `parse`, `chi` and `kapranov`,
 plus usage errors and a Newton run that does not converge.
 
@@ -63,6 +63,12 @@ CASES = [
     ("verify-pretty", ["verify", "--pretty", "--m", "3"]),
     ("verify-K4-C4", ["verify", "--graph", "K4.txt", "--graph", "C4.txt", "--m", "3"]),
     ("verify-budget", ["verify", "--graph", "paw.txt", "--m", "4", "--budget-lp", "10"]),
+    ("verify-budget-bijective", ["verify", "--graph", "paw.txt", "--m", "4", "--budget-orientations", "50"]),
+    (
+        "verify-budget-bijective-pretty",
+        ["verify", "--graph", "paw.txt", "--m", "4", "--budget-orientations", "50", "--pretty"],
+    ),
+    ("verify-budget-digraph", ["verify", "--graph", "instar.txt", "--m", "3", "--budget-terms", "1"]),
     ("chambers-paw@3", ["chambers", "--graph", "paw.txt", "--m", "3"]),
     ("chambers-lp-K4@3", ["chambers", "--graph", "K4.txt", "--m", "3", "--method", "lp", "--pretty"]),
     ("chambers-lp-C4@4", ["chambers", "--graph", "C4.txt", "--m", "4", "--method", "lp"]),

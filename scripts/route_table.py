@@ -8,13 +8,15 @@ edgeless on n vertices), `Q3`, `Petersen`, `paw`, or the path of a graph
 file; `@M` gives the number of extra markings.  Each repetition builds a
 fresh table and calls its routes in row order, so the Newton route
 (`critical_points`) runs on the bijective chambers already computed and its
-time leaves them out.  A cell is the median wall time in seconds over the
-repetitions, `budget` when the route exceeds its default budget, or
-`failed` when it raises EngineConsistencyError or ConvergenceError; a failed
-route prints `error: <route>: <reason>` to stderr once, and the other routes
-and rows still run.  The value column is the routes' common value, or every
-distinct value when they disagree.  The rows follow the layout of the route
-table in ROADMAP.md, which leaves out `chromatic` (a few milliseconds here).
+time leaves them out.  The routes run through `cli.run_routes`, the loop of
+`chromoduli verify`, which times each one.  A cell is the median wall time
+in seconds over the repetitions, `budget` when the route exceeds its
+default budget, or `failed` when it raises EngineConsistencyError or
+ConvergenceError; a failed route prints `error: <route>: <reason>` to
+stderr once, and the other routes and rows still run.  The value column is
+the routes' common value, or every distinct value when they disagree.  The
+rows follow the layout of the route table in ROADMAP.md, which leaves out
+`chromatic` (a few milliseconds here).
 
 Exit codes: 0 when every row agrees, 1 when a row disagrees or a route
 failed, 2 when an argument names no simple graph or no M, or M is below 3
@@ -26,13 +28,11 @@ import argparse
 import itertools
 import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chromoduli import cli  # noqa: E402
-from chromoduli.errors import BudgetExceededError, ConvergenceError, EngineConsistencyError  # noqa: E402
 from chromoduli.graphs import SimpleGraph, load_graph_file  # noqa: E402
 
 COLUMNS = ("stanley", "chambers_bijective", "chambers_lp", "critical_points", "engine_omega")
@@ -84,19 +84,13 @@ def route_row(graph, m, repeat):
     times = {key: [] for key in ("chromatic",) + COLUMNS}
     values = set()
     for _ in range(repeat):
-        for key, route in cli.simple_routes(graph, m).items():
-            if isinstance(times[key], str):
-                continue
-            start = time.perf_counter()
-            try:
-                values.add(route())
-            except BudgetExceededError:
-                times[key] = "budget"
-            except (EngineConsistencyError, ConvergenceError) as exc:
-                times[key] = "failed"
-                cli.report_failure(key, exc)
-            else:
-                times[key].append(time.perf_counter() - start)
+        routes = {key: route for key, route in cli.simple_routes(graph, m).items() if isinstance(times[key], list)}
+        found, skipped, failed, seconds = cli.run_routes(routes)
+        values.update(found.values())
+        times.update(dict.fromkeys(skipped, "budget"))
+        times.update(dict.fromkeys(failed, "failed"))
+        for key in found:
+            times[key].append(seconds[key])
     return {key: t if isinstance(t, str) else statistics.median(t) for key, t in times.items()}, values
 
 

@@ -5,6 +5,9 @@ critical-points, chi, kapranov, parse); `verify` runs every route on the
 same inputs and cross-checks the results.  `simple_routes(graph, m)` is the
 one table of the simple-graph routes: the six verify-row keys in row order,
 each mapped to a zero-argument callable, over one arrangement per (graph, m).
+`run_routes(routes)` is the one loop that calls a table's routes and sorts
+each outcome into a value, a budget skip or a failure; every verify row,
+`scripts/route_table.py` and the acceptance tests run their routes through it.
 
 Exit codes: 0 all agree, 1 disagreement or solver failure, 2 parse/usage
 error (malformed graph, weights and constraint files included), 3 budget
@@ -17,7 +20,8 @@ EngineConsistencyError or ConvergenceError is recorded in its row as
 "error: <route>: <reason>" on stderr, and the other routes and rows still
 run.  A subcommand takes only the budget flags it reads: omega, chi and
 kapranov --budget-terms; chambers --budget-orientations and --budget-lp;
-critical-points --budget-orientations; verify all three.  `main` parses
+critical-points --budget-orientations; verify all three.  Each cap is a
+non-negative integer; a negative one is a usage error.  `main` parses
 the arguments after a known subcommand with that subcommand's own parser
 (`build_parser(command)`); only a missing or unknown subcommand and the
 top-level help build the full parser.
@@ -29,6 +33,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import arrangement as arr_mod
@@ -248,15 +253,22 @@ def simple_routes(graph, m, budgets=BUDGETS, seed=0):
     Every callable returns (-1)^n chi(-(m-2)) when the routes agree, or
     raises BudgetExceededError past its budget (`budgets` maps each BUDGETS
     name to its cap).  Newton (`seed` picks its weights) runs on the
-    bijective chambers, computed once per table; their budget error is not
-    kept, so Newton's call enumerates them again and re-raises it.  The
-    callables look up the library functions when called.
+    bijective chambers, computed once per table: the table keeps the
+    chambers, or the BudgetExceededError that refused them.  The callables
+    look up the library functions when called.
     """
     arr = arr_mod.build_arrangement(graph, m)
+    outcome = []  # the bijective chambers, or the budget error that refused them
 
-    @functools.cache
     def bijective():
-        return arr_mod.bounded_chambers_bijective(arr, budgets["orientations"])
+        if not outcome:
+            try:
+                outcome.append(arr_mod.bounded_chambers_bijective(arr, budgets["orientations"]))
+            except BudgetExceededError as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], BudgetExceededError):
+            raise outcome[0]
+        return outcome[0]
 
     def critical_points():
         return len(crit_mod.solve_all_chambers(arr, crit_mod.default_weights(arr, seed), bijective()))
@@ -280,18 +292,31 @@ def report_failure(route, exc):
     return reason
 
 
-def _verify_simple_row(graph, name, m, args):
-    budgets = {key: getattr(args, f"budget_{key}") for key in BUDGETS}
-    values = {}
-    skipped = []
-    failed = {}
-    for key, route in simple_routes(graph, m, budgets, args.seed).items():
+def run_routes(routes):
+    """Call each route of a table in order: (values, skipped, failed, seconds).
+
+    `values` maps each route that returned to its value.  A route that raises
+    BudgetExceededError is listed in `skipped`; one that raises
+    EngineConsistencyError or ConvergenceError maps in `failed` to its
+    `report_failure` reason.  `seconds` maps every route to its wall time.
+    Any other exception propagates.
+    """
+    values, skipped, failed, seconds = {}, [], {}, {}
+    for key, route in routes.items():
+        start = time.perf_counter()
         try:
             values[key] = route()
         except BudgetExceededError:
             skipped.append(key)
         except (EngineConsistencyError, ConvergenceError) as exc:
             failed[key] = report_failure(key, exc)
+        seconds[key] = time.perf_counter() - start
+    return values, skipped, failed, seconds
+
+
+def _verify_simple_row(graph, name, m, args):
+    budgets = {key: getattr(args, f"budget_{key}") for key in BUDGETS}
+    values, skipped, failed, _ = run_routes(simple_routes(graph, m, budgets, args.seed))
     row = {
         "graph": name,
         "kind": "simple",
@@ -308,12 +333,12 @@ def _verify_simple_row(graph, name, m, args):
 def _verify_digraph_row(graph, name, m, args, reports):
     """Digraph rows check the two engine values against the polynomial routes.
 
-    The polynomial report does not depend on m: `reports` maps a digraph to
-    its report, shared by the rows of one verify run.
+    The row's one route, `engine`, returns the four values and whether they
+    agree.  The polynomial report does not depend on m: `reports` maps a
+    digraph to its report, shared by the rows of one verify run.
     """
-    row = {"graph": name, "kind": "digraph", "m": m}
-    skipped = []
-    try:
+
+    def engine():
         if graph not in reports:
             reports[graph] = dig_mod.digraph_polynomial_report(graph, args.budget_terms)
         report = reports[graph]
@@ -324,19 +349,19 @@ def _verify_digraph_row(graph, name, m, args, reports):
             "omega_out": mod_mod.omega(graph, m, "out", args.budget_terms),
             "chi_out_eval": sign * report.chi_out.evaluate(-(m - 2)),
         }
-        row["values"] = values
-        row["agree"] = (
+        agree = (
             report.consistent
             and values["omega_in"] == values["chi_in_eval"]
             and values["omega_out"] == values["chi_out_eval"]
         )
-    except BudgetExceededError:
-        skipped.append("engine")
-        row["agree"] = True
-    except EngineConsistencyError as exc:
-        row["failed"] = {"engine": report_failure("engine", exc)}
-        row["agree"] = False
-    row["skipped"] = skipped
+        return values, agree
+
+    results, skipped, failed, _ = run_routes({"engine": engine})
+    row = {"graph": name, "kind": "digraph", "m": m, "skipped": skipped, "agree": not failed}
+    if results:
+        row["values"], row["agree"] = results["engine"]
+    if failed:
+        row["failed"] = failed
     return row
 
 
@@ -383,6 +408,17 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+def _cap(text):
+    """The value of a `--budget-*` flag: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget cannot be negative, got {value}")
+    return value
+
+
 def _add_common(sub, budgets=(), graph_required=True, needs_m=False):
     if graph_required:
         sub.add_argument("--graph", required=True, help="graph file path")
@@ -390,7 +426,7 @@ def _add_common(sub, budgets=(), graph_required=True, needs_m=False):
         sub.add_argument("--m", type=int, required=True, help="number of extra markings")
     sub.add_argument("--pretty", action="store_true")
     for name in budgets:
-        sub.add_argument(f"--budget-{name}", type=int, default=BUDGETS[name])
+        sub.add_argument(f"--budget-{name}", type=_cap, default=BUDGETS[name])
 
 
 def _parse_parser(p):

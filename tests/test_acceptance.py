@@ -45,8 +45,8 @@ def test_criterion_1_flagship_five_way_agreement():
         "critical_points",
         "engine_omega",
     ]
-    values = {name: route() for name, route in routes.items()}
-    assert set(values.values()) == {12}, values
+    values, skipped, failed, _ = cli.run_routes(routes)
+    assert not skipped and not failed and set(values.values()) == {12}, values
     reports = critical_point_reports(g, 3, seed=0)
     assert all(r.gradient_inf_norm <= 1e-10 for r in reports)
     elapsed = time.perf_counter() - start

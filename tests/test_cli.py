@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 import chromoduli
 from chromoduli import arrangement, cli, critical, digraph_poly, moduli
-from chromoduli.errors import EngineConsistencyError
+from chromoduli.errors import BudgetExceededError, ConvergenceError, EngineConsistencyError
 from chromoduli.graphs import (
     IntPolynomial,
     SimpleGraph,
@@ -241,6 +241,37 @@ def test_one_table_certifies_the_symmetry_group_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_routes_sorts_each_outcome_and_times_every_route(capsys):
+    def over_budget():
+        raise BudgetExceededError("past the cap")
+
+    def diverged():
+        raise ConvergenceError("chamber ++: no convergence\nsecond line")
+
+    routes = {"one": lambda: 1, "budget": over_budget, "newton": diverged, "two": lambda: 2}
+    values, skipped, failed, seconds = cli.run_routes(routes)
+    assert values == {"one": 1, "two": 2} and skipped == ["budget"]
+    assert failed == {"newton": "chamber ++: no convergence"}
+    assert list(seconds) == list(routes) and all(t >= 0 for t in seconds.values())
+    assert capsys.readouterr().err == "error: newton: chamber ++: no convergence\n"
+    with pytest.raises(ZeroDivisionError):  # any other error is the caller's
+        cli.run_routes({"one": lambda: 1, "broken": lambda: 1 // 0})
+
+
+def test_one_table_enumerates_refused_bijective_chambers_once(capsys, monkeypatch):
+    calls = []
+    enumerate_chambers = arrangement.bounded_chambers_bijective
+
+    def counted(arr, budget):
+        calls.append(budget)
+        return enumerate_chambers(arr, budget)
+
+    monkeypatch.setattr(arrangement, "bounded_chambers_bijective", counted)
+    code, out = run(capsys, "verify", "--graph", PAW, "--m", "4", "--budget-orientations", "50")
+    assert code == cli.EXIT_BUDGET and calls == [50]
+    assert json.loads(out)["skipped"] == ["chambers_bijective", "critical_points", "stanley"]
+
+
 def test_every_simple_route_on_a_graph_without_automorphisms():
     # the reflection is then the whole generating set; no catalog graph is
     # this asymmetric
@@ -410,6 +441,19 @@ def test_read_budget_flags_are_accepted():
     assert args.budget_terms == 7
     args = parser.parse_args(["verify", "--budget-lp", "5"])
     assert args.budget_lp == 5 and args.budget_terms == cli.BUDGETS["terms"]
+
+
+@pytest.mark.parametrize("flag", [f"--budget-{name}" for name in cli.BUDGETS])
+def test_a_negative_budget_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--graph", PAW, "--m", "3", flag, "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_PARSE and captured.out == ""
+    message = f"chromoduli verify: error: argument {flag}: a budget cannot be negative, got -1"
+    assert captured.err.splitlines()[-1] == message
+    # a cap of 0 is a cap: the route it bounds is skipped
+    code, out = run(capsys, "verify", "--graph", PAW, "--m", "3", flag, "0")
+    assert code == cli.EXIT_BUDGET and json.loads(out)["skipped"]
 
 
 def test_kapranov_file(tmp_path, capsys):
@@ -597,6 +641,24 @@ def test_verify_records_a_failed_route_and_runs_every_row(tmp_path, capsys, monk
     assert captured.err.splitlines() == ["error: chambers_lp: a refused region's cycle sums to a positive weight"] * 2
 
 
+def test_verify_records_a_failed_digraph_engine(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineConsistencyError("engine table lost a state\nsecond line")
+
+    monkeypatch.setattr(cli.mod_mod, "omega", broken)
+    code = cli.main(["verify", "--graph", INSTAR, "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DISAGREE and captured.err == "error: engine: engine table lost a state\n"
+    assert json.loads(captured.out) == {
+        "agree": False,
+        "failed": {"engine": "engine table lost a state"},
+        "graph": "instar.txt",
+        "kind": "digraph",
+        "m": 3,
+        "skipped": [],
+    }
+
+
 def test_verify_checks_every_input_before_the_first_row(tmp_path, capsys, monkeypatch):
     def no_row(*args, **kwargs):
         pytest.fail("a row ran before every input was checked")
@@ -700,6 +762,16 @@ def test_lp_chambers_run_under_optimize(tmp_path):
         result = _python("-O", "-m", "chromoduli.cli", *argv)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["count_lp"] == chambers
+
+
+def test_verify_pretty_runs_under_optimize():
+    # every certificate check must survive `python -O`, which strips asserts;
+    # m=4 adds margin LPs whose optimal witness is not unique
+    result = _python("-O", "-m", "chromoduli.cli", "verify", "--pretty", "--m", "3,4")
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[2:]  # below the header and its rule
+    assert len(rows) == 4
+    assert all(row.split()[-1] == "True" for row in rows)
 
 
 def test_start_up_and_verify_import_no_numpy():

@@ -51,21 +51,6 @@ def test_digraph_survey_tallies_advisories_by_kind():
     assert [survey.advisory_kind(w) for w in advisory_flags(IntPolynomial((4, -1, 1)))] == ["not log-concave"]
 
 
-def test_verify_fixtures_runs_under_optimize():
-    # every certificate check must survive `python -O`, which strips asserts;
-    # m=4 adds margin LPs whose optimal witness is not unique
-    result = subprocess.run(
-        [sys.executable, "-O", str(SCRIPTS / "verify_fixtures.py"), "--m", "3,4"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    rows = result.stdout.splitlines()[2:]  # below the header and its rule
-    assert len(rows) == 4
-    assert all(row.split()[-1] == "True" for row in rows)
-
-
 def test_route_table_prints_one_row_per_graph():
     # under `python -O` too; P3 at m=3 is (-1)^3 chi(-1) = 4 on every route
     result = subprocess.run(
