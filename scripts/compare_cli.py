@@ -12,8 +12,9 @@ cases cover `verify` (JSON and `--pretty`, with routes over budget on a
 simple graph and a digraph), `chambers` (the LP route on K4 at m=4 maps
 witnesses along paths of up to three generators; the bijective route on K4
 at m=4 and the paw at m=5 orders colour classes of several vertices),
-`critical-points`, `omega`, `chromatic`, `parse`, `chi` and `kapranov`,
-plus usage errors and a Newton run that does not converge.
+`critical-points` (on K4 at m=3, 23 of the 24 chambers start Newton at the
+image of their orbit's critical point), `omega`, `chromatic`, `parse`, `chi`
+and `kapranov`, plus usage errors and a Newton run that does not converge.
 
 A case differs when its stdout, its stderr or its exit code differs between
 the two checkouts; each such case is printed as one line naming the case,
@@ -77,6 +78,7 @@ CASES = [
     ("chambers-bijective-paw@5", ["chambers", "--graph", "paw.txt", "--m", "5", "--method", "bijective"]),
     ("chambers-E3@4", ["chambers", "--graph", "E3.txt", "--m", "4"]),
     ("critical-points-paw@4", ["critical-points", "--graph", "paw.txt", "--m", "4"]),
+    ("critical-points-K4@3", ["critical-points", "--graph", "K4.txt", "--m", "3"]),
     ("critical-points-weights", ["critical-points", "--graph", "paw.txt", "--m", "3", "--weights", "weights.json"]),
     ("omega-paw@3", ["omega", "--graph", "paw.txt", "--m", "3"]),
     ("omega-paw-g1", ["omega", "--graph", "paw.txt", "--g", "1", "--m", "3"]),

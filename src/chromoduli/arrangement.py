@@ -302,7 +302,7 @@ def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDID
     and their acyclic orientations (`_orientations`) complete the pairs.
     The witness puts a class of colour c and t vertices in (c-1, c), at the
     offsets (t - p)/(t+1) over its order p = 0..t-1 (`_place_class`); vertex
-    positions follow the graph's label order, and d = lcm(2..n+1) is a
+    positions follow the sorted labels, and d = lcm(2..n+1) is a
     common denominator.  Every witness is certified by substitution
     (`_signs_at`), and two pairs that give one chamber raise
     EngineConsistencyError.

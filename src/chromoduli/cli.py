@@ -11,12 +11,13 @@ each outcome into a value, a budget skip or a failure; every verify row,
 
 Exit codes: 0 all agree, 1 disagreement or solver failure, 2 parse/usage
 error (malformed graph, weights and constraint files included), 3 budget
-exceeded.  JSON goes to stdout (JSON lines for verify), diagnostics to
-stderr: a solver error outside verify, such as a Newton chamber that does
-not converge, prints one "error:" line and no JSON.  verify checks every
-graph and m before its first row; a route that then raises
-EngineConsistencyError or ConvergenceError is recorded in its row as
-"failed": {route: reason} with "agree": false, printed as
+exceeded, 141 stdout closed by its reader before all output was written
+(as by `| head`), with nothing on stderr.  JSON goes to stdout (JSON lines
+for verify), diagnostics to stderr: a solver error outside verify, such as
+a Newton chamber that does not converge, prints one "error:" line and no
+JSON.  verify checks every graph and m before its first row; a route that
+then raises EngineConsistencyError or ConvergenceError is recorded in its
+row as "failed": {route: reason} with "agree": false, printed as
 "error: <route>: <reason>" on stderr, and the other routes and rows still
 run.  A subcommand takes only the budget flags it reads: omega, chi and
 kapranov --budget-terms; chambers --budget-orientations and --budget-lp;
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # stdout closed by its reader: the shell's code for a death by SIGPIPE
 
 DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_SUITE = (DATA_DIR / "paw.txt", DATA_DIR / "instar.txt")
@@ -524,7 +527,16 @@ def main(argv=None):
     else:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to devnull, so that the
+        # interpreter's last flush has no pipe to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError, KeyError) as exc:  # GraphParseError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

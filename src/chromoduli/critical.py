@@ -14,9 +14,10 @@ are equal on each orbit of functionals under the group they generate, so
 the master function is invariant under it and the critical point of a
 chamber's image is the image of its critical point.  Newton solves the
 first chamber of each orbit from its witness and starts every other
-chamber of the orbit at the image of that critical point, if it is
-strictly inside it, and at the chamber's witness otherwise; every chamber
-is certified at its own final point all the same.
+chamber of the orbit at the image of that critical point; an image outside
+its chamber raises EngineConsistencyError, as a symmetry that maps a
+chamber's point out of its image is broken.  Every chamber is certified at
+its own final point all the same.
 
 Everything runs on the standard library.  Every functional is z_j - z_k + c
 with z_n = 0 (`Arrangement.terms`), so one list of (j, k, c, weight) per
@@ -226,8 +227,8 @@ def hessian(arr: Arrangement, weights, z):
 
 
 def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=None, start=None):
-    """Damped Newton ascent from `start`, if given and strictly inside the
-    chamber, and from the chamber's witness otherwise.
+    """Damped Newton ascent from `start`, if given, and from the chamber's
+    witness otherwise.
 
     Each step solves -H step = g with the Cholesky factor of -H; the factor
     at the last iterate is the negative-definite certificate.  A factor that
@@ -235,20 +236,22 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     raise ConvergenceError, led by "chamber <signs>:".  `kernel`, if given,
     is `_kernel(arr, weights)`, built once by the caller.
 
-    Raises ValueError if the witness, rounded to floats, is not strictly
-    inside the chamber's signs.
+    Raises EngineConsistencyError, led by "chamber <signs>:", if `start` is
+    not strictly inside the chamber's signs, and ValueError if the witness,
+    rounded to floats, is not.
     """
     terms, u = _kernel(arr, weights) if kernel is None else kernel
     n = arr.dimension
     signs, name = chamber.signs, chamber.sign_string
-    witness = (chamber.nums, chamber.d)
-    for point, d in (witness,) if start is None else ((start, 1), witness):
-        z = [x / d for x in point] + [0.0]  # x / d rounds as float(Fraction(x, d)) does
-        f = _values(terms, z)
-        sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
-        if min(sf, default=1.0) > 0:
-            break
+    if start is None:
+        z = [x / chamber.d for x in chamber.nums] + [0.0]  # x / d rounds as float(Fraction(x, d)) does
     else:
+        z = list(start) + [0.0]
+    f = _values(terms, z)
+    sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
+    if min(sf) <= 0:
+        if start is not None:
+            raise EngineConsistencyError(f"chamber {name}: mapped start lies outside it")
         raise ValueError(f"witness of chamber {name} is not strictly inside it")
     value = None  # the objective at z, once the line search has computed it
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -256,7 +259,7 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
         factor = _cholesky(p)
         if factor is None:
             raise ConvergenceError(f"chamber {name}: Hessian not negative definite at iteration {iterations}")
-        gnorm = max(map(abs, g), default=0.0)
+        gnorm = max(map(abs, g))
         if gnorm <= GRADIENT_TOL:
             break
         step, slope = _newton_step(factor, g)
@@ -271,7 +274,7 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
             f = _values(terms, trial)
             sf = list(map(mul, signs, f))
             value = None
-            if min(sf, default=1.0) > 0:
+            if min(sf) > 0:
                 if not value_test:
                     break
                 value = _objective(u, sf)
@@ -285,7 +288,7 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
         raise ConvergenceError(
             f"chamber {name}: gradient norm {gnorm:.3e} above {GRADIENT_TOL} after {MAX_ITERATIONS} iterations"
         )
-    if min(sf, default=1.0) <= 0:  # pragma: no cover - the line search only accepts inside points
+    if min(sf) <= 0:  # pragma: no cover - the line search only accepts inside points
         raise EngineConsistencyError("Newton iterate left its chamber")
     return CriticalPointReport(
         chamber_index=index,
@@ -302,8 +305,8 @@ def solve_all_chambers(arr: Arrangement, weights, chambers):
     The first chamber of each orbit under `Arrangement.symmetries` is
     solved from its witness; once it has converged at z*, every other
     chamber of its orbit starts at the image of z* under the symmetry
-    mapping it there, if that point is strictly inside it, and at its
-    witness otherwise.  Under the default weights that start is the
+    mapping it there, which must lie strictly inside it (else
+    EngineConsistencyError).  Under the default weights that start is the
     chamber's own critical point up to rounding: on the paw at m=4, 18 of
     the 72 chambers are solved in full and the 54 others take one iteration
     each.  Under other weights it is only a start point.

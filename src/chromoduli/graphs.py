@@ -1,5 +1,9 @@
 """Simple graphs, digraphs, and exact integer polynomials.
 
+Vertex labels are sorted by Python's own `<`, and an edge starts at its
+smaller end; labels that do not compare, such as integers mixed with
+strings, raise TypeError when a graph is built.
+
 The chromatic polynomial is computed by memoized deletion-contraction with
 the edgeless graph (chi = x^n) as base case.  Contraction immediately
 simplifies: loops are dropped and parallel edges merged, so multigraphs are
@@ -64,27 +68,16 @@ class Value:
         return (self.__class__, self._values())
 
 
-def label_sort_key(label):
-    """Deterministic total order over mixed int/str vertex labels."""
-    if isinstance(label, int):
-        return (0, label, "")
-    return (1, 0, str(label))
-
-
-def _edge_key(e):
-    return (label_sort_key(e[0]), label_sort_key(e[1]))
-
-
 def _norm_edge(u, w):
     if u == w:
         raise ValueError(f"loop edge at {u!r} is not allowed")
-    return (u, w) if label_sort_key(u) < label_sort_key(w) else (w, u)
+    return (u, w) if u < w else (w, u)
 
 
 class SimpleGraph(Value):
     """Finite simple graph: labeled vertices, unordered edges, no loops."""
 
-    __slots__ = ("vertices", "edges")  # edges: pairs (u, w) with u < w in label order, sorted
+    __slots__ = ("vertices", "edges")  # edges: pairs (u, w) with u < w, sorted
 
     def __init__(self, vertices, edges):
         _set(self, "vertices", vertices)
@@ -92,7 +85,7 @@ class SimpleGraph(Value):
 
     @classmethod
     def of(cls, vertices, edges=()):
-        vs = tuple(sorted(set(vertices), key=label_sort_key))
+        vs = tuple(sorted(set(vertices)))
         if not vs:
             raise ValueError("vertex set must be nonempty")
         vset = set(vs)
@@ -101,7 +94,7 @@ class SimpleGraph(Value):
             if u not in vset or w not in vset:
                 raise ValueError(f"edge ({u!r}, {w!r}) has an endpoint outside the vertex set")
             norm.add(_norm_edge(u, w))
-        return cls(vs, tuple(sorted(norm, key=_edge_key)))
+        return cls(vs, tuple(sorted(norm)))
 
     @property
     def n(self):
@@ -114,7 +107,7 @@ class SimpleGraph(Value):
                 out.append(w)
             elif w == v:
                 out.append(u)
-        return tuple(sorted(out, key=label_sort_key))
+        return tuple(sorted(out))
 
     def closed_neighborhood(self, v):
         if v not in self.vertices:
@@ -145,7 +138,7 @@ class SimpleGraph(Value):
             if a != b:
                 new_edges.add(_norm_edge(a, b))
         new_vertices = tuple(v for v in self.vertices if v != drop)
-        return SimpleGraph(new_vertices, tuple(sorted(new_edges, key=_edge_key)))
+        return SimpleGraph(new_vertices, tuple(sorted(new_edges)))
 
 
 class Digraph(Value):
@@ -159,7 +152,7 @@ class Digraph(Value):
 
     @classmethod
     def of(cls, vertices, arcs=()):
-        vs = tuple(sorted(set(vertices), key=label_sort_key))
+        vs = tuple(sorted(set(vertices)))
         if not vs:
             raise ValueError("vertex set must be nonempty")
         vset = set(vs)
@@ -172,7 +165,7 @@ class Digraph(Value):
             if (u, w) in seen:
                 raise ValueError(f"repeated arc ({u!r}, {w!r})")
             seen.add((u, w))
-        return cls(vs, tuple(sorted(seen, key=_edge_key)))
+        return cls(vs, tuple(sorted(seen)))
 
     @property
     def n(self):
@@ -209,7 +202,7 @@ def topological_order(vertices, arcs):
     for u, w in arcs:
         indeg[w] += 1
         out[u].append(w)
-    ready = sorted((v for v in vertices if indeg[v] == 0), key=label_sort_key)
+    ready = sorted(v for v in vertices if indeg[v] == 0)
     order = []
     while ready:
         v = ready.pop(0)
@@ -221,7 +214,7 @@ def topological_order(vertices, arcs):
                 ready.append(w)
                 changed = True
         if changed:
-            ready.sort(key=label_sort_key)
+            ready.sort()
     return order if len(order) == len(list(vertices)) else None
 
 
@@ -334,7 +327,7 @@ def canonical_key(graph: SimpleGraph):
     isomorphic relabelings often, but not necessarily, share a key.
     """
     color = _refined_colors(graph)
-    order = sorted(range(len(color)), key=lambda i: (color[i], i))  # vertices are in label order
+    order = sorted(range(len(color)), key=lambda i: (color[i], i))  # vertices are sorted
     pos = {graph.vertices[i]: p for p, i in enumerate(order)}
     edges = tuple(sorted(tuple(sorted((pos[u], pos[w]))) for u, w in graph.edges))
     return (len(order), edges)

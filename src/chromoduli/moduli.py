@@ -89,7 +89,7 @@ class itself is never built here; the tests' reference
 from __future__ import annotations
 
 from .errors import BudgetExceededError
-from .graphs import Digraph, SimpleGraph, label_sort_key
+from .graphs import Digraph, SimpleGraph
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -224,6 +224,13 @@ def cerberus_check(constraints):
         if not all(_augment(copy, adjacent, trial, set()) for copy in range(k, k + 3)):
             return False
     return True
+
+
+def label_sort_key(label):
+    """A total order over markings that mix integers and strings: integers first."""
+    if isinstance(label, int):
+        return (0, label, "")
+    return (1, 0, str(label))
 
 
 def kapranov_degree_with_stats(constraints, marking_set, term_cap=DEFAULT_TERM_CAP):

@@ -12,8 +12,7 @@ never builds that class.
 import itertools
 
 from chromoduli.errors import BudgetExceededError
-from chromoduli.graphs import label_sort_key
-from chromoduli.moduli import DEFAULT_TERM_CAP
+from chromoduli.moduli import DEFAULT_TERM_CAP, label_sort_key
 
 from fold_reference import _accum, _Ctx, _decor_bump, _mul_term
 

@@ -36,7 +36,7 @@ splits along boundary divisors instead of multiplying strata.
 import math
 
 from chromoduli.errors import BudgetExceededError, EngineConsistencyError
-from chromoduli.graphs import label_sort_key
+from chromoduli.moduli import label_sort_key
 
 
 class _Ctx:

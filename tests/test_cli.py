@@ -17,6 +17,7 @@ from chromoduli.graphs import (
     SimpleGraph,
     automorphism_generators,
     chromatic_polynomial,
+    graph_to_json,
     load_graph_file,
 )
 
@@ -456,6 +457,45 @@ def test_a_negative_budget_is_a_usage_error(capsys, flag):
     assert code == cli.EXIT_BUDGET and json.loads(out)["skipped"]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["chambers", "--graph", "K4", "--m", "4", "--budget-lp", "5"], "18 functionals exceed LP search budget 5"),
+        (["omega", "--graph", PAW, "--m", "4", "--budget-terms", "0"], "1 subproblems exceed the term cap 0"),
+    ],
+    ids=["lp", "terms"],
+)
+def test_a_subcommand_over_budget_exits_three_with_one_line(tmp_path, capsys, argv, message):
+    k4 = tmp_path / "K4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code = cli.main([str(k4) if arg == "K4" else arg for arg in argv])
+    assert (code, *capsys.readouterr()) == (cli.EXIT_BUDGET, "", f"budget: {message}\n")
+
+
+def test_parse_pretty_is_sorted_json_indented_by_two(capsys):
+    code, out = run(capsys, "parse", "--graph", PAW, "--pretty")
+    assert code == 0
+    assert out == json.dumps(graph_to_json(load_graph_file(PAW)), indent=2, sort_keys=True) + "\n"
+
+
+def test_a_non_integer_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chambers", "--graph", PAW, "--m", "3", "--budget-lp", "abc"])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_PARSE and captured.out == ""
+    message = "chromoduli chambers: error: argument --budget-lp: invalid int value: 'abc'"
+    assert captured.err.splitlines()[-1] == message
+
+
+def test_genus_zero_with_one_marking_is_a_usage_error(capsys):
+    code = cli.main(["omega", "--graph", PAW, "--m", "1"])
+    assert (code, *capsys.readouterr()) == (
+        cli.EXIT_PARSE,
+        "",
+        "error: need 2g-2+m > 0 (or g=1, m=0), got g=0, m=1\n",
+    )
+
+
 def test_kapranov_file(tmp_path, capsys):
     payload = {
         "markings": [1, 2, 3, 4, "a", "b", "c"],
@@ -751,6 +791,32 @@ def test_importing_the_cli_leaves_heavy_modules_unloaded():
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", "--graph", PAW, "--pretty"], ["chambers", "--graph", PAW, "--m", "5", "--method", "lp"]],
+    ids=["parse", "chambers"],
+)
+def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    # the pipe's read end is closed before the child writes, so its first
+    # write (unbuffered) or its flush (buffered) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(chromoduli.__file__).resolve().parent.parent)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "chromoduli.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (cli.EXIT_PIPE, "")
+
+
 def test_lp_chambers_run_under_optimize(tmp_path):
     # the LP certificates, cold and warm, must survive `python -O`, which
     # strips asserts; K5 at m=4 runs thousands of warm LPs
@@ -835,6 +901,29 @@ def test_broken_mirror_fails_the_lp_route_without_traceback(flags):
     (row,) = [json.loads(line) for line in result.stdout.splitlines()]
     assert row["failed"] == {"chambers_lp": "mapped LP witness lies outside its chamber"}
     assert row["agree"] is False and set(row["values"].values()) == {12}
+
+
+# verify with a point map that moves no point: the LP route's mapped
+# witnesses and Newton's mapped starts then stay in their orbit's first chamber
+IDENTITY_POINT = """
+import sys
+from chromoduli import arrangement, cli
+
+arrangement._Symmetry.point = lambda symmetry, z, d=1: list(z)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_an_identity_point_map_fails_the_lp_and_newton_routes_without_traceback(flags):
+    result = _python(*flags, "-c", IDENTITY_POINT, "verify", "--graph", PAW, "--m", "3")
+    lp = "mapped LP witness lies outside its chamber"
+    newton = "chamber +-+-+-+----+: mapped start lies outside it"  # the first chamber started at an image
+    assert result.returncode == cli.EXIT_DISAGREE
+    assert result.stderr == f"error: chambers_lp: {lp}\nerror: critical_points: {newton}\n"
+    (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+    assert row["failed"] == {"chambers_lp": lp, "critical_points": newton}
+    assert row["agree"] is False and set(row["values"].values()) == {12} and len(row["values"]) == 4
 
 
 # verify with refusals whose cycles lose their first arc: the LP route's

@@ -1,13 +1,16 @@
 import copy
+import inspect
 import itertools
 import math
 import pickle
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromoduli import graphs
 from chromoduli.errors import GraphParseError
 from chromoduli.graphs import (
     Digraph,
@@ -219,6 +222,54 @@ def test_automorphism_generators_on_labelled_vertices():
     assert automorphism_generators(SimpleGraph.of(["a", "b"], [("a", "b")])) == ((1, 0),)
 
 
+def _failed_extensions(g):
+    """The generators of g, and how often `_extend` runs out of candidates
+    (its final `return None`) while finding them."""
+    lines, first = inspect.getsourcelines(graphs._extend)
+    last = first + len(lines) - 1
+    hits = 0
+
+    def tracer(frame, event, arg):
+        nonlocal hits
+        if frame.f_code is not graphs._extend.__code__:
+            return None
+        if event == "line" and frame.f_lineno == last:
+            hits += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        generators = automorphism_generators(g)
+    finally:
+        sys.settrace(None)
+    return generators, hits
+
+
+@pytest.mark.parametrize(
+    "edges,order,failed",
+    [
+        ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)], 12, 2),
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6), (6, 7), (5, 7)], 60, 9),
+    ],
+    ids=["prism", "C5+C3"],
+)
+def test_automorphism_search_backtracks_past_a_dead_end(edges, order, failed):
+    # a vertex of the right colour and adjacency can still leave no way to
+    # map the rest: the search backs out of it and the group stays whole
+    g = SimpleGraph.of(range(max(map(max, edges)) + 1), edges)
+    generators, hits = _failed_extensions(g)
+    assert hits == failed
+    assert len(_closure(generators, g.n)) == _automorphism_count(g) == order
+
+
+def test_labels_that_do_not_compare_are_refused():
+    # labels are ordered by Python's `<`, which does not order an int and a str
+    with pytest.raises(TypeError):
+        SimpleGraph.of([0, "a"], [(0, "a")])
+    with pytest.raises(TypeError):
+        Digraph.of([0, "a"], [("a", 0)])
+
+
 @pytest.mark.parametrize("complete", [False, True], ids=["E8", "K8"])
 def test_automorphism_generators_of_the_symmetric_group_take_one_search_per_level(complete):
     # one generator per level, and the orbit of each base point under the
@@ -381,6 +432,9 @@ def test_parse_graph_and_digraph():
         "2 1\n",
         "x y\n",
         "digraph\n",
+        "0 0\n",
+        "2 1\n0 1 1\n",
+        "2 1\n0 x\n",
     ],
 )
 def test_parse_errors(text):

@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from chromoduli import cli, orientations
+from chromoduli import arrangement, cli, critical, graphs, orientations
 
 from graph_catalog import paw_graph
 
 # Reading the graph and the arrangement, which every route may share.
-INPUTS = {"graphs.SimpleGraph.n", "graphs.label_sort_key", "arrangement.Arrangement.dimension"}
+INPUTS = {"graphs.SimpleGraph.n", "arrangement.Arrangement.dimension"}
 
 # The other package functions that two routes of `cli.simple_routes(paw, 4)`
 # may both call, per pair, as measured when this list was written.  A change
@@ -95,3 +95,76 @@ def test_a_lost_orientation_moves_stanley_alone(tmp_path, monkeypatch, capsys):
         assert row["agree"] is False and row["skipped"] == [] and "failed" not in row
         assert values["stanley"] < values["chromatic"]
         assert {key for key, value in values.items() if value != values["chromatic"]} == {"stanley"}
+
+
+def _faults():
+    """One wrong variant of each function that the LP and Newton routes share,
+    as the (owner, attribute, value) patches that put it in place; a
+    function imported by name is patched where it is read as well."""
+    symmetries, init, signs, orbit = (
+        arrangement._symmetries,
+        arrangement._Symmetry.__init__,
+        arrangement._Symmetry.signs,
+        arrangement._orbit,
+    )
+
+    def identity_mirror(arr):  # the mirror's functionals map to themselves
+        r, *rest = symmetries(arr)
+        return (arrangement._Symmetry(r.perm, r.scale, r.offset, tuple(range(len(arr.terms))), r.sign), *rest)
+
+    def shifted(self, perm, scale, offset, index, sign):  # the mirror reflects about (m-1)/2
+        init(self, perm, scale, offset + 1 if scale < 0 else offset, index, sign)
+
+    def flipped(g, s):  # the image's first sign is wrong
+        t = signs(g, s)
+        return (-t[0],) + t[1:]
+
+    def first_generator(gs, s, item, move):  # every image is moved by the first map
+        return orbit(gs, s, item, lambda g, x: move(gs[0], x))
+
+    reversal = lambda n: tuple(range(n))[::-1]  # not an automorphism of the paw
+    return {
+        "arrangement.Arrangement.symmetries": [
+            (arrangement.Arrangement, "symmetries", property(lambda arr: symmetries(arr)[1:]))
+        ],
+        "arrangement._symmetries": [(arrangement, "_symmetries", identity_mirror)],
+        "arrangement._Symmetry.__init__": [(arrangement._Symmetry, "__init__", shifted)],
+        "arrangement._Symmetry.point": [(arrangement._Symmetry, "point", lambda g, z, d=1: list(z))],
+        "arrangement._Symmetry.signs": [(arrangement._Symmetry, "signs", flipped)],
+        "arrangement._orbit": [(arrangement, "_orbit", first_generator), (critical, "_orbit", first_generator)],
+        "graphs.automorphism_generators": [(arrangement, "automorphism_generators", lambda g: [reversal(g.n)])],
+        "graphs._refined_colors": [(graphs, "_refined_colors", lambda g: [0] * g.n)],
+        "graphs._extend": [(graphs, "_extend", lambda adj, color, image, target: reversal(len(adj)))],
+        "graphs.orbit_of": [(module, "orbit_of", lambda point, generators: {point}) for module in (graphs, critical)],
+    }
+
+
+# The faults that only cost work: one colour for every vertex widens the
+# automorphism search, whose maps are checked edge by edge all the same,
+# and orbits of one point leave the generators redundant and the Newton
+# weights one per functional.  Every other fault fails the LP route, Newton
+# or both.
+HARMLESS = {"graphs._refined_colors", "graphs.orbit_of"}
+
+# (-1)^n chi(-(m-2)) with chi(x) = x(x-1)^2(x-2) for the paw and x(x-1)(x-2)(x-3) for K4
+EXPECTED = {("paw.txt", 3): 12, ("paw.txt", 4): 72, ("K4.txt", 3): 24, ("K4.txt", 4): 120}
+
+
+def test_every_function_lp_and_newton_share_has_a_fault():
+    assert set(_faults()) == SHARED[("chambers_lp", "critical_points")]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED[("chambers_lp", "critical_points")]))
+def test_a_fault_in_the_shared_group_never_passes_a_wrong_value(name, tmp_path, monkeypatch, capsys):
+    k4 = tmp_path / "K4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+    for owner, attribute, value in _faults()[name]:
+        monkeypatch.setattr(owner, attribute, value)
+    code = cli.main(["verify", "--graph", str(cli.DATA_DIR / "paw.txt"), "--graph", str(k4), "--m", "3,4"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["graph"], row["m"]) for row in rows] == list(EXPECTED)
+    for row in rows:
+        # a fault may fail the routes that share the group, but moves no value
+        assert set(row["values"].values()) == {EXPECTED[row["graph"], row["m"]]}
+        assert set(row.get("failed", ())) <= {"chambers_lp", "critical_points"} and row["skipped"] == []
+    assert code == (cli.EXIT_OK if name in HARMLESS else cli.EXIT_DISAGREE)
