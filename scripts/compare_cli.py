@@ -10,8 +10,10 @@ input files (the shipped fixtures, a few more graphs, a weights file and a
 constraints file), so both checkouts read the same relative paths.  The
 cases cover `verify` (JSON and `--pretty`, with routes over budget on a
 simple graph and a digraph), `chambers` (the LP route on K4 at m=4 maps
-witnesses along paths of up to three generators; the bijective route on K4
-at m=4 and the paw at m=5 orders colour classes of several vertices),
+witnesses along paths of up to three generators, and on a 6-vertex graph
+with no automorphism at m=3 only the reflection maps them, across the
+first split; the bijective route on K4 at m=4 and the paw at m=5 orders
+colour classes of several vertices),
 `critical-points` (on K4 at m=3, 23 of the 24 chambers start Newton at the
 image of their orbit's critical point), `omega`, `chromatic`, `parse`, `chi`
 and `kapranov`, plus usage errors and a Newton run that does not converge.
@@ -38,6 +40,7 @@ FILES = {
     "K4.txt": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
     "C4.txt": "4 4\n0 1\n1 2\n2 3\n0 3\n",
     "E3.txt": "3 0\n",
+    "A6.txt": "6 6\n0 1\n1 2\n2 3\n3 4\n1 5\n2 5\n",  # no automorphism but the identity
     "dcycle3.txt": "digraph\n3 3\n0 1\n1 2\n2 0\n",
     "bad.txt": "3 1\n0 7\n",
     "weights.json": json.dumps([1.0, 2.0, 0.5, 1.5, 1.0, 1.0, 1.0, 0.75, 1.25, 2.0, 1.0, 0.5]),
@@ -74,6 +77,7 @@ CASES = [
     ("chambers-lp-K4@3", ["chambers", "--graph", "K4.txt", "--m", "3", "--method", "lp", "--pretty"]),
     ("chambers-lp-C4@4", ["chambers", "--graph", "C4.txt", "--m", "4", "--method", "lp"]),
     ("chambers-lp-K4@4", ["chambers", "--graph", "K4.txt", "--m", "4", "--method", "lp"]),
+    ("chambers-lp-A6@3", ["chambers", "--graph", "A6.txt", "--m", "3", "--method", "lp"]),
     ("chambers-bijective-K4@4", ["chambers", "--graph", "K4.txt", "--m", "4", "--method", "bijective"]),
     ("chambers-bijective-paw@5", ["chambers", "--graph", "paw.txt", "--m", "5", "--method", "bijective"]),
     ("chambers-E3@4", ["chambers", "--graph", "E3.txt", "--m", "4"]),

@@ -343,6 +343,31 @@ def bounded_chambers_bijective(arr: Arrangement, candidate_budget=DEFAULT_CANDID
     return chambers
 
 
+def _regions(region, terms, first, skip):
+    """Every nonempty region that signs all of `terms`, as (signs, region).
+
+    Depth-first, the + side first, each side adding its arc (`_arc`) to the
+    parent's closure; the first term is split only on the sides in `first`,
+    and a full sign tuple in `skip`, read as the walk goes, is passed over
+    before its arc is added.
+    """
+    stack = [((), region, None)]  # (signs so far, the parent region, the arc the last sign adds)
+    while stack:
+        signs, region, arc = stack.pop()
+        done = len(signs) == len(terms)
+        if done and signs in skip:
+            continue
+        if arc is not None:
+            region = region.with_arc(*arc)
+            if region is None:
+                continue
+        if done:
+            yield signs, region
+            continue
+        for side in first if not signs else (-1, 1):  # the + side is pushed last, so searched first
+            stack.append((signs + (side,), region, _arc(terms[len(signs)], side)))
+
+
 def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONAL_BUDGET):
     """All bounded chambers by incremental sign-vector search over difference constraints.
 
@@ -366,11 +391,11 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
     (an orientation; the empty one at the root of an edgeless graph, whose
     orbit is itself) has its level subtree searched only if it is not in
     the orbit of an orientation searched before, and is skipped before its
-    constraint is added.  After the search, every other orientation of a
-    searched orbit, on either side of the first split, receives the images
-    of its parent's chambers under the generator that reaches it on
-    `_orbit`'s first path, parents first; every mapped chamber is certified
-    by substitution like the others, and a final check refuses any sign
+    constraint is added.  Once an orientation's levels are searched, its
+    chambers are mapped at once to every other orientation of its orbit,
+    on either side of the first split, each by the generator that reaches
+    it on `_orbit`'s first path; every mapped chamber is certified by
+    substitution like the others, and a final check refuses any sign
     vector found twice.  On K5 at m=4 the search decides 284 regions beyond
     the cube and refuses 107 of them.
     """
@@ -380,68 +405,37 @@ def bounded_chambers_lp(arr: Arrangement, functional_budget=DEFAULT_LP_FUNCTIONA
             f"{len(terms)} functionals exceed LP search budget {functional_budget}"
         )
     n, m = arr.dimension, arr.m
-    fixed = {}  # the cube's signs: functional index -> sign
-    free_idx = []
-    for idx, (_, k, c) in enumerate(terms):
-        if k == n and c in (0, 2 - m):  # the levels z_v - 0 and z_v - (m-2)
-            fixed[idx] = 1 if c == 0 else -1
-        else:
-            free_idx.append(idx)
-    free_idx.sort(key=lambda i: terms[i][1] == n)  # the edges (k < n) first
     cube = Region.empty(n + 1)
-    for i, side in fixed.items():
-        cube = cube.with_arc(*_arc(terms[i], side))
-    split = [terms[i] for i in free_idx]
-    edges = [i for i in free_idx if terms[i][1] < n]
+    base = [0] * len(terms)  # the cube's signs
+    edges, levels = [], []  # the functionals split on: the edges (k < n), then the inner levels
+    for i, (_, k, c) in enumerate(terms):
+        if k < n:
+            edges.append(i)
+        elif c in (0, 2 - m):  # the levels z_v - 0 and z_v - (m-2)
+            base[i] = 1 if c == 0 else -1
+            cube = cube.with_arc(*_arc(terms[i], base[i]))
+        else:
+            levels.append(i)
     if edges and arr.symmetries[0].index[edges[0]] != edges[0]:
         raise EngineConsistencyError("the first split of the LP search is not its own mirror")
 
     chambers = []
-    found = {}  # searched orientation -> its chambers
     mapped = set()  # the orientations of every orbit searched so far
-    maps = []  # (generator, its parent's chambers, their images), parents first
-
-    def move(g, parent):  # a new image's chambers, filled in after the search
-        maps.append((g, parent, []))
-        return maps[-1][2]
-
-    # (free signs so far, the parent region, the constraint it adds; None at the cube)
-    stack = [((), cube, None)]
-    while stack:
-        sides, region, arc = stack.pop()
-        at_orientation = len(sides) == len(edges)
-        if at_orientation and sides in mapped:
-            continue
-        if arc is not None:
-            region = region.with_arc(*arc)
-            if region is None:
-                continue
-        if at_orientation:
-            found[sides] = []
-            pattern = [0] * len(terms)
-            for i, side in zip(edges, sides):
-                pattern[i] = side
-            orbit = _orbit(arr.symmetries, tuple(pattern), found[sides], move)
-            mapped.update(tuple(image[i] for i in edges) for image in orbit)
-        if len(sides) == len(free_idx):
-            signs = dict(fixed)
-            signs.update(zip(free_idx, sides))
-            sign_vec = tuple(signs[i] for i in range(len(terms)))
-            nums = tuple(region.dist[n][:n])
-            if _signs_at(arr, nums, n + 1) != sign_vec:
+    for orientation, region in _regions(cube, [terms[i] for i in edges], (1,), mapped):
+        at = dict(zip(edges, orientation))  # the signs split on: this orientation's, then a leaf's levels
+        pattern = tuple(at.get(i, 0) for i in range(len(terms)))
+        own = []
+        for sides, leaf in _regions(region, [terms[i] for i in levels], (-1, 1), ()):
+            at.update(zip(levels, sides))
+            signs = tuple(at.get(i, side) for i, side in enumerate(base))
+            nums = tuple(leaf.dist[n][:n])
+            if _signs_at(arr, nums, n + 1) != signs:
                 raise EngineConsistencyError("LP witness lies outside its chamber")
-            chamber = Chamber(sign_vec, nums, n + 1)
-            chambers.append(chamber)
-            found[sides[: len(edges)]].append(chamber)
-            continue
-        term = split[len(sides)]
-        # the + side is pushed last, so searched first
-        for side in (1,) if edges and not sides else (-1, 1):
-            stack.append((sides + (side,), region, _arc(term, side)))
-
-    for g, parent, images in maps:
-        images += [_image(arr, g, c) for c in parent]
-        chambers += images
+            own.append(Chamber(signs, nums, n + 1))
+        orbit = _orbit(arr.symmetries, pattern, own, lambda g, cs: [_image(arr, g, c) for c in cs])
+        mapped.update(tuple(image[i] for i in edges) for image in orbit)
+        for images in orbit.values():
+            chambers += images
     if len({c.signs for c in chambers}) != len(chambers):
         raise EngineConsistencyError("LP search found a chamber twice")
     chambers.sort(key=lambda c: c.signs)

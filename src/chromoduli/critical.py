@@ -16,8 +16,9 @@ chamber's image is the image of its critical point.  Newton solves the
 first chamber of each orbit from its witness and starts every other
 chamber of the orbit at the image of that critical point; an image outside
 its chamber raises EngineConsistencyError, as a symmetry that maps a
-chamber's point out of its image is broken.  Every chamber is certified at
-its own final point all the same.
+chamber's point out of its image is broken, and so does a witness outside
+its chamber.  Every chamber is certified at its own final point all the
+same.
 
 Everything runs on the standard library.  Every functional is z_j - z_k + c
 with z_n = 0 (`Arrangement.terms`), so one list of (j, k, c, weight) per
@@ -236,9 +237,9 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     raise ConvergenceError, led by "chamber <signs>:".  `kernel`, if given,
     is `_kernel(arr, weights)`, built once by the caller.
 
-    Raises EngineConsistencyError, led by "chamber <signs>:", if `start` is
-    not strictly inside the chamber's signs, and ValueError if the witness,
-    rounded to floats, is not.
+    Raises EngineConsistencyError, led by "chamber <signs>:", if the start
+    point, `start` or the witness rounded to floats, is not strictly inside
+    the chamber's signs.
     """
     terms, u = _kernel(arr, weights) if kernel is None else kernel
     n = arr.dimension
@@ -250,9 +251,8 @@ def solve_chamber(arr: Arrangement, weights, chamber: Chamber, index=0, kernel=N
     f = _values(terms, z)
     sf = list(map(mul, signs, f))  # |f|, positive inside the chamber
     if min(sf) <= 0:
-        if start is not None:
-            raise EngineConsistencyError(f"chamber {name}: mapped start lies outside it")
-        raise ValueError(f"witness of chamber {name} is not strictly inside it")
+        what = "witness" if start is None else "mapped start"
+        raise EngineConsistencyError(f"chamber {name}: {what} lies outside it")
     value = None  # the objective at z, once the line search has computed it
     for iterations in range(1, MAX_ITERATIONS + 1):
         g, p = _derivatives(terms, n, f)

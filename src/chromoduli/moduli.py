@@ -8,11 +8,11 @@ product of its classes over the space marked by X, of dimension n - 3.
 `_degree` computes it, with subsets as bitmasks and markings as bit
 positions.
 
-Base cases:
+Every system holds n - 3 constraints, so its product is of top degree:
+the callers check the count, and the step below keeps it (`_degree` raises
+EngineConsistencyError on any other count).  Base cases:
 
 * n = 3 and no constraint: the space is a point, so the degree is 1;
-* a constraint count other than n - 3: the product is not of top degree,
-  so its integral is 0;
 * a subset of three markings: its space is a point, where psi is 0;
 * a marking x in no subset: every class is pulled back along the map that
   forgets x, so the product comes from a space of dimension n - 4, below its
@@ -42,12 +42,15 @@ of S_w.  On a curve of D_J, forget the markings outside S_w and stabilize:
   cotangent class of w's component; if |far| = 1 that marking lands at the
   node.  Either way: (near u {o}, w) on w's side.
 
-(near = {w} with |far| = 1 would need |S_w| = 2.)  A side whose constraint
-count differs from its dimension is caught by the count base case.  Every
-term is nonnegative.  Each side's system is relabelled to its markings in
-increasing order, then o, with its constraints sorted; `memo` maps each such
-system to its degree, so a subproblem is computed once per call.  The
-recursion sees constraint systems only, never the graph they came from.
+(near = {w} with |far| = 1 would need |S_w| = 2.)  The n - 4 constraints
+left go one to a side, and the two sides' dimensions add up to n - 4, so
+a side whose count differs from its dimension makes the other's differ
+too: the product is then of top degree on neither, the term is 0, and the
+step skips it.  Every term is nonnegative.  Each side's system is
+relabelled to its markings in increasing order, then o, with its
+constraints sorted; `memo` maps each such system to its degree, so a
+subproblem is computed once per call.  The recursion sees constraint
+systems only, never the graph they came from.
 
 `omega` splits its integral at the point class instead of integrating once
 over the whole space.  The point class pulled back from the m extra markings
@@ -88,7 +91,7 @@ class itself is never built here; the tests' reference
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, EngineConsistencyError
 from .graphs import Digraph, SimpleGraph
 
 DEFAULT_TERM_CAP = 10_000_000
@@ -117,10 +120,11 @@ def _degree(n, constraints, memo, cap):
 
     `constraints` is a sorted tuple of (subset mask, marking) pairs.  `memo`
     maps each system met so far to its degree; past `cap` systems the call
-    raises BudgetExceededError.
+    raises BudgetExceededError.  A count other than n - 3 raises
+    EngineConsistencyError: no caller passes one.
     """
     if len(constraints) != n - 3:
-        return 0
+        raise EngineConsistencyError(f"{len(constraints)} constraints on {n} markings, not {n - 3}")
     key = (n, constraints)
     value = memo.get(key)
     if value is None:
@@ -131,7 +135,7 @@ def _degree(n, constraints, memo, cap):
 
 
 def _split(n, constraints, memo, cap):
-    """The base cases other than the count, then the sum over the divisors D_J."""
+    """The base cases, then the sum over the divisors D_J whose sides keep the count."""
     if n == 3:
         return 1
     full = (1 << n) - 1

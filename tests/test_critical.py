@@ -321,7 +321,7 @@ def test_witness_outside_chamber_is_rejected():
     chamber = bounded_chambers_bijective(arr)[0]
     x0, x1 = chamber.nums
     swapped = Chamber(chamber.signs, (x1, x0), chamber.d)  # wrong side of z_0 = z_1
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineConsistencyError, match="witness lies outside it"):
         solve_chamber(arr, [1.0] * 5, swapped)
 
 

@@ -472,6 +472,13 @@ def test_kapranov_wrong_count():
         kapranov_degree([(P5, 1)], P5)
 
 
+def test_recursion_refuses_a_count_no_caller_passes():
+    # callers check the count, and the step recurses only into sides that
+    # keep it, so a system off its dimension is a bug, not a degree of 0
+    with pytest.raises(EngineConsistencyError, match="1 constraints on 5 markings, not 2"):
+        moduli._degree(5, ((0b11111, 0),), {}, 10)
+
+
 def test_omega_paw():
     assert omega(paw_graph(), 3) == 12
 

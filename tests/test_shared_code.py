@@ -168,3 +168,41 @@ def test_a_fault_in_the_shared_group_never_passes_a_wrong_value(name, tmp_path, 
         assert set(row["values"].values()) == {EXPECTED[row["graph"], row["m"]]}
         assert set(row.get("failed", ())) <= {"chambers_lp", "critical_points"} and row["skipped"] == []
     assert code == (cli.EXIT_OK if name in HARMLESS else cli.EXIT_DISAGREE)
+
+
+def _chamber_faults():
+    """One wrong variant of each function that the two chamber routes share,
+    as the (owner, attribute, value) patch that puts it in place."""
+    signs_at, init = arrangement._signs_at, arrangement.Chamber.__init__
+
+    def flipped(arr, nums, d):  # the last functional's sign is wrong
+        signs = signs_at(arr, nums, d)
+        return signs[:-1] + (-signs[-1],)
+
+    def halved(self, signs, nums, d):  # every witness is read at half its value
+        init(self, signs, nums, 2 * d)
+
+    return {
+        "arrangement._signs_at": (arrangement, "_signs_at", flipped),
+        "arrangement.Chamber.__init__": (arrangement.Chamber, "__init__", halved),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SHARED[("chambers_bijective", "chambers_lp")]))
+def test_a_fault_in_the_shared_chamber_code_never_passes_a_wrong_value(name, tmp_path, monkeypatch, capsys):
+    # a wrong substitution or witness fails the certificates downstream of
+    # the bijective chambers, the LP route's and Newton's, as a failed route
+    # of a printed row: never as a moved value or a usage error.  A halved
+    # witness stays inside its chamber at m=3, where every chamber lies in
+    # the one cube (0, 1)^n, so only the m=4 rows must fail.
+    k4 = tmp_path / "K4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+    monkeypatch.setattr(*_chamber_faults()[name])
+    code = cli.main(["verify", "--graph", str(cli.DATA_DIR / "paw.txt"), "--graph", str(k4), "--m", "3,4"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == cli.EXIT_DISAGREE
+    assert [(row["graph"], row["m"]) for row in rows] == list(EXPECTED)
+    for row in rows:
+        assert set(row["values"].values()) == {EXPECTED[row["graph"], row["m"]]}
+        assert set(row.get("failed", ())) <= {"chambers_lp", "critical_points"} and row["skipped"] == []
+    assert all(row.get("failed") for row in rows if row["m"] == 4)
